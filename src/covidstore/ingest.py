@@ -165,17 +165,6 @@ def sparsify(values: Sequence[str]) -> list[Optional[str]]:
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One data row of the raw file, fields unquoted but otherwise untouched."""
-
-    province_state: str
-    country_region: str
-    lat: str
-    long: str
-    values: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class FormattedRecord:
     """One output row: composite key, coordinates, sparse daily values."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .store import ColumnCoord, Store, StoreError
 
@@ -158,17 +158,14 @@ def execute_command(cmd: ShellCommand, store: Store) -> str:
         return f"ERROR: {exc}"
 
 
-def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) -> int:
-    """Execute commands from a file, one per line; returns the error count.
+def _run(store: Store, lines: Iterable[str], out: IO[str]) -> int:
+    """Run commands until exit or the end of lines; returns the error count.
 
-    Blank lines are skipped.  Execution continues past failures so a partly
-    broken script still does what it can; the caller turns a nonzero count
-    into a nonzero exit status.
+    Blank lines are skipped, and a failed command prints its ERROR: line and
+    the loop goes on.
     """
-    # Resolve at call time so stream redirection is honored.
-    out = sys.stdout if out is None else out
     errors = 0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in lines:
         if not line.strip():
             continue
         try:
@@ -177,12 +174,32 @@ def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) ->
                 break
             text = _dispatch(cmd, store)
         except (StoreError, ShellError) as exc:
-            print(f"ERROR: {exc}", file=out)
+            text = f"ERROR: {exc}"
             errors += 1
-            continue
         if text:
             print(text, file=out)
     return errors
+
+
+def _prompted(stdin: IO[str], out: IO[str]) -> Iterator[str]:
+    while True:
+        out.write("kv> ")
+        out.flush()
+        line = stdin.readline()
+        if not line:
+            return
+        yield line
+
+
+def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) -> int:
+    """Execute commands from a file, one per line; returns the error count.
+
+    Execution continues past failures so a partly broken script still does
+    what it can; the caller turns a nonzero count into a nonzero exit status.
+    """
+    # Resolve at call time so stream redirection is honored.
+    out = sys.stdout if out is None else out
+    return _run(store, Path(path).read_text(encoding="utf-8").splitlines(), out)
 
 
 def repl(
@@ -192,22 +209,4 @@ def repl(
     stdin = sys.stdin if stdin is None else stdin
     out = sys.stdout if out is None else out
     interactive = hasattr(stdin, "isatty") and stdin.isatty()
-    while True:
-        if interactive:
-            out.write("kv> ")
-            out.flush()
-        line = stdin.readline()
-        if not line:
-            break
-        if not line.strip():
-            continue
-        try:
-            cmd = parse_command(line)
-        except ShellError as exc:
-            print(f"ERROR: {exc}", file=out)
-            continue
-        if cmd.verb == "exit":
-            break
-        text = execute_command(cmd, store)
-        if text:
-            print(text, file=out)
+    _run(store, _prompted(stdin, out) if interactive else stdin, out)

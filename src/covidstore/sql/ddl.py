@@ -16,7 +16,7 @@ from datetime import date
 from ..ingest import date_columns_between
 from ..store import ColumnCoord
 from .errors import SqlError, SqlSyntaxError
-from .lexer import ATOM, DQSTRING, STRING, Token, tokenize
+from .lexer import ATOM, DQSTRING, STRING, Cursor
 
 COLUMN_TYPES = ("int", "float")
 
@@ -97,75 +97,21 @@ class DescribeTable:
     name: str
 
 
-class _Parser:
-    """Shared cursor helpers for the statement parsers."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise SqlSyntaxError("unexpected end of statement", len(self.text))
-        self.pos += 1
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == ATOM and tok.text.upper() == word.upper()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            tok = self.peek()
-            where = tok.pos if tok else len(self.text)
-            found = tok.text if tok else "end of statement"
-            raise SqlSyntaxError(f"expected {word}, found {found!r}", where)
-        return self.next()
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            where = tok.pos if tok else len(self.text)
-            found = tok.text if tok else "end of statement"
-            raise SqlSyntaxError(f"expected {what}, found {found!r}", where)
-        return self.next()
-
-    def expect_name(self) -> str:
-        return self.expect(ATOM, "a name").text
-
-    def finish(self) -> None:
-        if self.peek() is not None and self.peek().kind == "SEMI":  # type: ignore[union-attr]
-            self.next()
-        tok = self.peek()
-        if tok is not None:
-            raise SqlSyntaxError(f"unexpected text {tok.text!r} after statement", tok.pos)
-
-
 def parse_ddl_statement(text: str) -> CreateTable | DropTable | DescribeTable:
     """Parse one DDL statement: CREATE TABLE, DROP TABLE, or DESCRIBE."""
-    p = _Parser(text)
-    if p.at_keyword("CREATE"):
-        return _parse_create(p, text)
-    if p.at_keyword("DROP"):
-        p.next()
+    p = Cursor(text)
+    if p.take_keyword("CREATE"):
+        return _parse_create(p)
+    if p.take_keyword("DROP"):
         p.expect_keyword("TABLE")
         name = p.expect_name()
         p.finish()
         return DropTable(name)
-    if p.at_keyword("DESCRIBE"):
-        p.next()
+    if p.take_keyword("DESCRIBE"):
         name = p.expect_name()
         p.finish()
         return DescribeTable(name)
-    tok = p.peek()
-    where = tok.pos if tok else 0
-    found = tok.text if tok else "empty statement"
-    raise SqlSyntaxError(f"expected CREATE, DROP, or DESCRIBE, found {found!r}", where)
+    p.fail("CREATE, DROP, or DESCRIBE")
 
 
 def parse_ddl(text: str) -> CreateTable:
@@ -176,8 +122,7 @@ def parse_ddl(text: str) -> CreateTable:
     return parsed
 
 
-def _parse_create(p: _Parser, raw: str) -> CreateTable:
-    p.expect_keyword("CREATE")
+def _parse_create(p: Cursor) -> CreateTable:
     p.expect_keyword("TABLE")
     table_name = p.expect_name()
     p.expect("LPAREN", "'('")
@@ -188,7 +133,7 @@ def _parse_create(p: _Parser, raw: str) -> CreateTable:
         raise SqlSyntaxError(
             f"first column must be the struct key, found {key_name!r}", key_tok.pos
         )
-    p.expect_keyword("struct")
+    p.expect_keyword("STRUCT")
     p.expect("LT", "'<'")
     key_fields: list[str] = []
     while True:
@@ -200,20 +145,12 @@ def _parse_create(p: _Parser, raw: str) -> CreateTable:
         if any(f.lower() == fname.lower() for f in key_fields):
             raise SqlError(f"duplicate key field {fname!r}")
         key_fields.append(fname)
-        tok = p.next()
-        if tok.kind == "GT":
+        if p.list_ends(">"):
             break
-        if tok.kind != "COMMA":
-            raise SqlSyntaxError(f"expected ',' or '>', found {tok.text!r}", tok.pos)
 
     columns: list[ColumnDef] = []
     seen = {key_name.lower()}
-    while True:
-        tok = p.next()
-        if tok.kind == "RPAREN":
-            break
-        if tok.kind != "COMMA":
-            raise SqlSyntaxError(f"expected ',' or ')', found {tok.text!r}", tok.pos)
+    while not p.list_ends(")"):
         name = p.expect_name()
         ctype = p.expect_name().lower()
         if ctype not in COLUMN_TYPES:
@@ -251,11 +188,8 @@ def _parse_create(p: _Parser, raw: str) -> CreateTable:
         if key_tok.text in properties:
             raise SqlError(f"duplicate property {key_tok.text!r}")
         properties[key_tok.text] = value_tok.text
-        tok = p.next()
-        if tok.kind == "RPAREN":
+        if p.list_ends(")"):
             break
-        if tok.kind != "COMMA":
-            raise SqlSyntaxError(f"expected ',' or ')', found {tok.text!r}", tok.pos)
     p.finish()
 
     for prop in _REQUIRED_PROPS:
@@ -271,6 +205,11 @@ def _parse_create(p: _Parser, raw: str) -> CreateTable:
     if entries[0] != _KEY_MARKER:
         raise SqlError(f"first mapping entry must be {_KEY_MARKER!r}, got {entries[0]!r}")
     coords = tuple(ColumnCoord.parse(e) for e in entries[1:])
+    seen: set[ColumnCoord] = set()
+    for coord in coords:
+        if coord in seen:
+            raise SqlError(f"column mapping names {coord} twice")
+        seen.add(coord)
 
     schema = RelationalSchema(
         table_name=table_name,
@@ -284,7 +223,7 @@ def _parse_create(p: _Parser, raw: str) -> CreateTable:
         mapping=mapping,
         properties=properties,
         stored_by=stored_by,
-        raw=raw.strip(),
+        raw=p.text.strip(),
     )
 
 
@@ -303,6 +242,11 @@ def generate_schema(
     parse_ddl unchanged.
     """
     dates = date_columns_between(start, end)
+    if len({d.qualifier for d in dates}) < len(dates):
+        raise SqlError(
+            f"date range {start}:{end} covers a month and day twice, "
+            "and date qualifiers carry no year; one mapping spans at most a year"
+        )
 
     decls = [f"{d.column_name} int" for d in dates]
     lines: list[str] = []

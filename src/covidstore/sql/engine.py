@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from ..store import Store
+from ..store import Store, write_atomic
 from .ddl import (
     CreateTable,
     DescribeTable,
@@ -65,23 +65,6 @@ def render_result_set(rs: ResultSet) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    create: CreateTable
-
-    @property
-    def name(self) -> str:
-        return self.create.schema.table_name
-
-    @property
-    def schema(self):
-        return self.create.schema
-
-    @property
-    def mapping(self):
-        return self.create.mapping
-
-
 class Catalog:
     """Mapped-table definitions, persisted beside the store's own files.
 
@@ -93,7 +76,7 @@ class Catalog:
     def __init__(self, store: Store) -> None:
         self._store = store
         self._path = store.directory / CATALOG_NAME
-        self._entries: dict[str, CatalogEntry] = {}
+        self._entries: dict[str, CreateTable] = {}
         if self._path.exists():
             text = self._path.read_text(encoding="utf-8")
             for statement in split_statements(text):
@@ -101,14 +84,14 @@ class Catalog:
                     parsed = parse_ddl(statement)
                 except SqlError as exc:
                     raise CatalogError(f"corrupt catalog {self._path}: {exc}") from exc
-                self._entries[parsed.schema.table_name.lower()] = CatalogEntry(parsed)
+                self._entries[parsed.schema.table_name.lower()] = parsed
 
     # ---------------------------------------------------------------- lookup
 
     def names(self) -> list[str]:
-        return sorted(e.name for e in self._entries.values())
+        return sorted(e.schema.table_name for e in self._entries.values())
 
-    def get(self, name: str) -> CatalogEntry:
+    def get(self, name: str) -> CreateTable:
         entry = self._entries.get(name.lower())
         if entry is None:
             raise CatalogError(f"table {name!r} not found in catalog")
@@ -119,7 +102,7 @@ class Catalog:
 
     # ------------------------------------------------------------- mutations
 
-    def create_mapped_table(self, ddl: CreateTable) -> CatalogEntry:
+    def create_mapped_table(self, ddl: CreateTable) -> None:
         """Register a mapped table, creating its backing table if needed.
 
         An existing backing table is attached as-is (its data shows through
@@ -145,10 +128,8 @@ class Catalog:
                 )
         else:
             self._store.create_table(backing, needed)
-        entry = CatalogEntry(ddl)
-        self._entries[name.lower()] = entry
+        self._entries[name.lower()] = ddl
         self._persist()
-        return entry
 
     def drop_mapped_table(self, name: str) -> bool:
         """Remove a definition and its backing table.
@@ -156,7 +137,8 @@ class Catalog:
         Returns False (a warning, not an error) when the name is unknown,
         so scripted drop-then-create sequences run clean on a fresh store.
         """
-        entry = self._entries.pop(name.lower(), None)
+        key = name.lower()
+        entry = self._entries.get(key)
         if entry is None:
             return False
         backing = entry.mapping.store_table
@@ -165,6 +147,7 @@ class Catalog:
             # from this layer the two-step is an implementation detail.
             self._store.disable_table(backing)
             self._store.drop_table(backing)
+        del self._entries[key]
         self._persist()
         return True
 
@@ -180,12 +163,9 @@ class Catalog:
     def _persist(self) -> None:
         statements = []
         for key in sorted(self._entries):
-            raw = self._entries[key].create.raw
+            raw = self._entries[key].raw
             statements.append(raw if raw.endswith(";") else raw + ";")
-        text = "\n".join(statements) + ("\n" if statements else "")
-        tmp = self._path.with_name(self._path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        tmp.replace(self._path)
+        write_atomic(self._path, "\n".join(statements) + ("\n" if statements else ""))
 
 
 # ---------------------------------------------------------------- execution
@@ -202,7 +182,7 @@ class _DecodedRow:
 class _Source:
     index: int
     qualifier: str  # alias if declared, else the table name
-    entry: CatalogEntry
+    entry: CreateTable
     rows: list[_DecodedRow]
 
 
@@ -217,7 +197,7 @@ def _decode_value(raw: str, ctype: str, row_key: str, column: str) -> Value:
         ) from None
 
 
-def _decode_table(entry: CatalogEntry, store: Store) -> list[_DecodedRow]:
+def _decode_table(entry: CreateTable, store: Store) -> list[_DecodedRow]:
     schema = entry.schema
     mapping = entry.mapping
     terminator = schema.collection_terminator
@@ -276,7 +256,7 @@ class _Resolver:
             declared = src.entry.schema.key_field_named(ref.field)
             if declared is None:
                 raise SqlError(
-                    f"unknown key field {ref.field!r} in table {src.entry.name!r}"
+                    f"unknown key field {ref.field!r} in table {src.entry.schema.table_name!r}"
                 )
             lowered = declared.lower()
             return (src.index, lambda row: row.key_fields[lowered], declared.lower())
@@ -286,7 +266,9 @@ class _Resolver:
         src = candidates[0]
         column = src.entry.schema.column_named(ref.name)
         if column is None:
-            raise SqlError(f"unknown column {ref.name!r} in table {src.entry.name!r}")
+            raise SqlError(
+                f"unknown column {ref.name!r} in table {src.entry.schema.table_name!r}"
+            )
         lowered = column.name.lower()
         return (src.index, lambda row: row.columns[lowered], column.name)
 

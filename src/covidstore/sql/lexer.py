@@ -10,6 +10,7 @@ for the escaped character itself, which is how '\\~' denotes a tilde.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn, Optional
 
 from .errors import SqlSyntaxError
 
@@ -56,8 +57,9 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch in ("'", '"'):
             kind = STRING if ch == "'" else DQSTRING
-            value, i = _read_string(text, i, ch)
-            tokens.append(Token(kind, value, i))
+            start = i
+            value, i = _read_string(text, start, ch)
+            tokens.append(Token(kind, value, start))
             continue
         if _is_atom_char(ch):
             start = i
@@ -92,6 +94,78 @@ def _read_string(text: str, start: int, quote: str) -> tuple[str, int]:
         buf.append(ch)
         i += 1
     raise SqlSyntaxError("unterminated string literal", start)
+
+
+class Cursor:
+    """A parser's place in one statement's tokens."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> Optional[Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise SqlSyntaxError("unexpected end of statement", len(self.text))
+        self.pos += 1
+        return tok
+
+    def take(self, kind: str) -> bool:
+        """Consume the next token if it is of the given kind."""
+        tok = self.peek()
+        if tok is not None and tok.kind == kind:
+            self.pos += 1
+            return True
+        return False
+
+    def take_keyword(self, word: str) -> bool:
+        """Consume the next token if it is the given upper-case keyword."""
+        tok = self.peek()
+        if tok is not None and tok.kind == ATOM and tok.text.upper() == word:
+            self.pos += 1
+            return True
+        return False
+
+    def fail(self, expected: str) -> NoReturn:
+        """Raise a syntax error naming what the next token should have been."""
+        tok = self.peek()
+        if tok is None:
+            raise SqlSyntaxError(f"expected {expected}, found 'end of statement'", len(self.text))
+        raise SqlSyntaxError(f"expected {expected}, found {tok.text!r}", tok.pos)
+
+    def expect_keyword(self, word: str) -> None:
+        if not self.take_keyword(word):
+            self.fail(word)
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            self.fail(what)
+        self.pos += 1
+        return tok
+
+    def expect_name(self, what: str = "a name") -> str:
+        return self.expect(ATOM, what).text
+
+    def list_ends(self, close: str) -> bool:
+        """Consume the ',' that continues a list (False) or its closing token (True)."""
+        tok = self.next()
+        if tok.kind == _PUNCT[close]:
+            return True
+        if tok.kind != "COMMA":
+            raise SqlSyntaxError(f"expected ',' or {close!r}, found {tok.text!r}", tok.pos)
+        return False
+
+    def finish(self) -> None:
+        """Allow one trailing semicolon, then require the end of the statement."""
+        self.take("SEMI")
+        tok = self.peek()
+        if tok is not None:
+            raise SqlSyntaxError(f"unexpected text {tok.text!r} after statement", tok.pos)
 
 
 def split_statements(text: str) -> list[str]:

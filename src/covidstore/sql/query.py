@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import SqlSyntaxError, UnsupportedClauseError
-from .lexer import ATOM, STRING, Token, tokenize
+from .lexer import ATOM, STRING, Cursor
 
 Literal = Union[str, int, float]
 
@@ -103,40 +103,8 @@ _UNSUPPORTED = {
 }
 
 
-class _QueryParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    # ------------------------------------------------------------ primitives
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise SqlSyntaxError("unexpected end of query", len(self.text))
-        self.pos += 1
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == ATOM and tok.text.upper() == word
-
-    def take_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.next()
-            return True
-        return False
-
-    def expect_keyword(self, word: str) -> None:
-        if not self.take_keyword(word):
-            tok = self.peek()
-            where = tok.pos if tok else len(self.text)
-            found = tok.text if tok else "end of query"
-            raise SqlSyntaxError(f"expected {word}, found {found!r}", where)
+class _QueryParser(Cursor):
+    """The SELECT grammar; names may not be reserved keywords."""
 
     def _check_unsupported(self) -> None:
         tok = self.peek()
@@ -145,15 +113,11 @@ class _QueryParser:
             if clause is not None:
                 raise UnsupportedClauseError(clause)
 
-    def expect_name(self, what: str = "a name") -> Token:
+    def expect_name(self, what: str = "a name") -> str:
         tok = self.peek()
-        if tok is None or tok.kind != ATOM:
-            where = tok.pos if tok else len(self.text)
-            found = tok.text if tok else "end of query"
-            raise SqlSyntaxError(f"expected {what}, found {found!r}", where)
-        if tok.text.upper() in _KEYWORDS:
+        if tok is not None and tok.kind == ATOM and tok.text.upper() in _KEYWORDS:
             raise SqlSyntaxError(f"expected {what}, found keyword {tok.text!r}", tok.pos)
-        return self.next()
+        return super().expect_name(what)
 
     # --------------------------------------------------------------- grammar
 
@@ -161,16 +125,11 @@ class _QueryParser:
         self.expect_keyword("SELECT")
         self._check_unsupported()
 
-        select_all = False
         projections: list[Ref] = []
-        tok = self.peek()
-        if tok is not None and tok.kind == "STAR":
-            self.next()
-            select_all = True
-        else:
+        select_all = self.take("STAR")
+        if not select_all:
             projections.append(self._ref())
-            while self.peek() is not None and self.peek().kind == "COMMA":  # type: ignore[union-attr]
-                self.next()
+            while self.take("COMMA"):
                 projections.append(self._ref())
 
         self.expect_keyword("FROM")
@@ -192,15 +151,8 @@ class _QueryParser:
             where.append(self._predicate())
             while self.take_keyword("AND"):
                 where.append(self._predicate())
-
-        # Allow one trailing semicolon, then require a clean end.
-        tok = self.peek()
-        if tok is not None and tok.kind == "SEMI":
-            self.next()
-        tok = self.peek()
-        if tok is not None:
-            self._check_unsupported()
-            raise SqlSyntaxError(f"unexpected text {tok.text!r} after query", tok.pos)
+        self._check_unsupported()
+        self.finish()
 
         return SelectQuery(
             select_all=select_all,
@@ -211,7 +163,7 @@ class _QueryParser:
         )
 
     def _table_source(self) -> TableSource:
-        table = self.expect_name("a table name").text
+        table = self.expect_name("a table name")
         alias = None
         tok = self.peek()
         if (
@@ -225,14 +177,12 @@ class _QueryParser:
 
     def _ref(self) -> Ref:
         self._check_unsupported()
-        first = self.expect_name("a column reference").text
-        if self.peek() is None or self.peek().kind != "DOT":  # type: ignore[union-attr]
+        first = self.expect_name("a column reference")
+        if not self.take("DOT"):
             return ColumnRef(None, first)
-        self.next()
-        second = self.expect_name("a column reference").text
-        if second.lower() == "key" and self.peek() is not None and self.peek().kind == "DOT":  # type: ignore[union-attr]
-            self.next()
-            third = self.expect_name("a key field name").text
+        second = self.expect_name("a column reference")
+        if second.lower() == "key" and self.take("DOT"):
+            third = self.expect_name("a key field name")
             return KeyFieldRef(first, third)
         if first.lower() == "key":
             return KeyFieldRef(None, second)
@@ -240,34 +190,21 @@ class _QueryParser:
 
     def _join_condition(self) -> tuple[Ref, Ref]:
         left = self._ref()
-        tok = self.next()
-        if tok.kind != "EQ":
-            raise SqlSyntaxError(f"expected '=', found {tok.text!r}", tok.pos)
+        self.expect("EQ", "'='")
         right = self._ref()
         return (left, right)
 
     def _predicate(self) -> Predicate:
         ref = self._ref()
-        tok = self.peek()
-        if tok is not None and tok.kind == "EQ":
-            self.next()
+        if self.take("EQ"):
             return Comparison(ref, self._literal())
         if self.take_keyword("IN"):
-            open_tok = self.next()
-            if open_tok.kind != "LPAREN":
-                raise SqlSyntaxError(f"expected '(', found {open_tok.text!r}", open_tok.pos)
+            self.expect("LPAREN", "'('")
             values = [self._literal()]
-            while True:
-                tok = self.next()
-                if tok.kind == "RPAREN":
-                    break
-                if tok.kind != "COMMA":
-                    raise SqlSyntaxError(f"expected ',' or ')', found {tok.text!r}", tok.pos)
+            while not self.list_ends(")"):
                 values.append(self._literal())
             return InList(ref, tuple(values))
-        where = tok.pos if tok else len(self.text)
-        found = tok.text if tok else "end of query"
-        raise SqlSyntaxError(f"expected '=' or IN, found {found!r}", where)
+        self.fail("'=' or IN")
 
     def _literal(self) -> Literal:
         tok = self.next()
@@ -280,9 +217,8 @@ class _QueryParser:
         if tok.kind == ATOM and tok.text.isdigit():
             # A dotted pair of digit runs is a float literal; anything else
             # after the dot is a malformed reference, not a number.
-            if self.peek() is not None and self.peek().kind == "DOT":  # type: ignore[union-attr]
-                mark = self.pos
-                self.next()
+            mark = self.pos
+            if self.take("DOT"):
                 frac = self.peek()
                 if frac is not None and frac.kind == ATOM and frac.text.isdigit():
                     self.next()

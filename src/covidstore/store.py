@@ -20,10 +20,9 @@ nothing in the workflows here needs the stricter behavior.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Final, Optional, Sequence, Union
+from typing import Final, NamedTuple, Optional, Sequence, Union
 
 # Marker used in import column specs for the field that becomes the row key.
 ROW_KEY: Final = "HBASE_ROW_KEY"
@@ -75,9 +74,8 @@ def _check_text(text: str, what: str, allow_empty: bool = False) -> None:
             raise CellValueError(f"{what} must not contain tab or newline characters")
 
 
-@dataclass(frozen=True, order=True)
-class ColumnCoord:
-    """A cell coordinate, rendered family:qualifier."""
+class ColumnCoord(NamedTuple):
+    """A cell coordinate, rendered family:qualifier; ordered by family, then qualifier."""
 
     family: str
     qualifier: str
@@ -131,9 +129,15 @@ class ImportSpec:
         markers = [c for c in self.columns if c == ROW_KEY]
         if len(markers) != 1:
             raise ValueError(f"import spec needs exactly one {ROW_KEY} column")
+        seen: set[ColumnCoord] = set()
         for c in self.columns:
-            if c != ROW_KEY and not isinstance(c, ColumnCoord):
+            if c == ROW_KEY:
+                continue
+            if not isinstance(c, ColumnCoord):
                 raise ValueError(f"import spec column {c!r} is not a coordinate")
+            if c in seen:
+                raise ValueError(f"import spec names column {c} twice")
+            seen.add(c)
 
     @property
     def key_index(self) -> int:
@@ -161,6 +165,13 @@ MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Replace path with text, so a reader finds the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
+
+
 def open_store(directory: str | Path) -> "Store":
     """Open (creating if needed) the store in the given directory."""
     return Store(directory)
@@ -169,16 +180,16 @@ def open_store(directory: str | Path) -> "Store":
 class Store:
     """A directory-backed collection of wide-column tables.
 
-    One process at a time; within it, operations are serialized by a lock so
-    readers always see a consistent snapshot and get back private copies.
-    Mutations become durable on flush (close flushes too), except that table
-    creation, disabling, and dropping persist immediately.
+    One process at a time, kept to that by the LOCK file; there is no
+    in-process locking, because no thread shares a Store.  Readers get back
+    fresh row dicts and lists, never the table's own.  Mutations become
+    durable on flush (close flushes too), except that table creation,
+    disabling, and dropping persist immediately.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._mutex = threading.RLock()
         self._closed = False
         self._lock_path = self.directory / LOCK_NAME
         self._acquire_lock()
@@ -248,6 +259,8 @@ class Store:
             # file; that is an empty table, not corruption.
             return
         text = path.read_text(encoding="utf-8")
+        # One object per distinct coordinate, shared by every row that has it.
+        coords: dict[ColumnCoord, ColumnCoord] = {}
         for i, line in enumerate(text.split("\n"), 1):
             if not line:
                 continue
@@ -259,14 +272,10 @@ class Store:
                 raise CorruptStoreError(
                     f"corrupt data file {path}: line {i}: unknown family {family!r}"
                 )
-            table.rows.setdefault(key, {})[ColumnCoord(family, qualifier)] = value
+            coord = ColumnCoord(family, qualifier)
+            table.rows.setdefault(key, {})[coords.setdefault(coord, coord)] = value
 
     # ------------------------------------------------------------- persistence
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        os.replace(tmp, path)
 
     def _write_manifest(self) -> None:
         lines = []
@@ -278,9 +287,7 @@ class Store:
                     [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0", t.data_file]
                 )
             )
-        self._write_atomic(
-            self.directory / MANIFEST_NAME, "".join(line + "\n" for line in lines)
-        )
+        write_atomic(self.directory / MANIFEST_NAME, "".join(line + "\n" for line in lines))
 
     def _write_table(self, table: _Table) -> None:
         records = []
@@ -289,25 +296,23 @@ class Store:
                 records.append(
                     f"{key}\t{coord.family}\t{coord.qualifier}\t{table.rows[key][coord]}\n"
                 )
-        self._write_atomic(self.directory / table.data_file, "".join(records))
+        write_atomic(self.directory / table.data_file, "".join(records))
         table.dirty = False
 
     def flush(self) -> None:
         """Write every pending mutation to disk."""
-        with self._mutex:
-            self._ensure_open()
-            for table in self._tables.values():
-                if table.dirty:
-                    self._write_table(table)
+        self._ensure_open()
+        for table in self._tables.values():
+            if table.dirty:
+                self._write_table(table)
 
     def close(self) -> None:
         """Flush, then release the store directory for other processes."""
-        with self._mutex:
-            if self._closed:
-                return
-            self.flush()
-            self._release_lock()
-            self._closed = True
+        if self._closed:
+            return
+        self.flush()
+        self._release_lock()
+        self._closed = True
 
     def __enter__(self) -> "Store":
         return self
@@ -336,81 +341,74 @@ class Store:
     # ------------------------------------------------------------- public API
 
     def table_names(self) -> list[str]:
-        with self._mutex:
-            self._ensure_open()
-            return sorted(self._tables)
+        self._ensure_open()
+        return sorted(self._tables)
 
     def has_table(self, name: str) -> bool:
-        with self._mutex:
-            self._ensure_open()
-            return name in self._tables
+        self._ensure_open()
+        return name in self._tables
 
     def descriptor(self, name: str) -> TableDescriptor:
-        with self._mutex:
-            self._ensure_open()
-            return self._table(name).descriptor
+        self._ensure_open()
+        return self._table(name).descriptor
 
     def create_table(self, name: str, families: Sequence[str] | set[str]) -> TableDescriptor:
         """Create an enabled table with the given column families."""
-        with self._mutex:
-            self._ensure_open()
-            _check_text(name, "table name")
-            if "/" in name or "\\" in name:
-                raise StoreError(f"table name {name!r} must not contain path separators")
-            if name in self._tables:
-                raise TableExistsError(f"table {name!r} already exists")
-            family_set = frozenset(families)
-            if not family_set:
-                raise StoreError("a table needs at least one column family")
-            for fam in family_set:
-                _check_text(fam, "family name")
-                if ":" in fam or "," in fam:
-                    raise StoreError(f"invalid family name {fam!r}")
-            table = _Table(
-                descriptor=TableDescriptor(name, family_set, True),
-                data_file=f"{name}.dat",
-            )
-            self._tables[name] = table
-            self._write_table(table)
-            self._write_manifest()
-            return table.descriptor
+        self._ensure_open()
+        _check_text(name, "table name")
+        if "/" in name or "\\" in name:
+            raise StoreError(f"table name {name!r} must not contain path separators")
+        if name in self._tables:
+            raise TableExistsError(f"table {name!r} already exists")
+        family_set = frozenset(families)
+        if not family_set:
+            raise StoreError("a table needs at least one column family")
+        for fam in family_set:
+            _check_text(fam, "family name")
+            if ":" in fam or "," in fam:
+                raise StoreError(f"invalid family name {fam!r}")
+        table = _Table(
+            descriptor=TableDescriptor(name, family_set, True),
+            data_file=f"{name}.dat",
+        )
+        self._tables[name] = table
+        self._write_table(table)
+        self._write_manifest()
+        return table.descriptor
 
     def disable_table(self, name: str) -> None:
         """Take a table out of service; disabling twice is a no-op."""
-        with self._mutex:
-            self._ensure_open()
-            table = self._table(name)
-            if table.descriptor.enabled:
-                table.descriptor = replace(table.descriptor, enabled=False)
-                self._write_manifest()
+        self._ensure_open()
+        table = self._table(name)
+        if table.descriptor.enabled:
+            table.descriptor = replace(table.descriptor, enabled=False)
+            self._write_manifest()
 
     def drop_table(self, name: str) -> None:
         """Remove a disabled table and its data for good."""
-        with self._mutex:
-            self._ensure_open()
-            table = self._table(name)
-            if table.descriptor.enabled:
-                raise TableEnabledError("table must be disabled first")
-            del self._tables[name]
-            try:
-                (self.directory / table.data_file).unlink()
-            except FileNotFoundError:
-                pass
-            self._write_manifest()
+        self._ensure_open()
+        table = self._table(name)
+        if table.descriptor.enabled:
+            raise TableEnabledError("table must be disabled first")
+        del self._tables[name]
+        try:
+            (self.directory / table.data_file).unlink()
+        except FileNotFoundError:
+            pass
+        self._write_manifest()
 
     def put(self, table: str, row_key: str, coord: ColumnCoord, value: str) -> None:
         """Write one cell; an existing cell at the coordinate is replaced."""
-        with self._mutex:
-            self._ensure_open()
-            t = self._enabled_table(table)
-            _check_text(row_key, "row key")
-            _check_text(value, "value")
-            if coord.family not in t.descriptor.families:
-                raise UnknownFamilyError(
-                    f"unknown column family {coord.family!r} for table {table!r}"
-                )
-            t.rows.setdefault(row_key, {})[coord] = value
-            t.dirty = True
+        self._ensure_open()
+        t = self._enabled_table(table)
+        _check_text(row_key, "row key")
+        _check_text(value, "value")
+        if coord.family not in t.descriptor.families:
+            raise UnknownFamilyError(
+                f"unknown column family {coord.family!r} for table {table!r}"
+            )
+        t.rows.setdefault(row_key, {})[coord] = value
+        t.dirty = True
 
     def get(
         self, table: str, row_key: str, coord: Optional[ColumnCoord] = None
@@ -420,27 +418,25 @@ class Store:
         A missing row or cell is an empty result, not an error.  Without a
         coordinate, every cell of the row comes back in coordinate order.
         """
-        with self._mutex:
-            self._ensure_open()
-            t = self._enabled_table(table)
-            row = t.rows.get(row_key)
-            if not row:
-                return []
-            if coord is not None:
-                value = row.get(coord)
-                return [(coord, value)] if value is not None else []
-            return [(c, row[c]) for c in sorted(row)]
+        self._ensure_open()
+        t = self._enabled_table(table)
+        row = t.rows.get(row_key)
+        if not row:
+            return []
+        if coord is not None:
+            value = row.get(coord)
+            return [(coord, value)] if value is not None else []
+        return [(c, row[c]) for c in sorted(row)]
 
     def scan(self, table: str) -> list[Row]:
         """Every row of the table, keys ascending, cells in coordinate order."""
-        with self._mutex:
-            self._ensure_open()
-            t = self._enabled_table(table)
-            out = []
-            for key in sorted(t.rows):
-                cells = t.rows[key]
-                out.append(Row(key, {c: cells[c] for c in sorted(cells)}))
-            return out
+        self._ensure_open()
+        t = self._enabled_table(table)
+        out = []
+        for key in sorted(t.rows):
+            cells = t.rows[key]
+            out.append(Row(key, {c: cells[c] for c in sorted(cells)}))
+        return out
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.
@@ -449,72 +445,71 @@ class Store:
         decides what to print.  Re-importing merges cell by cell, newest
         write winning, same as put.
         """
-        with self._mutex:
-            self._ensure_open()
-            t = self._enabled_table(table)
-            for col in spec.columns:
-                if isinstance(col, ColumnCoord) and col.family not in t.descriptor.families:
-                    raise UnknownFamilyError(
-                        f"unknown column family {col.family!r} for table {table!r}"
-                    )
-            path = Path(file)
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise StoreError(f"cannot read {path}: {exc}") from exc
+        self._ensure_open()
+        t = self._enabled_table(table)
+        for col in spec.columns:
+            if isinstance(col, ColumnCoord) and col.family not in t.descriptor.families:
+                raise UnknownFamilyError(
+                    f"unknown column family {col.family!r} for table {table!r}"
+                )
+        path = Path(file)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise StoreError(f"cannot read {path}: {exc}") from exc
 
-            report = ImportReport()
-            key_index = spec.key_index
-            lines = text.split("\n")
-            if lines and lines[-1] == "":
-                lines.pop()  # trailing newline, not an empty record
-            for line_no, line in enumerate(lines, 1):
-                problem = None
-                fields = line.split(spec.separator)
-                cells: list[tuple[ColumnCoord, str]] = []
-                if len(fields) != len(spec.columns):
-                    problem = f"expected {len(spec.columns)} fields, found {len(fields)}"
-                elif not fields[key_index]:
-                    problem = "empty row key"
-                else:
-                    for i, value in enumerate(fields):
-                        if i == key_index:
+        report = ImportReport()
+        key_index = spec.key_index
+        lines = text.split("\n")
+        if lines and lines[-1] == "":
+            lines.pop()  # trailing newline, not an empty record
+        for line_no, line in enumerate(lines, 1):
+            problem = None
+            fields = line.split(spec.separator)
+            cells: list[tuple[ColumnCoord, str]] = []
+            if len(fields) != len(spec.columns):
+                problem = f"expected {len(spec.columns)} fields, found {len(fields)}"
+            elif not fields[key_index]:
+                problem = "empty row key"
+            else:
+                for i, value in enumerate(fields):
+                    if i == key_index:
+                        continue
+                    if value == "":
+                        if spec.skip_empty_columns:
                             continue
-                        if value == "":
-                            if spec.skip_empty_columns:
-                                continue
-                            problem = f"empty value in column {spec.columns[i]}"
-                            break
-                        try:
-                            _check_text(value, "value")
-                        except CellValueError as exc:
-                            problem = str(exc)
-                            break
-                        cells.append((spec.columns[i], value))  # type: ignore[arg-type]
-                    if problem is None and not cells:
-                        # A row with no cells does not exist; refuse the line
-                        # rather than fabricate one.
-                        problem = "no values to write"
+                        problem = f"empty value in column {spec.columns[i]}"
+                        break
+                    try:
+                        _check_text(value, "value")
+                    except CellValueError as exc:
+                        problem = str(exc)
+                        break
+                    cells.append((spec.columns[i], value))  # type: ignore[arg-type]
+                if problem is None and not cells:
+                    # A row with no cells does not exist; refuse the line
+                    # rather than fabricate one.
+                    problem = "no values to write"
 
-                if problem is not None:
-                    if not spec.skip_bad_lines:
-                        raise StoreError(f"{path}: line {line_no}: {problem}")
-                    report.skipped += 1
-                    report.errors.append((line_no, problem))
-                    continue
+            if problem is not None:
+                if not spec.skip_bad_lines:
+                    raise StoreError(f"{path}: line {line_no}: {problem}")
+                report.skipped += 1
+                report.errors.append((line_no, problem))
+                continue
 
-                try:
-                    _check_text(fields[key_index], "row key")
-                except CellValueError as exc:
-                    if not spec.skip_bad_lines:
-                        raise StoreError(f"{path}: line {line_no}: {exc}") from None
-                    report.skipped += 1
-                    report.errors.append((line_no, str(exc)))
-                    continue
+            try:
+                _check_text(fields[key_index], "row key")
+            except CellValueError as exc:
+                if not spec.skip_bad_lines:
+                    raise StoreError(f"{path}: line {line_no}: {exc}") from None
+                report.skipped += 1
+                report.errors.append((line_no, str(exc)))
+                continue
 
-                row = t.rows.setdefault(fields[key_index], {})
-                for coord, value in cells:
-                    row[coord] = value
-                t.dirty = True
-                report.loaded += 1
-            return report
+            row = t.rows.setdefault(fields[key_index], {})
+            for coord, value in cells:
+                row[coord] = value
+            t.dirty = True
+            report.loaded += 1
+        return report

@@ -342,6 +342,7 @@ def test_schema_gen_defaults_store_table_to_table(dirs, capsys):
         ("2020-01-22", "must look like"),
         ("2020-03-31:2020-01-22", "runs backwards"),
         ("2020-13-01:2020-13-02", "bad date range"),
+        ("2020-01-22:2021-01-22", "covers a month and day twice"),
     ],
 )
 def test_bad_date_ranges(dirs, capsys, text, message):
@@ -349,6 +350,36 @@ def test_bad_date_ranges(dirs, capsys, text, message):
     rc = run_cli(store_dir, data_dir, "schema-gen", "--table", "t", "--dates", text)
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_one_mapping_spans_at_most_a_year(dirs, tmp_path, capsys):
+    store_dir, data_dir = dirs
+    # 366 days, 2020 being a leap year: every month and day once.
+    assert run_cli(store_dir, data_dir, "schema-gen", "--table", "t",
+                   "--dates", "2020-01-22:2021-01-21") == 0
+    ddl = tmp_path / "t.sql"
+    ddl.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run_cli(store_dir, data_dir, "sql", "-f", str(ddl)) == 0
+    sparse = tmp_path / "t.csv"
+    sparse.write_text("~Morocco,31.8,-7.1," + ",".join(["5"] * 366) + "\n", encoding="utf-8")
+    assert run_cli(store_dir, data_dir, "load", "t", str(sparse),
+                   "--dates", "2020-01-22:2021-01-21") == 0
+    assert "loaded 1 row(s), skipped 0" in capsys.readouterr().out
+
+    # One more day would map 01_22_2021 onto a:d122 as well.
+    longer = tmp_path / "longer.sql"
+    longer.write_text(
+        ddl.read_text(encoding="utf-8")
+        .replace("CREATE TABLE t", "CREATE TABLE u")
+        .replace("\n)\nROW FORMAT", ",\n01_22_2021 int\n)\nROW FORMAT")
+        .replace('a:d121"', 'a:d121,a:d122"'),
+        encoding="utf-8",
+    )
+    assert run_cli(store_dir, data_dir, "sql", "-f", str(longer)) == 1
+    assert "column mapping names a:d122 twice" in capsys.readouterr().err
+    assert run_cli(store_dir, data_dir, "load", "t", str(sparse),
+                   "--dates", "2020-01-22:2021-01-22") == 1
+    assert "names column a:d122 twice" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ plumbing

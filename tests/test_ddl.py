@@ -129,6 +129,7 @@ def test_case_insensitive_keywords():
             "duplicate property 'hbase.table.name'",
         ),
         (lambda s: s.replace("TERMINATED BY '~'", "TERMINATED BY '~~'"), "terminator must be one character"),
+        (lambda s: s.replace(":key,a:lt,a:d122", ":key,a:lt,a:lt"), "column mapping names a:lt twice"),
     ],
 )
 def test_malformed_create_statements(mangle, message):

@@ -19,7 +19,7 @@ from covidstore.sql import (
     render_result_set,
     render_value,
 )
-from covidstore.store import ColumnCoord, open_store
+from covidstore.store import ColumnCoord, StoreError, open_store
 
 from conftest import TABLES
 
@@ -146,6 +146,19 @@ def test_drop_removes_definition_and_backing(store, catalog):
     # unknown afterwards: a warning-level no, not an exception
     assert catalog.drop_mapped_table("cases") is False
     assert (store.directory / "CATALOG").read_text(encoding="utf-8") == ""
+
+
+def test_failed_backing_drop_keeps_definition(store, catalog, monkeypatch):
+    catalog.create_mapped_table(parse_ddl(CASES_DDL))
+
+    def refuse(name):
+        raise StoreError("drop refused")
+
+    monkeypatch.setattr(store, "drop_table", refuse)
+    with pytest.raises(StoreError, match="drop refused"):
+        catalog.drop_mapped_table("cases")
+    assert catalog.has("cases")
+    assert "CREATE TABLE cases" in (store.directory / "CATALOG").read_text(encoding="utf-8")
 
 
 def test_describe_lists_key_struct_then_columns(store, catalog):

@@ -12,6 +12,7 @@ from covidstore.sql import (
     parse_query,
     split_statements,
 )
+from covidstore.sql.lexer import tokenize
 
 from conftest import workload_text
 
@@ -180,6 +181,13 @@ def test_syntax_error_position_points_at_offender():
     with pytest.raises(SqlSyntaxError) as err:
         parse_query("SELECT a FROM t WHERE a = b")
     assert err.value.position == len("SELECT a FROM t WHERE a = ")
+
+
+def test_string_token_position_is_its_opening_quote():
+    assert [t.pos for t in tokenize("x 'abc' \"d\" y")] == [0, 2, 8, 12]
+    with pytest.raises(SqlSyntaxError) as err:
+        parse_query("SELECT 'abc' FROM t")
+    assert err.value.position == len("SELECT ")
 
 
 def test_unterminated_string():

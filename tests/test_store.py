@@ -50,6 +50,8 @@ def test_coordinate_rejects_malformed_text(bad):
 def test_coordinates_sort_by_family_then_qualifier():
     coords = [C("b:x"), C("a:lt"), C("a:d122"), C("a:lg")]
     assert sorted(str(c) for c in coords) == [str(c) for c in sorted(coords)]
+    # "a-:a" sorts before "a:z" as text, but family "a" comes before "a-".
+    assert sorted([C("a-:a"), C("a:z"), C("a:b")]) == [C("a:b"), C("a:z"), C("a-:a")]
 
 
 # ------------------------------------------------------------ tables and cells
@@ -202,6 +204,19 @@ def test_reopen_preserves_everything(tmp_path):
             (C("a:lt"), "31.7917"),
         ]
         assert not s.descriptor("off").enabled
+
+
+def test_reopened_rows_share_one_object_per_coordinate(tmp_path):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a", "b"})
+        for key in ("k1", "k2", "k3"):
+            for coord in ("a:lt", "a:d122", "b:x"):
+                s.put("t", key, C(coord), "1")
+    with open_store(d) as s:
+        coords = [c for row in s.scan("t") for c in row.cells]
+    assert len(coords) == 9
+    assert len({id(c) for c in coords}) == len(set(coords)) == 3
 
 
 def test_data_file_is_sorted_tab_separated(tmp_path):
@@ -377,6 +392,8 @@ def test_import_spec_validation():
         ImportSpec(columns=(ROW_KEY, C("a:x")), separator=",,")
     with pytest.raises(ValueError, match="not a coordinate"):
         ImportSpec(columns=(ROW_KEY, "a:x"))
+    with pytest.raises(ValueError, match="names column a:x twice"):
+        ImportSpec(columns=(ROW_KEY, C("a:x"), C("a:y"), C("a:x")))
     assert ImportSpec(columns=(C("a:x"), ROW_KEY)).key_index == 1
 
 
