@@ -70,9 +70,7 @@ def _parse_date_range(text: str) -> tuple[date, date]:
 
 def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[str]:
     """The column spec a dated load uses, as literal text entries."""
-    cols = [ROW_KEY, f"{family}:lt", f"{family}:lg"]
-    cols.extend(f"{family}:{d.qualifier}" for d in ingest.date_columns_between(start, end))
-    return cols
+    return [ROW_KEY] + ingest.series_columns(start, end, family)
 
 
 def _spec_from_columns(args, columns: list[str]) -> ImportSpec:

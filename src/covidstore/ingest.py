@@ -120,6 +120,16 @@ def date_columns_between(start: date, end: date) -> list[DateColumn]:
     return out
 
 
+def series_columns(start: date, end: date, family: str) -> list[str]:
+    """The store columns of a time-series table, as family:qualifier text.
+
+    Latitude (lt) and longitude (lg) come first, then one d<month><day>
+    qualifier per date from start to end inclusive.
+    """
+    dates = date_columns_between(start, end)
+    return [f"{family}:lt", f"{family}:lg"] + [f"{family}:{d.qualifier}" for d in dates]
+
+
 @dataclass(frozen=True)
 class RowKey:
     """Composite row key: province and country joined by a tilde.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from ..ingest import date_columns_between
+from ..ingest import date_columns_between, series_columns
 from ..store import ColumnCoord
 from .errors import SqlError, SqlSyntaxError
 from .lexer import ATOM, DQSTRING, STRING, Cursor
@@ -44,20 +44,6 @@ class RelationalSchema:
     key_fields: tuple[str, ...]
     columns: tuple[ColumnDef, ...]
     collection_terminator: str
-
-    def column_named(self, name: str) -> ColumnDef | None:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        return None
-
-    def key_field_named(self, name: str) -> str | None:
-        lowered = name.lower()
-        for f in self.key_fields:
-            if f.lower() == lowered:
-                return f
-        return None
 
 
 @dataclass(frozen=True)
@@ -255,10 +241,7 @@ def generate_schema(
         lines.append(chunk + ("," if i + 3 < len(decls) else ""))
     date_block = "\n".join(lines)
 
-    mapping = ",".join(
-        [_KEY_MARKER, f"{family}:lt", f"{family}:lg"]
-        + [f"{family}:{d.qualifier}" for d in dates]
-    )
+    mapping = ",".join([_KEY_MARKER] + series_columns(start, end, family))
 
     return (
         f"CREATE TABLE {table} (\n"

@@ -7,6 +7,11 @@ cell by its declared type, and treats an absent cell as NULL.  A stored
 zero was dropped before loading, so it reads back as NULL, never 0; that
 conflation is inherent to the sparse format, not a decoding choice.
 
+A decoded row is one tuple: the row key, then each key field (None when
+the key has too few parts), then each declared column in declaration order.
+Every reference in a query is bound once, to a source and a position in
+that tuple.
+
 Predicates never match NULL, and join conditions reject rows with NULL on
 either side, which is ordinary inner-join behavior.  An empty string is a
 value, not NULL: province-less rows join and filter on "".
@@ -15,7 +20,7 @@ value, not NULL: province-less rows join and filter on "".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..store import Store, write_atomic
 from .ddl import (
@@ -27,16 +32,7 @@ from .ddl import (
 )
 from .errors import CatalogError, SqlError, TypeDecodeError
 from .lexer import split_statements
-from .query import (
-    ColumnRef,
-    Comparison,
-    InList,
-    KeyFieldRef,
-    Predicate,
-    Ref,
-    SelectQuery,
-    parse_query,
-)
+from .query import Comparison, KeyFieldRef, Ref, SelectQuery, parse_query
 
 CATALOG_NAME = "CATALOG"
 
@@ -172,50 +168,38 @@ class Catalog:
 
 
 @dataclass
-class _DecodedRow:
-    key: str
-    key_fields: dict[str, Optional[str]]
-    columns: dict[str, Value]
-
-
-@dataclass
 class _Source:
-    index: int
     qualifier: str  # alias if declared, else the table name
-    entry: CreateTable
-    rows: list[_DecodedRow]
+    table: str
+    # (is key field, lowered name) -> (position in a row, output header)
+    names: dict[tuple[bool, str], tuple[int, str]]
+    rows: list[tuple[Value, ...]]
 
 
-def _decode_value(raw: str, ctype: str, row_key: str, column: str) -> Value:
-    try:
-        if ctype == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        raise TypeDecodeError(
-            f"row {row_key!r} column {column}: cannot decode {raw!r} as {ctype}"
-        ) from None
-
-
-def _decode_table(entry: CreateTable, store: Store) -> list[_DecodedRow]:
+def _decode_table(entry: CreateTable, store: Store) -> list[tuple[Value, ...]]:
     schema = entry.schema
-    mapping = entry.mapping
     terminator = schema.collection_terminator
     nfields = len(schema.key_fields)
-    out: list[_DecodedRow] = []
-    for row in store.scan(mapping.store_table):
+    columns = [
+        (col.name, col.ctype, int if col.ctype == "int" else float, coord)
+        for col, coord in zip(schema.columns, entry.mapping.coords)
+    ]
+    out: list[tuple[Value, ...]] = []
+    for row in store.scan(entry.mapping.store_table):
         parts = row.key.split(terminator, nfields - 1)
-        key_fields: dict[str, Optional[str]] = {}
-        for i, fname in enumerate(schema.key_fields):
-            key_fields[fname.lower()] = parts[i] if i < len(parts) else None
-        columns: dict[str, Value] = {}
-        for col, coord in zip(schema.columns, mapping.coords):
+        values: list[Value] = [row.key, *parts, *[None] * (nfields - len(parts))]
+        for name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
             if raw is None:
-                columns[col.name.lower()] = None
-            else:
-                columns[col.name.lower()] = _decode_value(raw, col.ctype, row.key, col.name)
-        out.append(_DecodedRow(row.key, key_fields, columns))
+                values.append(None)
+                continue
+            try:
+                values.append(decode(raw))
+            except ValueError:
+                raise TypeDecodeError(
+                    f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
+                ) from None
+        out.append(tuple(values))
     return out
 
 
@@ -233,142 +217,103 @@ def _typed_eq(a: Value, b: Value) -> bool:
     return False
 
 
-class _Resolver:
-    """Binds references in one query to its sources."""
+def _make_source(source_ast, catalog: Catalog, store: Store) -> _Source:
+    entry = catalog.get(source_ast.table)
+    schema = entry.schema
+    names = {(True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(schema.key_fields)}
+    first = 1 + len(schema.key_fields)
+    for i, col in enumerate(schema.columns):
+        names[(False, col.name.lower())] = (first + i, col.name)
+    qualifier = source_ast.alias or source_ast.table
+    return _Source(qualifier, schema.table_name, names, _decode_table(entry, store))
 
-    def __init__(self, sources: list[_Source]) -> None:
-        self.sources = sources
 
-    def _by_alias(self, alias: str) -> _Source:
-        lowered = alias.lower()
-        for src in self.sources:
-            if src.qualifier.lower() == lowered:
-                return src
-        raise SqlError(f"unknown table or alias {alias!r}")
-
-    def resolve(self, ref: Ref) -> tuple[int, Callable[[_DecodedRow], Value], str]:
-        """Return (source index, row accessor, output column name)."""
-        if isinstance(ref, KeyFieldRef):
-            candidates = (
-                [self._by_alias(ref.alias)] if ref.alias else self._key_candidates(ref)
-            )
-            src = candidates[0]
-            declared = src.entry.schema.key_field_named(ref.field)
-            if declared is None:
-                raise SqlError(
-                    f"unknown key field {ref.field!r} in table {src.entry.schema.table_name!r}"
-                )
-            lowered = declared.lower()
-            return (src.index, lambda row: row.key_fields[lowered], declared.lower())
-        candidates = (
-            [self._by_alias(ref.alias)] if ref.alias else self._column_candidates(ref)
-        )
-        src = candidates[0]
-        column = src.entry.schema.column_named(ref.name)
-        if column is None:
-            raise SqlError(
-                f"unknown column {ref.name!r} in table {src.entry.schema.table_name!r}"
-            )
-        lowered = column.name.lower()
-        return (src.index, lambda row: row.columns[lowered], column.name)
-
-    def _key_candidates(self, ref: KeyFieldRef) -> list[_Source]:
+def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
+    """Bind a reference to (source index, position in its rows, output header)."""
+    is_key = isinstance(ref, KeyFieldRef)
+    name = ref.field if is_key else ref.name
+    kind = "key field" if is_key else "column"
+    wanted = (is_key, name.lower())
+    if ref.alias:
         matches = [
-            s for s in self.sources if s.entry.schema.key_field_named(ref.field)
+            i for i, s in enumerate(sources) if s.qualifier.lower() == ref.alias.lower()
         ]
         if not matches:
-            raise SqlError(f"unknown key field {ref.field!r}")
-        if len(matches) > 1:
-            raise SqlError(f"ambiguous key field {ref.field!r}; qualify it with an alias")
-        return matches
-
-    def _column_candidates(self, ref: ColumnRef) -> list[_Source]:
-        matches = [s for s in self.sources if s.entry.schema.column_named(ref.name)]
+            raise SqlError(f"unknown table or alias {ref.alias!r}")
+        if wanted not in sources[matches[0]].names:
+            table = sources[matches[0]].table
+            raise SqlError(f"unknown {kind} {name!r} in table {table!r}")
+    else:
+        matches = [i for i, s in enumerate(sources) if wanted in s.names]
         if not matches:
-            raise SqlError(f"unknown column {ref.name!r}")
+            raise SqlError(f"unknown {kind} {name!r}")
         if len(matches) > 1:
-            raise SqlError(f"ambiguous column {ref.name!r}; qualify it with an alias")
-        return matches
+            raise SqlError(f"ambiguous {kind} {name!r}; qualify it with an alias")
+    return (matches[0], *sources[matches[0]].names[wanted])
 
 
 def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet:
     """Run a parsed SELECT and return its result table.
 
     Join evaluation is a nested loop in declared order, so output order is
-    the scan order of the first table, which is deterministic.
+    the scan order of the first table, then the second table's scan order
+    within each match, which is deterministic.
     """
-    sources = [_make_source(ast.source, catalog, store, 0)]
     if ast.join is not None:
-        sources.append(_make_source(ast.join.source, catalog, store, 1))
-    resolver = _Resolver(sources)
+        first = ast.source.alias or ast.source.table
+        second = ast.join.source.alias or ast.join.source.table
+        if first.lower() == second.lower():
+            raise SqlError(
+                f"both sources are named {second!r}; give them distinct aliases"
+            )
+    sources = [_make_source(ast.source, catalog, store)]
+    if ast.join is not None:
+        sources.append(_make_source(ast.join.source, catalog, store))
 
+    # Every reference becomes (source index, position in that source's rows).
     if ast.select_all:
-        headers: list[str] = []
-        extractors: list[tuple[int, Callable[[_DecodedRow], Value]]] = []
+        bound = []
         for idx, src in enumerate(sources):
-            headers.append("key")
-            extractors.append((idx, lambda row: row.key))
-            for col in src.entry.schema.columns:
-                lowered = col.name.lower()
-                headers.append(col.name)
-                extractors.append(
-                    (idx, lambda row, _n=lowered: row.columns[_n])
-                )
+            bound.append((idx, 0, "key"))
+            bound.extend((idx, *v) for (is_key, _), v in src.names.items() if not is_key)
     else:
-        headers = []
-        extractors = []
-        for ref in ast.projections:
-            idx, accessor, name = resolver.resolve(ref)
-            headers.append(name)
-            extractors.append((idx, accessor))
+        bound = [_resolve(sources, ref) for ref in ast.projections]
+    headers = [header for _, _, header in bound]
+    outputs = [(idx, position) for idx, position, _ in bound]
 
-    join_conditions = []
-    if ast.join is not None:
-        for left_ref, right_ref in ast.join.conditions:
-            join_conditions.append((resolver.resolve(left_ref), resolver.resolve(right_ref)))
-
-    predicates = [_compile_predicate(p, resolver) for p in ast.where]
+    conditions = [
+        (_resolve(sources, left)[:2], _resolve(sources, right)[:2])
+        for left, right in (ast.join.conditions if ast.join is not None else ())
+    ]
+    # A Comparison is an IN list of one value.
+    predicates = [
+        (*_resolve(sources, p.ref)[:2], (p.value,) if isinstance(p, Comparison) else p.values)
+        for p in ast.where
+    ]
 
     rows: list[tuple[Value, ...]] = []
-    for env in _row_envs(sources, join_conditions):
-        if all(pred(env) for pred in predicates):
-            rows.append(tuple(accessor(env[idx]) for idx, accessor in extractors))
+    for env in _joined(sources, conditions):
+        if all(
+            any(_typed_eq(env[idx][position], v) for v in values)
+            for idx, position, values in predicates
+        ):
+            rows.append(tuple(env[idx][position] for idx, position in outputs))
     return ResultSet(columns=headers, rows=rows)
 
 
-def _make_source(source_ast, catalog: Catalog, store: Store, index: int) -> _Source:
-    entry = catalog.get(source_ast.table)
-    qualifier = source_ast.alias if source_ast.alias else source_ast.table
-    return _Source(index, qualifier, entry, _decode_table(entry, store))
-
-
-def _row_envs(sources: list[_Source], join_conditions) -> "list[tuple[_DecodedRow, ...]]":
+def _joined(sources: list[_Source], conditions) -> list[tuple[tuple[Value, ...], ...]]:
     if len(sources) == 1:
         return [(row,) for row in sources[0].rows]
     out = []
     for left in sources[0].rows:
         for right in sources[1].rows:
             env = (left, right)
-            ok = True
-            for (li, lacc, _), (ri, racc, _) in join_conditions:
-                if not _typed_eq(lacc(env[li]), racc(env[ri])):
-                    ok = False
+            for (li, lp), (ri, rp) in conditions:
+                if not _typed_eq(env[li][lp], env[ri][rp]):
                     break
-            if ok:
+            else:
                 out.append(env)
     return out
-
-
-def _compile_predicate(pred: Predicate, resolver: _Resolver):
-    if isinstance(pred, Comparison):
-        idx, accessor, _ = resolver.resolve(pred.ref)
-        value = pred.value
-        return lambda env: _typed_eq(accessor(env[idx]), value)
-    if isinstance(pred, InList):
-        idx, accessor, _ = resolver.resolve(pred.ref)
-        values = pred.values
-        return lambda env: any(_typed_eq(accessor(env[idx]), v) for v in values)
-    raise SqlError(f"unsupported predicate {pred!r}")
 
 
 # ------------------------------------------------------------- statement API

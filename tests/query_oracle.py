@@ -81,7 +81,8 @@ class OracleTable:
 
     columns maps lowercase name to declared spelling; each row is a dict
     keyed by lowercase column name plus the two key fields and "__key",
-    the recomposed store row key.
+    the recomposed store row key.  Rows are sorted by "__key", which is
+    the order a store scan returns them in.
     """
 
     def __init__(self, csv_path: str | Path):
@@ -103,6 +104,7 @@ class OracleTable:
             for name, raw in zip(declared[2:], fields[4:]):
                 row[name.lower()] = None if raw in ("", "0") else int(raw)
             self.rows.append(row)
+        self.rows.sort(key=lambda row: row["__key"])
 
 
 def raw_cells(

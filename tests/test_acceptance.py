@@ -232,6 +232,56 @@ def _random_query(rng, countries, provinces, date_cols):
     return f"SELECT {select} {source}{where}"
 
 
+def _join_shape_query(rng, oracle_tables, date_cols):
+    """A join the first generator never makes: on a float or a date column,
+    a self-join, WHERE predicates on the second source, float literals."""
+    confirmed = TABLES["confirmed"]
+    second = rng.choice((TABLES["deaths"], confirmed))
+    first_rows = oracle_tables[confirmed].rows
+    second_rows = oracle_tables[second].rows
+    kind = rng.randrange(3)
+    if kind == 0:
+        on = "c.Lat = d.Lat"
+    elif kind == 1:
+        # Early dates are mostly zero, so NULL, and NULL never joins.
+        on = f"c.{rng.choice(date_cols)} = d.{rng.choice(date_cols)}"
+    else:
+        on = "c.key.Country_Region = d.key.Country_Region"
+
+    refs = [
+        "c.key.Province_State",
+        "d.key.Province_State",
+        "d.key.Country_Region",
+        "c.Lat",
+        "d.Long",
+        f"c.{rng.choice(date_cols)}",
+        f"d.{rng.choice(date_cols)}",
+    ]
+    if rng.random() < 0.15:
+        select = "*"
+    else:
+        select = ", ".join(rng.sample(refs, rng.randint(1, 4)))
+
+    preds = []
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(second_rows)
+        choice = rng.randrange(5)
+        if choice == 0:
+            preds.append(f"d.key.Country_Region = {_sql_str(row['country_region'])}")
+        elif choice == 1:
+            names = {rng.choice(second_rows)["country_region"] for _ in range(3)}
+            preds.append(f"d.key.Country_Region IN ({', '.join(map(_sql_str, sorted(names)))})")
+        elif choice == 2:
+            col = rng.choice(date_cols)
+            preds.append(f"d.{col} = {row[col.lower()] or 0}")
+        elif choice == 3:
+            preds.append(f"c.Lat = {rng.choice(first_rows)['lat']!r}")
+        else:
+            preds.append(f"d.Long = {row['long']!r}")
+    where = " WHERE " + " AND ".join(preds) if preds else ""
+    return f"SELECT {select} FROM {confirmed} c JOIN {second} d ON {on}{where}"
+
+
 def test_c4_engine_matches_oracle(populated_store_dir):
     with budget(60.0):
         oracle_tables = _oracle_tables()
@@ -247,6 +297,10 @@ def test_c4_engine_matches_oracle(populated_store_dir):
         queries += [
             _random_query(rng, countries, provinces, date_cols) for _ in range(200)
         ]
+        shapes = random.Random(20200401)
+        queries += [
+            _join_shape_query(shapes, oracle_tables, date_cols) for _ in range(60)
+        ]
 
         with open_store(populated_store_dir) as store:
             catalog = Catalog(store)
@@ -257,6 +311,7 @@ def test_c4_engine_matches_oracle(populated_store_dir):
                 header, rows = query_oracle.evaluate(ast, oracle_tables)
                 assert engine.columns == header, text
                 assert Counter(engine.rows) == Counter(rows), text
+                assert engine.rows == rows, text
 
         # the three pinned queries must also return something
         for text in queries[:3]:

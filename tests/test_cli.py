@@ -76,6 +76,7 @@ def test_fetch_over_http(dirs, capsys):
         )
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
     assert rc == 0
     name = raw_file_name("confirmed")

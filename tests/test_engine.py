@@ -277,6 +277,21 @@ def test_join_star_concatenates_both_sources(loaded):
     assert rs.rows[0] == ("Num~Land", 60.0, 60, None, "Num~Land", 9)
 
 
+def test_two_sources_need_distinct_names(loaded):
+    # Both sources would bind to the first one and yield a cross product.
+    for text, name in (
+        ("SELECT * FROM cases JOIN cases ON cases.key.C = cases.key.C", "cases"),
+        ("SELECT t.key.P FROM cases t JOIN extra T ON t.key.C = T.key.C", "T"),
+    ):
+        with pytest.raises(SqlError) as err:
+            run(text, *loaded)
+        assert str(err.value) == (
+            f"both sources are named {name!r}; give them distinct aliases"
+        )
+    rs = run("SELECT a.key.P, b.Lat FROM cases a JOIN cases b ON a.key.C = b.key.C", *loaded)
+    assert rs.rows == [("Num", 60.0), ("a", None), ("", 60.1)]
+
+
 def test_unqualified_column_resolves_when_unique(loaded):
     rs = run("SELECT Lat FROM cases t JOIN extra u ON t.key.C = u.key.C", *loaded)
     assert rs.columns == ["Lat"]
