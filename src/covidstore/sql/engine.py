@@ -7,14 +7,21 @@ cell by its declared type, and treats an absent cell as NULL.  A stored
 zero was dropped before loading, so it reads back as NULL, never 0; that
 conflation is inherent to the sparse format, not a decoding choice.
 
-A decoded row is one tuple: the row key, then each key field (None when
-the key has too few parts), then each declared column in declaration order.
-Every reference in a query is bound once, to a source and a position in
-that tuple.
+A row's positions are the row key, then each key field (None when the key
+has too few parts), then each declared column in declaration order.  Every
+reference in a query is bound once, to a source and one of those
+positions.  A source decodes only the columns its query references and
+leaves the others None.
 
-Predicates never match NULL, and join conditions reject rows with NULL on
-either side, which is ordinary inner-join behavior.  An empty string is a
-value, not NULL: province-less rows join and filter on "".
+Decode on read: a cell that does not decode as its declared type raises
+TypeDecodeError only when the query references its column and its row
+passes that source's key-field predicates.  Every referenced column of such
+a row is decoded before any column predicate can drop the row, so a
+predicate never hides a bad cell.
+
+Predicates never match NULL, and join conditions reject rows with NULL (or
+NaN) on either side, which is ordinary inner-join behavior.  An empty
+string is a value, not NULL: province-less rows join and filter on "".
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .ddl import (
 )
 from .errors import CatalogError, SqlError, TypeDecodeError
 from .lexer import split_statements
-from .query import Comparison, KeyFieldRef, Ref, SelectQuery, parse_query
+from .query import Comparison, KeyFieldRef, Literal, Ref, SelectQuery, parse_query
 
 CATALOG_NAME = "CATALOG"
 
@@ -170,62 +177,75 @@ class Catalog:
 @dataclass
 class _Source:
     qualifier: str  # alias if declared, else the table name
-    table: str
+    entry: CreateTable
     # (is key field, lowered name) -> (position in a row, output header)
     names: dict[tuple[bool, str], tuple[int, str]]
-    rows: list[tuple[Value, ...]]
 
 
-def _decode_table(entry: CreateTable, store: Store) -> list[tuple[Value, ...]]:
+def _decode(
+    source: _Source,
+    store: Store,
+    referenced: set[int],
+    predicates: list[tuple[int, frozenset[Literal]]],
+    conditions: list[tuple[int, int]],
+) -> list[list[Value]]:
+    """Each row of the source that passes its filters, decoded where referenced.
+
+    A row holds every position, with None at a column the query does not
+    reference.  Predicates on key fields run on the split row key before
+    any cell is decoded; then every referenced column is decoded, and only
+    then do column predicates and same-source conditions drop the row.
+    """
+    entry = source.entry
     schema = entry.schema
     terminator = schema.collection_terminator
     nfields = len(schema.key_fields)
-    columns = [
-        (col.name, col.ctype, int if col.ctype == "int" else float, coord)
-        for col, coord in zip(schema.columns, entry.mapping.coords)
-    ]
-    out: list[tuple[Value, ...]] = []
+    first = 1 + nfields
+    key_predicates = [(p, values) for p, values in predicates if p < first]
+    column_predicates = [(p, values) for p, values in predicates if p >= first]
+    columns = []
+    for p in sorted(referenced | {p for p, _ in column_predicates}):
+        if p >= first:
+            col = schema.columns[p - first]
+            decode = int if col.ctype == "int" else float
+            columns.append((p, col.name, col.ctype, decode, entry.mapping.coords[p - first]))
+    blank = [None] * len(schema.columns)
+    out: list[list[Value]] = []
     for row in store.scan(entry.mapping.store_table):
         parts = row.key.split(terminator, nfields - 1)
-        values: list[Value] = [row.key, *parts, *[None] * (nfields - len(parts))]
-        for name, ctype, decode, coord in columns:
+        values: list[Value] = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
+        if not all(values[p] in allowed for p, allowed in key_predicates):
+            continue
+        for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
-            if raw is None:
-                values.append(None)
-                continue
-            try:
-                values.append(decode(raw))
-            except ValueError:
-                raise TypeDecodeError(
-                    f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
-                ) from None
-        out.append(tuple(values))
+            if raw is not None:
+                try:
+                    values[p] = decode(raw)
+                except ValueError:
+                    raise TypeDecodeError(
+                        f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
+                    ) from None
+        if all(values[p] in allowed for p, allowed in column_predicates) and all(
+            _typed_eq(values[a], values[b]) for a, b in conditions
+        ):
+            out.append(values)
     return out
 
 
 def _typed_eq(a: Value, b: Value) -> bool:
-    # NULL equals nothing; numbers compare across int/float; a number never
-    # silently equals its decimal text.
-    if a is None or b is None:
-        return False
-    a_num = isinstance(a, (int, float))
-    b_num = isinstance(b, (int, float))
-    if a_num and b_num:
-        return a == b
-    if not a_num and not b_num:
-        return a == b
-    return False
+    # NULL equals nothing and NaN not even itself; numbers compare across
+    # int/float; a number never equals its decimal text.
+    return a is not None and a == b
 
 
-def _make_source(source_ast, catalog: Catalog, store: Store) -> _Source:
+def _make_source(source_ast, catalog: Catalog) -> _Source:
     entry = catalog.get(source_ast.table)
     schema = entry.schema
     names = {(True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(schema.key_fields)}
     first = 1 + len(schema.key_fields)
     for i, col in enumerate(schema.columns):
         names[(False, col.name.lower())] = (first + i, col.name)
-    qualifier = source_ast.alias or source_ast.table
-    return _Source(qualifier, schema.table_name, names, _decode_table(entry, store))
+    return _Source(source_ast.alias or source_ast.table, entry, names)
 
 
 def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
@@ -241,7 +261,7 @@ def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
         if not matches:
             raise SqlError(f"unknown table or alias {ref.alias!r}")
         if wanted not in sources[matches[0]].names:
-            table = sources[matches[0]].table
+            table = sources[matches[0]].entry.schema.table_name
             raise SqlError(f"unknown {kind} {name!r} in table {table!r}")
     else:
         matches = [i for i, s in enumerate(sources) if wanted in s.names]
@@ -255,9 +275,18 @@ def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
 def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet:
     """Run a parsed SELECT and return its result table.
 
-    Join evaluation is a nested loop in declared order, so output order is
-    the scan order of the first table, then the second table's scan order
-    within each match, which is deterministic.
+    Each source scans its table once and decodes only the columns that the
+    projection, the ON clause and the WHERE clause reference (every column
+    for SELECT *).  A WHERE predicate, or an ON condition whose two sides
+    name one source, filters that source as it is decoded; a predicate on a
+    key field runs on the split row key before any cell is decoded.
+
+    A join is a hash join: the second source's rows are hashed on their
+    values of the conditions between the sources, then probed with the
+    first source's rows in scan order.  Output order is the scan order of
+    the first table, then the second table's scan order within each match,
+    which is deterministic.  A condition value that is NULL or NaN matches
+    nothing.
     """
     if ast.join is not None:
         first = ast.source.alias or ast.source.table
@@ -266,9 +295,9 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
             raise SqlError(
                 f"both sources are named {second!r}; give them distinct aliases"
             )
-    sources = [_make_source(ast.source, catalog, store)]
+    sources = [_make_source(ast.source, catalog)]
     if ast.join is not None:
-        sources.append(_make_source(ast.join.source, catalog, store))
+        sources.append(_make_source(ast.join.source, catalog))
 
     # Every reference becomes (source index, position in that source's rows).
     if ast.select_all:
@@ -278,41 +307,66 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
             bound.extend((idx, *v) for (is_key, _), v in src.names.items() if not is_key)
     else:
         bound = [_resolve(sources, ref) for ref in ast.projections]
-    headers = [header for _, _, header in bound]
     outputs = [(idx, position) for idx, position, _ in bound]
-
     conditions = [
         (_resolve(sources, left)[:2], _resolve(sources, right)[:2])
         for left, right in (ast.join.conditions if ast.join is not None else ())
     ]
-    # A Comparison is an IN list of one value.
+    # A Comparison is an IN list of one value.  Python equality on decoded
+    # values is the dialect's: 2 matches 2.0, and '2' matches no number.
     predicates = [
-        (*_resolve(sources, p.ref)[:2], (p.value,) if isinstance(p, Comparison) else p.values)
+        (
+            *_resolve(sources, p.ref)[:2],
+            frozenset((p.value,) if isinstance(p, Comparison) else p.values),
+        )
         for p in ast.where
     ]
 
-    rows: list[tuple[Value, ...]] = []
-    for env in _joined(sources, conditions):
-        if all(
-            any(_typed_eq(env[idx][position], v) for v in values)
-            for idx, position, values in predicates
-        ):
-            rows.append(tuple(env[idx][position] for idx, position in outputs))
-    return ResultSet(columns=headers, rows=rows)
-
-
-def _joined(sources: list[_Source], conditions) -> list[tuple[tuple[Value, ...], ...]]:
+    rows = []
+    for idx, src in enumerate(sources):
+        referenced = {p for i, p in outputs if i == idx}
+        referenced.update(p for sides in conditions for i, p in sides if i == idx)
+        rows.append(
+            _decode(
+                src,
+                store,
+                referenced,
+                [(p, values) for i, p, values in predicates if i == idx],
+                [(a, b) for (i, a), (j, b) in conditions if i == j == idx],
+            )
+        )
     if len(sources) == 1:
-        return [(row,) for row in sources[0].rows]
+        envs = [(row,) for row in rows[0]]
+    else:
+        # Each condition between the sources, as (first-source position,
+        # second-source position) whichever side it was written on.
+        pairs = [(a, b) if i == 0 else (b, a) for (i, a), (j, b) in conditions if i != j]
+        envs = _hash_join(rows[0], rows[1], pairs)
+    out = [tuple(env[idx][position] for idx, position in outputs) for env in envs]
+    return ResultSet(columns=[header for _, _, header in bound], rows=out)
+
+
+def _hash_join(
+    left: list[list[Value]], right: list[list[Value]], pairs: list[tuple[int, int]]
+) -> list[tuple[list[Value], list[Value]]]:
+    """Every (left, right) row pair whose values agree at each pair of positions.
+
+    Pairs come in left order, then right order within a left row.  A key
+    holding NULL or NaN is neither inserted nor probed, since it equals
+    nothing; with no pairs, every key is () and this is a cross product.
+    """
+    left_positions = [a for a, _ in pairs]
+    right_positions = [b for _, b in pairs]
+    table: dict[tuple[Value, ...], list[list[Value]]] = {}
+    for row in right:
+        key = tuple(row[p] for p in right_positions)
+        if all(_typed_eq(v, v) for v in key):
+            table.setdefault(key, []).append(row)
     out = []
-    for left in sources[0].rows:
-        for right in sources[1].rows:
-            env = (left, right)
-            for (li, lp), (ri, rp) in conditions:
-                if not _typed_eq(env[li][lp], env[ri][rp]):
-                    break
-            else:
-                out.append(env)
+    for row in left:
+        key = tuple(row[p] for p in left_positions)
+        if all(_typed_eq(v, v) for v in key):
+            out.extend((row, match) for match in table.get(key, ()))
     return out
 
 

@@ -5,6 +5,11 @@ family:qualifier coordinate; families are fixed at table creation, qualifiers
 are free-form.  Rows and cells come back in byte order, writes are
 last-write-wins upserts, and there is no cell versioning.
 
+Each row's cells are kept in coordinate order: a data file holds them in
+that order, put and import_tsv build a new row in it, and a row that a
+later write adds to is sorted once, before the next read or flush.  Reads
+hand out read-only views of the table's own rows instead of sorted copies.
+
 A store is a directory.  MANIFEST lists the tables, one tab-separated line
 each; every table keeps its cells in a <name>.dat file of tab-separated
 (row key, family, qualifier, value) records, rewritten in sorted order on
@@ -22,7 +27,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Final, NamedTuple, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Final, Mapping, NamedTuple, Optional, Sequence, Union
 
 # Marker used in import column specs for the field that becomes the row key.
 ROW_KEY: Final = "HBASE_ROW_KEY"
@@ -102,10 +108,14 @@ class TableDescriptor:
 
 @dataclass(frozen=True)
 class Row:
-    """One scanned row; cells are keyed by coordinate, in coordinate order."""
+    """One scanned row; cells are keyed by coordinate, in coordinate order.
+
+    cells is a read-only view of the table's own row, valid until the next
+    write to that table.
+    """
 
     key: str
-    cells: dict[ColumnCoord, str]
+    cells: Mapping[ColumnCoord, str]
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,36 @@ class _Table:
     data_file: str
     rows: dict[str, dict[ColumnCoord, str]] = field(default_factory=dict)
     dirty: bool = False
+    # Keys of rows whose cells may be out of coordinate order.
+    unsorted: set[str] = field(default_factory=set)
+    # What scan hands out, in key order; None once a write may have changed it.
+    view: Optional[list[Row]] = None
+
+    def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
+        """Upsert cells, given in coordinate order, into a row."""
+        self.dirty = True
+        self.view = None
+        row = self.rows.get(key)
+        if row is None:
+            self.rows[key] = dict(cells)
+        else:
+            row.update(cells)
+            self.unsorted.add(key)
+
+    def sort(self) -> None:
+        """Put the cells of every row a write added to back in coordinate order."""
+        rows = self.rows
+        for key in self.unsorted:
+            cells = rows[key]
+            rows[key] = {c: cells[c] for c in sorted(cells)}
+        self.unsorted.clear()
+
+    def scan(self) -> list[Row]:
+        if self.view is None:
+            self.sort()
+            rows = self.rows
+            self.view = [Row(key, MappingProxyType(rows[key])) for key in sorted(rows)]
+        return self.view
 
 
 MANIFEST_NAME: Final = "MANIFEST"
@@ -182,7 +222,8 @@ class Store:
 
     One process at a time, kept to that by the LOCK file; there is no
     in-process locking, because no thread shares a Store.  Readers get back
-    fresh row dicts and lists, never the table's own.  Mutations become
+    read-only views of the table's own cells, valid until the next write to
+    that table; the lists holding them are the caller's.  Mutations become
     durable on flush (close flushes too), except that table creation,
     disabling, and dropping persist immediately.
     """
@@ -290,12 +331,11 @@ class Store:
         write_atomic(self.directory / MANIFEST_NAME, "".join(line + "\n" for line in lines))
 
     def _write_table(self, table: _Table) -> None:
-        records = []
-        for key in sorted(table.rows):
-            for coord in sorted(table.rows[key]):
-                records.append(
-                    f"{key}\t{coord.family}\t{coord.qualifier}\t{table.rows[key][coord]}\n"
-                )
+        records = [
+            f"{row.key}\t{coord.family}\t{coord.qualifier}\t{value}\n"
+            for row in table.scan()
+            for coord, value in row.cells.items()
+        ]
         write_atomic(self.directory / table.data_file, "".join(records))
         table.dirty = False
 
@@ -407,8 +447,7 @@ class Store:
             raise UnknownFamilyError(
                 f"unknown column family {coord.family!r} for table {table!r}"
             )
-        t.rows.setdefault(row_key, {})[coord] = value
-        t.dirty = True
+        t.write(row_key, [(coord, value)])
 
     def get(
         self, table: str, row_key: str, coord: Optional[ColumnCoord] = None
@@ -426,17 +465,17 @@ class Store:
         if coord is not None:
             value = row.get(coord)
             return [(coord, value)] if value is not None else []
-        return [(c, row[c]) for c in sorted(row)]
+        t.sort()
+        return list(t.rows[row_key].items())
 
     def scan(self, table: str) -> list[Row]:
-        """Every row of the table, keys ascending, cells in coordinate order."""
+        """Every row of the table, keys ascending, cells in coordinate order.
+
+        The list is the caller's; each row's cells are a read-only view,
+        valid until the next write to the table.
+        """
         self._ensure_open()
-        t = self._enabled_table(table)
-        out = []
-        for key in sorted(t.rows):
-            cells = t.rows[key]
-            out.append(Row(key, {c: cells[c] for c in sorted(cells)}))
-        return out
+        return list(self._enabled_table(table).scan())
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.
@@ -460,13 +499,17 @@ class Store:
 
         report = ImportReport()
         key_index = spec.key_index
+        # Value fields in coordinate order, so a new row is written sorted.
+        in_order = sorted(
+            (i for i in range(len(spec.columns)) if i != key_index),
+            key=spec.columns.__getitem__,
+        )
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()  # trailing newline, not an empty record
         for line_no, line in enumerate(lines, 1):
             problem = None
             fields = line.split(spec.separator)
-            cells: list[tuple[ColumnCoord, str]] = []
             if len(fields) != len(spec.columns):
                 problem = f"expected {len(spec.columns)} fields, found {len(fields)}"
             elif not fields[key_index]:
@@ -485,11 +528,12 @@ class Store:
                     except CellValueError as exc:
                         problem = str(exc)
                         break
-                    cells.append((spec.columns[i], value))  # type: ignore[arg-type]
-                if problem is None and not cells:
-                    # A row with no cells does not exist; refuse the line
-                    # rather than fabricate one.
-                    problem = "no values to write"
+                else:
+                    cells = [(spec.columns[i], fields[i]) for i in in_order if fields[i]]
+                    if not cells:
+                        # A row with no cells does not exist; refuse the line
+                        # rather than fabricate one.
+                        problem = "no values to write"
 
             if problem is not None:
                 if not spec.skip_bad_lines:
@@ -507,9 +551,6 @@ class Store:
                 report.errors.append((line_no, str(exc)))
                 continue
 
-            row = t.rows.setdefault(fields[key_index], {})
-            for coord, value in cells:
-                row[coord] = value
-            t.dirty = True
+            t.write(fields[key_index], cells)  # type: ignore[arg-type]
             report.loaded += 1
         return report

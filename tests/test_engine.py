@@ -292,6 +292,59 @@ def test_two_sources_need_distinct_names(loaded):
     assert rs.rows == [("Num", 60.0), ("a", None), ("", 60.1)]
 
 
+def test_nan_never_joins_not_even_itself(loaded):
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "Nan~Land", {"a:lt": "nan"})
+    rs = run("SELECT a.key.P, b.key.P FROM cases a JOIN cases b ON a.Lat = b.Lat", *loaded)
+    # "a~b~c" has no Lat, so it is NULL and joins nothing either
+    assert rs.rows == [("Num", "Num"), ("solo", "solo"), ("", "")]
+
+
+def test_same_source_conditions_filter_a_cross_product(loaded):
+    rs = run(
+        "SELECT t.key.P, u.key.P FROM cases t JOIN extra u "
+        "ON t.Lat = t.Lat AND u.01_22_2020 = u.01_22_2020",
+        *loaded,
+    )
+    # every cases row with a Lat, each paired with every extra row in key order
+    assert rs.rows == [
+        (first, second)
+        for first in ("Num", "solo", "")
+        for second in ("Num", "alone", "")
+    ]
+
+
+def test_join_condition_sides_may_come_in_either_order(loaded):
+    expected = [("Num", 9), ("", 7)]
+    for on in (
+        "u.key.C = t.key.C AND u.key.P = t.key.P",
+        "t.key.C = u.key.C AND t.key.P = u.key.P",
+        "u.key.C = t.key.C AND t.key.P = u.key.P",
+    ):
+        rs = run(f"SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u ON {on}", *loaded)
+        assert rs.rows == expected, on
+
+
+def test_join_matches_int_column_to_float_column(loaded):
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "x~y", {"a:lt": "9.0"})
+    rs = run(
+        "SELECT t.key.P, t.Lat, u.01_22_2020 FROM cases t JOIN extra u "
+        "ON t.Lat = u.01_22_2020",
+        *loaded,
+    )
+    assert rs.rows == [("x", 9.0, 9)]
+
+
+def test_join_never_matches_text_to_number(loaded):
+    catalog, store = loaded
+    # key.P is the text '7'; extra's "~Aland" row holds the number 7
+    put_cells(store, "cases_backing", "7~z", {"a:d122": "1"})
+    for on in ("t.key.P = u.01_22_2020", "u.01_22_2020 = t.key.P"):
+        rs = run(f"SELECT t.key.P FROM cases t JOIN extra u ON {on}", *loaded)
+        assert rs.rows == [], on
+
+
 def test_unqualified_column_resolves_when_unique(loaded):
     rs = run("SELECT Lat FROM cases t JOIN extra u ON t.key.C = u.key.C", *loaded)
     assert rs.columns == ["Lat"]
@@ -341,6 +394,40 @@ def test_type_decode_error_names_row_and_column(loaded):
     assert str(err.value) == (
         "row 'Bad~Row' column 01_22_2020: cannot decode 'abc' as int"
     )
+
+
+def test_unreferenced_bad_cell_is_never_decoded(loaded):
+    # Decode on read: a bad cell raises only when the query references its
+    # column and its row passes that source's key-field predicates.
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "Bad~Row", {"a:d123": "abc"})
+    assert len(run("SELECT key.P, Lat, 01_22_2020 FROM cases", *loaded).rows) == 5
+    rs = run("SELECT * FROM cases WHERE key.C = 'Land'", *loaded)
+    assert rs.rows == [("Num~Land", 60.0, 60, None)]
+    assert run("SELECT key.P FROM cases WHERE key.C = 'Row' AND Lat = 1", *loaded).rows == []
+    rs = run(
+        "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u ON t.key.C = u.key.C",
+        *loaded,
+    )
+    assert rs.rows == [("Num", 9), ("", 7)]
+
+
+def test_referenced_bad_cell_raises_before_any_column_predicate(loaded):
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "Bad~Row", {"a:d123": "abc"})
+    message = "row 'Bad~Row' column 01_23_2020: cannot decode 'abc' as int"
+    for text in (
+        # referenced only by WHERE
+        "SELECT key.P FROM cases WHERE 01_23_2020 = 1",
+        # a column predicate that drops the row does not hide the cell
+        "SELECT 01_23_2020 FROM cases WHERE Lat = 60.1",
+        "SELECT 01_23_2020 FROM cases WHERE key.C = 'Row' AND Lat = 1",
+        # referenced only by ON
+        "SELECT t.key.P FROM cases t JOIN extra u ON t.01_23_2020 = u.01_22_2020",
+    ):
+        with pytest.raises(TypeDecodeError) as err:
+            run(text, *loaded)
+        assert str(err.value) == message, text
 
 
 # ---------------------------------------------------------------- rendering

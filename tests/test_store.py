@@ -144,6 +144,17 @@ def test_scan_rows_carry_cells_in_order(store):
     assert row.cells[C("a:lt")] == "31.79"
 
 
+def test_scanned_cells_are_read_only(store):
+    store.create_table("t", {"a"})
+    store.put("t", "k", C("a:lt"), "31.79")
+    (row,) = store.scan("t")
+    with pytest.raises(TypeError):
+        row.cells[C("a:lt")] = "0"
+    with pytest.raises(TypeError):
+        row.cells[C("a:d122")] = "4"
+    assert store.get("t", "k") == [(C("a:lt"), "31.79")]
+
+
 # ------------------------------------------------------------ lifecycle
 
 
@@ -366,6 +377,25 @@ def test_import_merges_duplicate_keys(store, tmp_path):
     report = _imported(store, "k,1,\nk,,7\n", tmp_path=tmp_path)
     assert report.loaded == 2
     assert store.get("t", "k") == [(C("a:d122"), "7"), (C("a:lt"), "1")]
+
+
+def test_import_across_month_boundary_reads_in_coordinate_order(tmp_path):
+    # d930 is written first but sorts last: qualifiers order as text.
+    d = tmp_path / "kv"
+    spec = ImportSpec(
+        columns=(ROW_KEY, C("a:d930"), C("a:d1001"), C("a:d1002")), separator=","
+    )
+    path = tmp_path / "in.csv"
+    path.write_text("~Morocco,1,2,3\n", encoding="utf-8")
+    expected = [(C("a:d1001"), "2"), (C("a:d1002"), "3"), (C("a:d930"), "1")]
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.import_tsv("t", path, spec)
+        assert s.get("t", "~Morocco") == expected
+        assert [list(r.cells.items()) for r in s.scan("t")] == [expected]
+    with open_store(d) as s:
+        assert s.get("t", "~Morocco") == expected
+        assert [list(r.cells.items()) for r in s.scan("t")] == [expected]
 
 
 def test_import_rejects_unknown_family_up_front(store, tmp_path):
