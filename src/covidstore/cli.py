@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 import tempfile
-import urllib.error
-import urllib.request
 from datetime import date
 from pathlib import Path
 
@@ -89,6 +87,11 @@ def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
 
 
 def cmd_fetch(args) -> int:
+    # Imported here: urllib.request is a large share of CLI start-up, and
+    # only fetch uses it.
+    import urllib.error
+    import urllib.request
+
     data_dir = Path(args.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     urls = dict(args.url or [])

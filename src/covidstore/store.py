@@ -11,11 +11,17 @@ later write adds to is sorted once, before the next read or flush.  Reads
 hand out read-only views of the table's own rows instead of sorted copies.
 
 A store is a directory.  MANIFEST lists the tables, one tab-separated line
-each; every table keeps its cells in a <name>.dat file of tab-separated
-(row key, family, qualifier, value) records, rewritten in sorted order on
-flush.  A LOCK file keeps a second process out while the store is open.
-Keys and values are UTF-8 text and must not contain tabs or newlines, which
-is what keeps the on-disk format trivial.
+each; every table keeps its cells in a <name>.dat file, rewritten on flush
+with one line per row, rows in key order:
+
+    <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
+
+with the pairs in coordinate order.  A LOCK file keeps a second process out
+while the store is open.  Keys, coordinates and values are UTF-8 text
+without tabs or newlines, and a family or qualifier holds no colon or comma,
+which is what keeps the on-disk format trivial.  A data file in the older
+one-line-per-cell layout has four fields a line, so it is refused as
+corrupt; rebuild such a store by re-running DROP/CREATE and load.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -34,6 +40,7 @@ from typing import Final, Mapping, NamedTuple, Optional, Sequence, Union
 ROW_KEY: Final = "HBASE_ROW_KEY"
 
 _FORBIDDEN = ("\t", "\n", "\r")
+_COORD_FORBIDDEN = (":", ",") + _FORBIDDEN
 
 
 class StoreError(Exception):
@@ -89,14 +96,25 @@ class ColumnCoord(NamedTuple):
     def __str__(self) -> str:
         return f"{self.family}:{self.qualifier}"
 
+    def check(self) -> "ColumnCoord":
+        """Return the coordinate if a data file can hold it, else raise CellValueError.
+
+        Family and qualifier are non-empty and hold no colon, comma, tab or
+        newline, so the rendered text parses back to the same coordinate.
+        """
+        family, qualifier = self
+        if not family or not qualifier or any(
+            ch in family or ch in qualifier for ch in _COORD_FORBIDDEN
+        ):
+            raise CellValueError(f"invalid column coordinate {str(self)!r}")
+        return self
+
     @classmethod
     def parse(cls, text: str) -> "ColumnCoord":
         family, sep, qualifier = text.partition(":")
-        if not sep or not family or not qualifier or ":" in qualifier:
+        if not sep:
             raise CellValueError(f"invalid column coordinate {text!r}")
-        if "," in family or "," in qualifier:
-            raise CellValueError(f"invalid column coordinate {text!r}")
-        return cls(family, qualifier)
+        return cls(family, qualifier).check()
 
 
 @dataclass(frozen=True)
@@ -145,6 +163,7 @@ class ImportSpec:
                 continue
             if not isinstance(c, ColumnCoord):
                 raise ValueError(f"import spec column {c!r} is not a coordinate")
+            c.check()
             if c in seen:
                 raise ValueError(f"import spec names column {c} twice")
             seen.add(c)
@@ -300,21 +319,28 @@ class Store:
             # file; that is an empty table, not corruption.
             return
         text = path.read_text(encoding="utf-8")
-        # One object per distinct coordinate, shared by every row that has it.
-        coords: dict[ColumnCoord, ColumnCoord] = {}
-        for i, line in enumerate(text.split("\n"), 1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4 or not parts[0] or not parts[3]:
-                raise CorruptStoreError(f"corrupt data file {path}: line {i}")
-            key, family, qualifier, value = parts
-            if family not in table.descriptor.families:
-                raise CorruptStoreError(
-                    f"corrupt data file {path}: line {i}: unknown family {family!r}"
-                )
-            coord = ColumnCoord(family, qualifier)
-            table.rows.setdefault(key, {})[coords.setdefault(coord, coord)] = value
+        # Each coordinate text is checked once and maps to one shared object.
+        coords: dict[str, ColumnCoord] = {}
+        try:
+            for i, line in enumerate(text.split("\n"), 1):
+                if not line:
+                    continue
+                fields = line.split("\t")
+                key, names, values = fields[0], fields[1::2], fields[2::2]
+                if not key or len(names) != len(values) or not values or "" in values:
+                    raise CellValueError("expected a key and coordinate/value pairs, none empty")
+                for name in names:
+                    if name not in coords:
+                        coord = coords[name] = ColumnCoord.parse(name)
+                        if coord.family not in table.descriptor.families:
+                            raise CellValueError(f"unknown family {coord.family!r}")
+                row = dict(zip(map(coords.__getitem__, names), values))
+                if len(row) != len(values):
+                    raise CellValueError("a coordinate repeats")
+                if table.rows.setdefault(key, row) is not row:
+                    raise CellValueError(f"row key {key!r} repeated")
+        except CellValueError as exc:
+            raise CorruptStoreError(f"corrupt data file {path}: line {i}: {exc}") from None
 
     # ------------------------------------------------------------- persistence
 
@@ -331,12 +357,14 @@ class Store:
         write_atomic(self.directory / MANIFEST_NAME, "".join(line + "\n" for line in lines))
 
     def _write_table(self, table: _Table) -> None:
-        records = [
-            f"{row.key}\t{coord.family}\t{coord.qualifier}\t{value}\n"
-            for row in table.scan()
-            for coord, value in row.cells.items()
-        ]
-        write_atomic(self.directory / table.data_file, "".join(records))
+        names: dict[ColumnCoord, str] = {}  # each coordinate's text, built once
+        lines = []
+        for row in table.scan():
+            fields = [row.key]
+            for coord, value in row.cells.items():
+                fields += (names.get(coord) or names.setdefault(coord, str(coord)), value)
+            lines.append("\t".join(fields) + "\n")
+        write_atomic(self.directory / table.data_file, "".join(lines))
         table.dirty = False
 
     def flush(self) -> None:
@@ -443,6 +471,7 @@ class Store:
         t = self._enabled_table(table)
         _check_text(row_key, "row key")
         _check_text(value, "value")
+        coord.check()
         if coord.family not in t.descriptor.families:
             raise UnknownFamilyError(
                 f"unknown column family {coord.family!r} for table {table!r}"

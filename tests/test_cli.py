@@ -2,12 +2,17 @@
 
 import functools
 import http.server
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import covidstore
 from covidstore.cli import import_columns_for_dates, main, raw_file_name
 from covidstore.sql import generate_schema
 
@@ -81,6 +86,23 @@ def test_fetch_over_http(dirs, capsys):
     assert rc == 0
     name = raw_file_name("confirmed")
     assert (data_dir / name).read_bytes() == (FIXTURES / name).read_bytes()
+
+
+def test_cli_import_leaves_network_modules_unloaded():
+    code = (
+        "import sys, covidstore.cli; "
+        "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    )
+    src = str(Path(covidstore.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fetch_unreachable_url(dirs, capsys):

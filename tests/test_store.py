@@ -120,6 +120,32 @@ def test_put_validates(store):
         store.put("missing", "k", C("a:q"), "1")
 
 
+@pytest.mark.parametrize(
+    "coord",
+    [
+        ColumnCoord("a", ""),
+        ColumnCoord("a", "x:y"),
+        ColumnCoord("a", "q,x"),
+        ColumnCoord("a", "q\tx"),
+        ColumnCoord("a", "q\nx"),
+        ColumnCoord("a", "q\rx"),
+    ],
+    ids=["empty", "colon", "comma", "tab", "newline", "return"],
+)
+def test_coordinate_a_data_file_cannot_hold_is_refused(tmp_path, coord):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        with pytest.raises(CellValueError):
+            s.put("t", "k", coord, "1")
+        with pytest.raises(CellValueError):
+            ImportSpec(columns=(ROW_KEY, coord))
+        with pytest.raises(CellValueError):
+            C(str(coord))
+    with open_store(d) as s:
+        assert s.scan("t") == []
+
+
 def test_scan_is_in_byte_order(store):
     store.create_table("t", {"a"})
     # '~' (0x7e) sorts after every printable ASCII letter, so country-level
@@ -237,7 +263,7 @@ def test_data_file_is_sorted_tab_separated(tmp_path):
         s.put("t", "zz", C("a:q"), "2")
         s.put("t", "aa", C("a:q"), "1")
     lines = (d / "t.dat").read_text().splitlines()
-    assert lines == ["aa\ta\tq\t1", "zz\ta\tq\t2"]
+    assert lines == ["aa\ta:q\t1", "zz\ta:q\t2"]
     assert lines == sorted(lines)
 
 
@@ -289,6 +315,37 @@ def test_corrupt_data_file_reported_with_location(tmp_path):
     data.write_text(data.read_text() + "broken line\n", encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"corrupt data file .*line 2"):
         open_store(d)
+
+
+_SHAPE = "expected a key and coordinate/value pairs"
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        pytest.param("k2", _SHAPE, id="key-only"),
+        pytest.param("k2\ta:q", _SHAPE, id="even-field-count"),
+        pytest.param("k2\ta:q\t1\ta:r", _SHAPE, id="dangling-coordinate"),
+        pytest.param("\ta:q\t1", _SHAPE, id="empty-key"),
+        pytest.param("k2\ta:q\t", _SHAPE, id="empty-value"),
+        pytest.param("k2\taq\t1", "invalid column coordinate 'aq'", id="bad-coordinate"),
+        pytest.param("k2\ta:q:r\t1", "invalid column coordinate", id="colon-in-qualifier"),
+        pytest.param("k2\tx:q\t1", "unknown family 'x'", id="unknown-family"),
+        pytest.param("k\ta:r\t2", "row key 'k' repeated", id="repeated-key"),
+        pytest.param("k2\ta:q\t1\ta:q\t2", "a coordinate repeats", id="repeated-coordinate"),
+        pytest.param("k2\ta\tq\t1", _SHAPE, id="one-line-per-cell-layout"),
+    ],
+)
+def test_corrupt_data_line_reported_with_location(tmp_path, line, why):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+    data = d / "t.dat"
+    data.write_text(data.read_text() + line + "\n", encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=rf"corrupt data file .*t\.dat: line 2: {why}"):
+        open_store(d)
+    assert not (d / "LOCK").exists()
 
 
 def test_missing_data_file_is_empty_table(tmp_path):
@@ -453,3 +510,40 @@ def test_scan_order_and_reopen_round_trip(cells):
         with open_store(d) as s:
             after = [(r.key, dict(r.cells)) for r in s.scan("t")]
         assert after == before
+
+
+_exotic = st.sampled_from([":", "\x85", "\u2028", "\x0c", "\x0b", "\x1c"])
+_texts = st.text(
+    st.one_of(
+        _exotic, st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
+    ),
+    min_size=1,
+    max_size=12,
+)
+_coord_quals = st.text(
+    st.sampled_from(["a", "z", "0", "~", "\x85", "\u2028", "\x0c"]), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=60)
+@given(
+    cells=st.dictionaries(
+        st.tuples(_texts, st.sampled_from("ab"), _coord_quals), _texts, max_size=30
+    )
+)
+def test_row_per_line_round_trip(cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "kv"
+        with open_store(d) as s:
+            s.create_table("t", {"a", "b"})
+            for (key, family, qual), value in cells.items():
+                s.put("t", key, ColumnCoord(family, qual), value)
+            s.flush()
+            before = [(r.key, list(r.cells.items())) for r in s.scan("t")]
+        written = (d / "t.dat").read_bytes()
+        with open_store(d) as s:
+            assert [(r.key, list(r.cells.items())) for r in s.scan("t")] == before
+            for (key, family, qual), value in list(cells.items())[:1]:
+                s.put("t", key, ColumnCoord(family, qual), value)  # same cell: a rewrite
+            s.flush()
+        assert (d / "t.dat").read_bytes() == written
