@@ -8,55 +8,4 @@ The package is four layers, usable separately:
 * sql: Hive-style DDL, a catalog, and a small SELECT engine on top
 """
 
-from .ingest import (
-    DateColumn,
-    FormatError,
-    FormattedRecord,
-    FormatResult,
-    RowKey,
-    build_row_key,
-    date_columns_between,
-    format_file,
-    normalize_date,
-    sanitize_field,
-    sparsify,
-    write_formatted_files,
-)
-from .store import (
-    ColumnCoord,
-    ImportReport,
-    ImportSpec,
-    ROW_KEY,
-    Row,
-    Store,
-    StoreError,
-    TableDescriptor,
-    open_store,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ColumnCoord",
-    "DateColumn",
-    "FormatError",
-    "FormatResult",
-    "FormattedRecord",
-    "ImportReport",
-    "ImportSpec",
-    "ROW_KEY",
-    "Row",
-    "RowKey",
-    "Store",
-    "StoreError",
-    "TableDescriptor",
-    "__version__",
-    "build_row_key",
-    "date_columns_between",
-    "format_file",
-    "normalize_date",
-    "open_store",
-    "sanitize_field",
-    "sparsify",
-    "write_formatted_files",
-]

@@ -8,10 +8,10 @@ with "ERROR:" and the loop carries on until exit or end of input.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .store import ColumnCoord, Store, StoreError
 
@@ -32,10 +32,16 @@ _ARITY: dict[str, tuple[int, Optional[int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class ShellCommand:
+class ShellCommand(NamedTuple):
     verb: str
     args: tuple[str, ...]
+
+
+_VERB = re.compile(r"(\S+)\s*")
+# One quoted argument, the spaces after it and the comma that continues the
+# list.  The (?!') makes a doubled quote at the end of the text unbalanced
+# instead of a closed argument followed by a stray quote.
+_ARG = re.compile(r"'([^']*(?:''[^']*)*)'(?!')\s*(,\s*)?")
 
 
 def parse_command(line: str) -> ShellCommand:
@@ -49,43 +55,26 @@ def parse_command(line: str) -> ShellCommand:
     if not text:
         raise ShellError("empty command")
 
-    i = 0
-    while i < len(text) and not text[i].isspace():
-        i += 1
-    verb = text[:i]
+    head = _VERB.match(text)
+    verb = head[1]
     if verb not in _ARITY:
         raise ShellError(f"unknown command {verb!r}")
 
     args: list[str] = []
-    pos = _skip_spaces(text, i)
-    if pos < len(text):
-        while True:
-            if text[pos] != "'":
-                raise ShellError(f"expected a quoted argument at position {pos}")
-            pos += 1
-            buf: list[str] = []
-            while True:
-                if pos >= len(text):
-                    raise ShellError("unbalanced quote in command")
-                ch = text[pos]
-                if ch == "'":
-                    if pos + 1 < len(text) and text[pos + 1] == "'":
-                        buf.append("'")
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                buf.append(ch)
-                pos += 1
-            args.append("".join(buf))
-            pos = _skip_spaces(text, pos)
-            if pos >= len(text):
-                break
-            if text[pos] != ",":
-                raise ShellError(f"unexpected text at position {pos}")
-            pos = _skip_spaces(text, pos + 1)
-            if pos >= len(text):
+    pos = head.end()
+    while pos < len(text):
+        arg = _ARG.match(text, pos)
+        if arg is None:
+            if text[pos] == "'":
+                raise ShellError("unbalanced quote in command")
+            raise ShellError(f"expected a quoted argument at position {pos}")
+        args.append(arg[1].replace("''", "'"))
+        pos = arg.end()
+        if arg[2]:
+            if pos == len(text):
                 raise ShellError("trailing comma without an argument")
+        elif pos < len(text):
+            raise ShellError(f"unexpected text at position {pos}")
 
     lo, hi = _ARITY[verb]
     if len(args) < lo or (hi is not None and len(args) > hi):
@@ -97,12 +86,6 @@ def parse_command(line: str) -> ShellCommand:
             expected = f"{lo} or {hi}"
         raise ShellError(f"{verb} expects {expected} argument(s), got {len(args)}")
     return ShellCommand(verb, tuple(args))
-
-
-def _skip_spaces(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def render_command(cmd: ShellCommand) -> str:

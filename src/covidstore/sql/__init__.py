@@ -1,12 +1,9 @@
 """SQL layer: DDL, catalog, query parsing, and execution over the store."""
 
 from .ddl import (
-    ColumnDef,
-    ColumnMapping,
     CreateTable,
     DescribeTable,
     DropTable,
-    RelationalSchema,
     generate_schema,
     parse_ddl,
     parse_ddl_statement,
@@ -14,7 +11,6 @@ from .ddl import (
 from .engine import (
     Catalog,
     ResultSet,
-    StatementOutcome,
     execute_query,
     execute_statement,
     parse_statement,
@@ -33,33 +29,25 @@ from .query import (
     ColumnRef,
     Comparison,
     InList,
-    JoinClause,
     KeyFieldRef,
     SelectQuery,
-    TableSource,
     parse_query,
 )
 
 __all__ = [
     "Catalog",
     "CatalogError",
-    "ColumnDef",
-    "ColumnMapping",
     "ColumnRef",
     "Comparison",
     "CreateTable",
     "DescribeTable",
     "DropTable",
     "InList",
-    "JoinClause",
     "KeyFieldRef",
-    "RelationalSchema",
     "ResultSet",
     "SelectQuery",
     "SqlError",
     "SqlSyntaxError",
-    "StatementOutcome",
-    "TableSource",
     "TypeDecodeError",
     "UnsupportedClauseError",
     "execute_query",

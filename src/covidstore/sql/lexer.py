@@ -1,16 +1,23 @@
 """Tokenizer shared by the DDL and query parsers.
 
-Identifiers here may start with digits (date columns are named like
-03_31_2020), so there is no separate number token; the parsers decide from
-context whether an atom is a name or a numeric literal.  Single-quoted and
-double-quoted strings both use backslash escapes; an unknown escape stands
-for the escaped character itself, which is how '\\~' denotes a tilde.
+The lexical rules:
+
+* A name is a run of letters, digits and ``_``, non-ASCII ones included.
+  Names may start with digits (date columns are named like 03_31_2020), so
+  there is no separate number token; the parsers decide from context
+  whether an atom is a name or a number, which is decimal digits with an
+  optional leading ``-`` and ``.digits``.
+* A string is single-quoted or double-quoted.  A backslash escapes any
+  character: ``\\n``, ``\\t`` and ``\\r`` stand for newline, tab and
+  carriage return, and any other escaped character stands for itself, which
+  is how '\\~' denotes a tilde and '\\'' a quote.
+* A ``;`` inside a string does not end a statement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NoReturn, Optional
+import re
+from typing import NamedTuple, NoReturn, Optional
 
 from .errors import SqlSyntaxError
 
@@ -34,66 +41,45 @@ _PUNCT = {
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
+# A closed string literal; a backslash escapes any character, the quote too.
+# Written as runs between escapes, so that re keeps backtracking state per
+# escape rather than per character (about 1 MB for a 366-day mapping).
+_QUOTED = r"""'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*\""""
+# Whitespace matches no alternative, so finditer skips it; every other
+# character starts a token or is "bad".  In str patterns \w is exactly
+# isalnum() or "_", and \S is exactly not isspace().
+_TOKEN = re.compile(
+    rf"(?P<str>{_QUOTED})|(?P<atom>\w+)|(?P<punct>[()<>,;=.:*\-])|(?P<bad>\S)", re.DOTALL
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def _is_atom_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _unescape(m: re.Match[str]) -> str:
+    return _ESCAPES.get(m[1], m[1])
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            kind = STRING if ch == "'" else DQSTRING
-            start = i
-            value, i = _read_string(text, start, ch)
-            tokens.append(Token(kind, value, start))
-            continue
-        if _is_atom_char(ch):
-            start = i
-            while i < n and _is_atom_char(text[i]):
-                i += 1
-            tokens.append(Token(ATOM, text[start:i], start))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind, tok, pos = m.lastgroup, m[0], m.start()
+        if kind == "atom":
+            tokens.append(Token(ATOM, tok, pos))
+        elif kind == "punct":
+            tokens.append(Token(_PUNCT[tok], tok, pos))
+        elif kind == "str":
+            value = _ESCAPE.sub(_unescape, tok[1:-1])
+            tokens.append(Token(STRING if tok[0] == "'" else DQSTRING, value, pos))
+        elif tok in ("'", '"'):
+            raise SqlSyntaxError("unterminated string literal", pos)
+        else:
+            raise SqlSyntaxError(f"unexpected character {tok!r}", pos)
     return tokens
-
-
-def _read_string(text: str, start: int, quote: str) -> tuple[str, int]:
-    # start points at the opening quote
-    buf: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise SqlSyntaxError("unterminated string literal", start)
-            nxt = text[i + 1]
-            buf.append(_ESCAPES.get(nxt, nxt))
-            i += 2
-            continue
-        if ch == quote:
-            return "".join(buf), i + 1
-        buf.append(ch)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", start)
 
 
 class Cursor:
@@ -168,36 +154,11 @@ class Cursor:
             raise SqlSyntaxError(f"unexpected text {tok.text!r} after statement", tok.pos)
 
 
+# A statement is strings and any text but ";"; a quote left open runs to
+# the end of the text.
+_STATEMENT = re.compile(rf"""(?:[^'";]+|{_QUOTED}|['"].*)+""", re.DOTALL)
+
+
 def split_statements(text: str) -> list[str]:
     """Split script text into statements at semicolons outside strings."""
-    parts: list[str] = []
-    buf: list[str] = []
-    i = 0
-    n = len(text)
-    quote = None
-    while i < n:
-        ch = text[i]
-        if quote is not None:
-            buf.append(ch)
-            if ch == "\\" and i + 1 < n:
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            quote = ch
-            buf.append(ch)
-            i += 1
-            continue
-        if ch == ";":
-            parts.append("".join(buf))
-            buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    parts.append("".join(buf))
-    return [p.strip() for p in parts if p.strip()]
+    return [s.strip() for s in _STATEMENT.findall(text) if s.strip()]

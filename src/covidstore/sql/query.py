@@ -214,13 +214,13 @@ class _QueryParser(Cursor):
         if tok.kind == "MINUS":
             negative = True
             tok = self.next()
-        if tok.kind == ATOM and tok.text.isdigit():
+        if tok.kind == ATOM and tok.text.isdecimal():
             # A dotted pair of digit runs is a float literal; anything else
             # after the dot is a malformed reference, not a number.
             mark = self.pos
             if self.take("DOT"):
                 frac = self.peek()
-                if frac is not None and frac.kind == ATOM and frac.text.isdigit():
+                if frac is not None and frac.kind == ATOM and frac.text.isdecimal():
                     self.next()
                     value = float(f"{tok.text}.{frac.text}")
                     return -value if negative else value

@@ -424,8 +424,8 @@ class Store:
         """Create an enabled table with the given column families."""
         self._ensure_open()
         _check_text(name, "table name")
-        if "/" in name or "\\" in name:
-            raise StoreError(f"table name {name!r} must not contain path separators")
+        if "/" in name or "\\" in name or "\0" in name:
+            raise StoreError(f"table name {name!r} must not contain path separators or NUL")
         if name in self._tables:
             raise TableExistsError(f"table {name!r} already exists")
         family_set = frozenset(families)
@@ -439,8 +439,8 @@ class Store:
             descriptor=TableDescriptor(name, family_set, True),
             data_file=f"{name}.dat",
         )
-        self._tables[name] = table
         self._write_table(table)
+        self._tables[name] = table  # only once its data file exists
         self._write_manifest()
         return table.descriptor
 

@@ -320,6 +320,21 @@ def test_sql_stops_at_first_error(mapped_store, tmp_path, capsys):
     assert captured.out == "Lat\n31.7917\n"
 
 
+def test_sql_keep_going_past_a_non_decimal_digit(mapped_store, capsys):
+    # '²' is a digit to str.isdigit but no number: a syntax error, not a crash.
+    store_dir, data_dir = mapped_store
+    table = TABLES["confirmed"]
+    rc = run_cli(
+        store_dir, data_dir, "sql", "--keep-going",
+        f"SELECT Lat FROM {table} WHERE Lat = ²; "
+        f"SELECT Lat FROM {table} WHERE key.Country_Region = 'Morocco'",
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "statement 1: error:" in captured.err
+    assert captured.out == "Lat\n31.7917\n"
+
+
 # -------------------------------------------------------------------- shell
 
 

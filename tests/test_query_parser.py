@@ -164,6 +164,8 @@ def test_unsupported_clauses_named(query, clause):
         "SELECT a FROM t WHERE a",
         "SELECT a FROM t WHERE a = ",
         "SELECT a FROM t WHERE a = b",
+        "SELECT a FROM t WHERE a = ²",
+        "SELECT a FROM t WHERE a = 1.²",
         "SELECT a FROM t WHERE a IN ()",
         "SELECT a FROM t WHERE a IN 'x'",
         "SELECT a FROM t WHERE 'x' = a",
@@ -193,3 +195,35 @@ def test_string_token_position_is_its_opening_quote():
 def test_unterminated_string():
     with pytest.raises(SqlSyntaxError, match="unterminated"):
         parse_query("SELECT a FROM t WHERE a = 'oops")
+
+
+@pytest.mark.parametrize(
+    "scan, text, expected",
+    [
+        (tokenize, r"'a\nb\tc\rd\~e'", [("STRING", "a\nb\tc\rd~e", 0)]),
+        (tokenize, r"""'it\'s' "say \"hi\"" """, [("STRING", "it's", 0), ("DQSTRING", 'say "hi"', 8)]),
+        (tokenize, 'x "p;q" y', [("ATOM", "x", 0), ("DQSTRING", "p;q", 2), ("ATOM", "y", 8)]),
+        (
+            tokenize,
+            "café 03_31_2020 ٣٤ x²",
+            [("ATOM", "café", 0), ("ATOM", "03_31_2020", 5), ("ATOM", "٣٤", 16), ("ATOM", "x²", 19)],
+        ),
+        (tokenize, "a　b", [("ATOM", "a", 0), ("ATOM", "b", 2)]),
+        (tokenize, "x 'abc\\", "unterminated string literal (at position 2)"),
+        (tokenize, 'x "abc', "unterminated string literal (at position 2)"),
+        (tokenize, "SELECT a # b", "unexpected character '#' (at position 9)"),
+        (split_statements, 'a; "x;y" ;b', ["a", '"x;y"', "b"]),
+        (split_statements, r"x 'it\'s;' ; y", [r"x 'it\'s;'", "y"]),
+        (split_statements, "DROP a; 'open; still open", ["DROP a", "'open; still open"]),
+        (split_statements, "a; 'ab\\", ["a", "'ab\\"]),
+        (split_statements, r"a\'; b", [r"a\'; b"]),
+        (split_statements, ";; ;", []),
+    ],
+)
+def test_scanners(scan, text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(SqlSyntaxError) as err:
+            scan(text)
+        assert str(err.value) == expected
+    else:
+        assert scan(text) == expected

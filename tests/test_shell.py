@@ -76,6 +76,7 @@ def test_parse_whole_command_corpus():
         ("GET 't', 'k'", "unknown command 'GET'"),
         ("scan t", "expected a quoted argument at position 5"),
         ("scan 't", "unbalanced quote in command"),
+        ("scan 'a''", "unbalanced quote in command"),
         ("scan 't' extra", "unexpected text at position 9"),
         ("get 't',", "trailing comma without an argument"),
         ("scan", "scan expects 1 argument(s), got 0"),
@@ -190,6 +191,19 @@ def test_run_script_counts_errors_and_continues(store, tmp_path):
         "column=a:q, value=1\n"
         "1 row(s)\n"
     )
+
+
+def test_run_script_failed_create_leaves_no_table(tmp_path):
+    # NUL cannot be in a file name, so the first create must fail cleanly.
+    script = tmp_path / "cmds.txt"
+    script.write_text("create 'a\x00b', 'f'\ncreate 't', 'f'\n", encoding="utf-8")
+    out = io.StringIO()
+    with open_store(tmp_path / "kv") as store:
+        assert run_script(store, script, out) == 1
+        assert store.table_names() == ["t"]
+    assert out.getvalue().count("ERROR:") == 1
+    with open_store(tmp_path / "kv") as store:
+        assert store.table_names() == ["t"]
 
 
 def test_run_script_stops_at_exit(store, tmp_path):

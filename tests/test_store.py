@@ -83,6 +83,13 @@ def test_create_rejects_path_like_names(store):
         store.create_table("../evil", {"a"})
 
 
+def test_create_whose_data_file_fails_registers_nothing(store):
+    # 300 bytes is over the file name limit of common file systems.
+    with pytest.raises(OSError):
+        store.create_table("x" * 300, {"a"})
+    assert store.table_names() == []
+
+
 def test_put_get_cell(store):
     store.create_table("t", {"a"})
     store.put("t", "~Morocco", C("a:d331"), "617")
