@@ -6,7 +6,8 @@ poke at cells with the shell.  schema-gen prints the CREATE statement for a
 date range so the DDL never has to be written by hand.
 
 Exit codes: 0 on success, 1 for user errors (bad arguments, missing files,
-failed statements), 2 for data errors (lines skipped during a strict load).
+failed statements, file-system errors), 2 for data errors (lines skipped
+during a strict load).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from datetime import date
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .sql import (
     render_result_set,
     split_statements,
 )
-from .store import ColumnCoord, ImportSpec, ROW_KEY, StoreError, open_store
+from .store import ColumnCoord, ImportSpec, ROW_KEY, StoreError, open_store, write_atomic
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -112,12 +112,9 @@ def cmd_fetch(args) -> int:
             print(f"error: {series}: {exc}", file=sys.stderr)
             rc = EXIT_USER_ERROR
             continue
-        # Write to a temp file first so a failed transfer never leaves a
-        # truncated CSV where the next stage will pick it up.
-        fd, tmp_name = tempfile.mkstemp(dir=data_dir, prefix=name, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, target)
+        # A failed write never leaves a truncated CSV where the next stage
+        # will pick it up.
+        write_atomic(target, payload)
         print(f"{series}: saved {target} ({len(payload)} bytes)")
     return rc
 
@@ -184,7 +181,7 @@ def cmd_sql(args) -> int:
             try:
                 statement = parse_statement(statement_text)
                 outcome = execute_statement(statement, catalog, store)
-            except (SqlError, StoreError) as exc:
+            except (SqlError, StoreError, OSError) as exc:
                 print(f"statement {i}: error: {exc}", file=sys.stderr)
                 rc = EXIT_USER_ERROR
                 if not args.keep_going:
@@ -321,13 +318,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except (StoreError, SqlError, ingest.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
     except BrokenPipeError:
         # Reader went away (e.g. piped into head); suppress the shutdown noise.
+        # This handler comes first: BrokenPipeError is an OSError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except (StoreError, SqlError, ingest.FormatError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
 
 
 if __name__ == "__main__":

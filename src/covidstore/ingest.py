@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+from .store import write_atomic
 
 KEY_SEPARATOR = "~"
 
@@ -53,14 +54,14 @@ def sanitize_field(raw: str) -> str:
     return cleaned.replace(",", "-")
 
 
-@dataclass(frozen=True, order=True)
-class DateColumn:
+class DateColumn(NamedTuple):
     """One daily column, with its three naming conventions.
 
     header_form is the zero-padded MM/DD/YYYY header text, column_name the
     MM_DD_YYYY identifier used by the relational layer, and qualifier the
     compact store coordinate: "d", month without leading zero, then the
-    two-digit day (March 31 -> d331, October 1 -> d1001).
+    two-digit day (March 31 -> d331, October 1 -> d1001).  The tuple is
+    (year, month, day), so columns sort in date order.
     """
 
     year: int
@@ -130,8 +131,7 @@ def series_columns(start: date, end: date, family: str) -> list[str]:
     return [f"{family}:lt", f"{family}:lg"] + [f"{family}:{d.qualifier}" for d in dates]
 
 
-@dataclass(frozen=True)
-class RowKey:
+class RowKey(NamedTuple):
     """Composite row key: province and country joined by a tilde.
 
     The province may be empty, which puts the tilde first and makes
@@ -174,8 +174,7 @@ def sparsify(values: Sequence[str]) -> list[Optional[str]]:
     return [None if v in ("", "0") else v for v in values]
 
 
-@dataclass(frozen=True)
-class FormattedRecord:
+class FormattedRecord(NamedTuple):
     """One output row: composite key, coordinates, sparse daily values."""
 
     row_key: RowKey
@@ -188,29 +187,27 @@ class FormattedRecord:
         return f"{self.row_key.serialized()},{self.lat},{self.long},{tail}"
 
 
-@dataclass(frozen=True)
-class RowError:
+class RowError(NamedTuple):
     line_number: int
     message: str
 
 
-@dataclass
-class FormatResult:
+class FormatResult(NamedTuple):
     """Outcome of formatting one file.
 
-    text is the finished CSV (with or without the header line, as asked),
-    records the parsed rows in input order, and errors the rows that were
-    rejected, by input line number.  A rejected row is reported and skipped;
-    it never aborts the rest of the file.
+    text is the finished CSV, header line first, records the parsed rows in
+    input order, and errors the rows that were rejected, by input line
+    number.  A rejected row is reported and skipped; it never aborts the
+    rest of the file.
     """
 
     text: str
-    records: list[FormattedRecord] = field(default_factory=list)
-    dates: list[DateColumn] = field(default_factory=list)
-    errors: list[RowError] = field(default_factory=list)
+    records: list[FormattedRecord]
+    dates: list[DateColumn]
+    errors: list[RowError]
 
 
-def format_file(input_path: str | Path, include_header: bool = True) -> FormatResult:
+def format_file(input_path: str | Path) -> FormatResult:
     """Format one raw time-series CSV into the sparse representation.
 
     The header must have at least the four fixed columns plus one date.
@@ -239,13 +236,9 @@ def format_file(input_path: str | Path, include_header: bool = True) -> FormatRe
         dates = [normalize_date(tok) for tok in header[FIXED_COLUMNS:]]
         width = len(header)
 
-        lines: list[str] = []
-        if include_header:
-            merged = (
-                f"{sanitize_field(header[0])}{KEY_SEPARATOR}{sanitize_field(header[1])}"
-            )
-            fixed = [merged] + [sanitize_field(h) for h in header[2:FIXED_COLUMNS]]
-            lines.append(",".join(fixed + [d.header_form for d in dates]))
+        merged = f"{sanitize_field(header[0])}{KEY_SEPARATOR}{sanitize_field(header[1])}"
+        fixed = [merged] + [sanitize_field(h) for h in header[2:FIXED_COLUMNS]]
+        lines = [",".join(fixed + [d.header_form for d in dates])]
 
         records: list[FormattedRecord] = []
         errors: list[RowError] = []
@@ -262,17 +255,12 @@ def format_file(input_path: str | Path, include_header: bool = True) -> FormatRe
             except ValueError as exc:
                 errors.append(RowError(line_no, str(exc)))
                 continue
-            record = FormattedRecord(
-                row_key=key,
-                lat=clean[2],
-                long=clean[3],
-                values=tuple(sparsify(clean[FIXED_COLUMNS:])),
-            )
+            values = tuple(sparsify(clean[FIXED_COLUMNS:]))
+            record = FormattedRecord(key, clean[2], clean[3], values)
             records.append(record)
             lines.append(record.to_line())
 
-    text = "\n".join(lines) + "\n" if lines else ""
-    return FormatResult(text=text, records=records, dates=dates, errors=errors)
+    return FormatResult("\n".join(lines) + "\n", records, dates, errors)
 
 
 def output_paths(input_path: str | Path, output_dir: str | Path | None = None) -> tuple[Path, Path]:
@@ -293,11 +281,13 @@ def write_formatted_files(
     """Write both output variants for one input file.
 
     The headerless file is byte for byte the headered file minus its first
-    line.  Output is UTF-8 with a single trailing newline and no BOM.
+    line.  Output is UTF-8 with a single trailing newline and no BOM.  Each
+    file is replaced atomically, so a crash never leaves a truncated file
+    for load to import.
     """
-    result = format_file(input_path, include_header=True)
+    result = format_file(input_path)
     with_names, sparse = output_paths(input_path, output_dir)
-    headerless = result.text.split("\n", 1)[1] if "\n" in result.text else ""
-    with_names.write_text(result.text, encoding="utf-8", newline="\n")
-    sparse.write_text(headerless, encoding="utf-8", newline="\n")
+    data = result.text.encode("utf-8")
+    write_atomic(with_names, data)
+    write_atomic(sparse, data[data.index(b"\n") + 1 :])
     return with_names, sparse, result

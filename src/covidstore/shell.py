@@ -137,7 +137,7 @@ def execute_command(cmd: ShellCommand, store: Store) -> str:
     """
     try:
         return _dispatch(cmd, store)
-    except (StoreError, ShellError) as exc:
+    except (StoreError, ShellError, OSError) as exc:
         return f"ERROR: {exc}"
 
 
@@ -156,7 +156,7 @@ def _run(store: Store, lines: Iterable[str], out: IO[str]) -> int:
             if cmd.verb == "exit":
                 break
             text = _dispatch(cmd, store)
-        except (StoreError, ShellError) as exc:
+        except (StoreError, ShellError, OSError) as exc:
             text = f"ERROR: {exc}"
             errors += 1
         if text:

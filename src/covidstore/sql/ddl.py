@@ -10,13 +10,13 @@ they matter to the cluster software this replaces, not to this engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from ..ingest import date_columns_between, series_columns
 from ..store import ColumnCoord
 from .errors import SqlError, SqlSyntaxError
-from .lexer import ATOM, DQSTRING, STRING, Cursor
+from .lexer import ATOM, DQSTRING, STRING, Cursor, Node
 
 COLUMN_TYPES = ("int", "float")
 
@@ -30,14 +30,12 @@ _STORAGE_CLASS = "org.apache.hadoop.hive.hbase.HBaseStorageHandler"
 _KEY_FACTORY_CLASS = "org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2"
 
 
-@dataclass(frozen=True)
-class ColumnDef:
+class ColumnDef(NamedTuple):
     name: str
     ctype: str  # "int" or "float"
 
 
-@dataclass(frozen=True)
-class RelationalSchema:
+class RelationalSchema(NamedTuple):
     """Declared shape of a mapped table."""
 
     table_name: str
@@ -46,8 +44,7 @@ class RelationalSchema:
     collection_terminator: str
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class ColumnMapping(NamedTuple):
     """Where each declared column lives in the store.
 
     coords is parallel to the schema's columns; the key itself is implied
@@ -64,8 +61,7 @@ class ColumnMapping:
         return frozenset(c.family for c in self.coords)
 
 
-@dataclass(frozen=True)
-class CreateTable:
+class CreateTable(NamedTuple):
     schema: RelationalSchema
     mapping: ColumnMapping
     properties: dict[str, str]
@@ -73,13 +69,13 @@ class CreateTable:
     raw: str
 
 
-@dataclass(frozen=True)
-class DropTable:
+class DropTable(Node):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class DescribeTable:
+class DescribeTable(Node):
+    __slots__ = ("name",)
     name: str
 
 
@@ -197,20 +193,9 @@ def _parse_create(p: Cursor) -> CreateTable:
             raise SqlError(f"column mapping names {coord} twice")
         seen.add(coord)
 
-    schema = RelationalSchema(
-        table_name=table_name,
-        key_fields=tuple(key_fields),
-        columns=tuple(columns),
-        collection_terminator=term_tok.text,
-    )
-    mapping = ColumnMapping(store_table=properties[PROP_TABLE_NAME], coords=coords)
-    return CreateTable(
-        schema=schema,
-        mapping=mapping,
-        properties=properties,
-        stored_by=stored_by,
-        raw=p.text.strip(),
-    )
+    schema = RelationalSchema(table_name, tuple(key_fields), tuple(columns), term_tok.text)
+    mapping = ColumnMapping(properties[PROP_TABLE_NAME], coords)
+    return CreateTable(schema, mapping, properties, stored_by, p.text.strip())
 
 
 def generate_schema(

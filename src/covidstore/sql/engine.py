@@ -22,12 +22,14 @@ predicate never hides a bad cell.
 Predicates never match NULL, and join conditions reject rows with NULL (or
 NaN) on either side, which is ordinary inner-join behavior.  An empty
 string is a value, not NULL: province-less rows join and filter on "".
+
+The records returned here, ResultSet and StatementOutcome, are immutable
+tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..store import Store, write_atomic
 from .ddl import (
@@ -46,8 +48,7 @@ CATALOG_NAME = "CATALOG"
 Value = Union[str, int, float, None]
 
 
-@dataclass
-class ResultSet:
+class ResultSet(NamedTuple):
     columns: list[str]
     rows: list[tuple[Value, ...]]
 
@@ -168,14 +169,14 @@ class Catalog:
         for key in sorted(self._entries):
             raw = self._entries[key].raw
             statements.append(raw if raw.endswith(";") else raw + ";")
-        write_atomic(self._path, "\n".join(statements) + ("\n" if statements else ""))
+        text = "\n".join(statements) + ("\n" if statements else "")
+        write_atomic(self._path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------- execution
 
 
-@dataclass
-class _Source:
+class _Source(NamedTuple):
     qualifier: str  # alias if declared, else the table name
     entry: CreateTable
     # (is key field, lowered name) -> (position in a row, output header)
@@ -203,12 +204,13 @@ def _decode(
     first = 1 + nfields
     key_predicates = [(p, values) for p, values in predicates if p < first]
     column_predicates = [(p, values) for p, values in predicates if p >= first]
+    declared, coords = schema.columns, entry.mapping.coords
     columns = []
     for p in sorted(referenced | {p for p, _ in column_predicates}):
         if p >= first:
-            col = schema.columns[p - first]
-            decode = int if col.ctype == "int" else float
-            columns.append((p, col.name, col.ctype, decode, entry.mapping.coords[p - first]))
+            name, ctype = declared[p - first]
+            decode = int if ctype == "int" else float
+            columns.append((p, name, ctype, decode, coords[p - first]))
     blank = [None] * len(schema.columns)
     out: list[list[Value]] = []
     for row in store.scan(entry.mapping.store_table):
@@ -343,7 +345,7 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
         pairs = [(a, b) if i == 0 else (b, a) for (i, a), (j, b) in conditions if i != j]
         envs = _hash_join(rows[0], rows[1], pairs)
     out = [tuple(env[idx][position] for idx, position in outputs) for env in envs]
-    return ResultSet(columns=[header for _, _, header in bound], rows=out)
+    return ResultSet([header for _, _, header in bound], out)
 
 
 def _hash_join(
@@ -385,8 +387,7 @@ def parse_statement(text: str) -> Statement:
     return parse_ddl_statement(text)
 
 
-@dataclass
-class StatementOutcome:
+class StatementOutcome(NamedTuple):
     """What executing one statement produced, if anything printable."""
 
     statement: Statement

@@ -60,6 +60,40 @@ class Token(NamedTuple):
     pos: int
 
 
+class Node:
+    """An immutable syntax node whose fields are the names in its __slots__.
+
+    Unlike a NamedTuple, a node equals and hashes like only nodes of its own
+    kind, so ColumnRef(None, "x") != KeyFieldRef(None, "x").
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 def _unescape(m: re.Match[str]) -> str:
     return _ESCAPES.get(m[1], m[1])
 

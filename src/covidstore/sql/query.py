@@ -11,27 +11,26 @@ caller knows it hit a deliberate boundary, not a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import SqlSyntaxError, UnsupportedClauseError
-from .lexer import ATOM, STRING, Cursor
+from .lexer import ATOM, STRING, Cursor, Node
 
 Literal = Union[str, int, float]
 
 
-@dataclass(frozen=True)
-class KeyFieldRef:
+class KeyFieldRef(Node):
     """A struct field of the row key, as in key.Country_Region."""
 
+    __slots__ = ("alias", "field")
     alias: Optional[str]
     field: str
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+class ColumnRef(Node):
     """A plain declared column, as in c.03_31_2020 or Lat."""
 
+    __slots__ = ("alias", "name")
     alias: Optional[str]
     name: str
 
@@ -39,14 +38,14 @@ class ColumnRef:
 Ref = Union[KeyFieldRef, ColumnRef]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Node):
+    __slots__ = ("ref", "value")
     ref: Ref
     value: Literal
 
 
-@dataclass(frozen=True)
-class InList:
+class InList(Node):
+    __slots__ = ("ref", "values")
     ref: Ref
     values: tuple[Literal, ...]
 
@@ -54,20 +53,20 @@ class InList:
 Predicate = Union[Comparison, InList]
 
 
-@dataclass(frozen=True)
-class TableSource:
+class TableSource(Node):
+    __slots__ = ("table", "alias")
     table: str
     alias: Optional[str]
 
 
-@dataclass(frozen=True)
-class JoinClause:
+class JoinClause(Node):
+    __slots__ = ("source", "conditions")
     source: TableSource
     conditions: tuple[tuple[Ref, Ref], ...]
 
 
-@dataclass(frozen=True)
-class SelectQuery:
+class SelectQuery(Node):
+    __slots__ = ("select_all", "projections", "source", "join", "where")
     select_all: bool
     projections: tuple[Ref, ...]
     source: TableSource
@@ -154,13 +153,7 @@ class _QueryParser(Cursor):
         self._check_unsupported()
         self.finish()
 
-        return SelectQuery(
-            select_all=select_all,
-            projections=tuple(projections),
-            source=source,
-            join=join,
-            where=tuple(where),
-        )
+        return SelectQuery(select_all, tuple(projections), source, join, tuple(where))
 
     def _table_source(self) -> TableSource:
         table = self.expect_name("a table name")

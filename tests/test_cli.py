@@ -91,7 +91,7 @@ def test_fetch_over_http(dirs, capsys):
 def test_cli_import_leaves_network_modules_unloaded():
     code = (
         "import sys, covidstore.cli; "
-        "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+        "print(sorted({'urllib.request', 'http.client', 'dataclasses'} & set(sys.modules)))"
     )
     src = str(Path(covidstore.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -335,6 +335,28 @@ def test_sql_keep_going_past_a_non_decimal_digit(mapped_store, capsys):
     assert captured.out == "Lat\n31.7917\n"
 
 
+def test_sql_keep_going_past_a_file_system_error(dirs, tmp_path, capsys):
+    # A 300-character backing table name is too long for a file name.
+    store_dir, data_dir = dirs
+    create = (
+        "CREATE TABLE {name} (key struct<P:string,C:string>, Lat float) "
+        "ROW FORMAT DELIMITED COLLECTION ITEMS TERMINATED BY '~' "
+        "STORED BY 'h' WITH SERDEPROPERTIES ("
+        '"hbase.table.name" = "{backing}", "hbase.columns.mapping" = ":key,a:lt");\n'
+    )
+    script = tmp_path / "ddl.sql"
+    script.write_text(
+        create.format(name="long", backing="x" * 300) + create.format(name="t", backing="t"),
+        encoding="utf-8",
+    )
+    rc = run_cli(store_dir, data_dir, "sql", "--keep-going", "-f", str(script))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("statement 1: error: ")
+    rc = run_cli(store_dir, data_dir, "sql", "DESCRIBE t")
+    assert rc == 0
+    assert capsys.readouterr().out == "key\tstruct<p:string,c:string>\nlat\tfloat\n"
+
+
 # -------------------------------------------------------------------- shell
 
 
@@ -421,6 +443,15 @@ def test_one_mapping_spans_at_most_a_year(dirs, tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ plumbing
+
+
+def test_file_system_error_is_reported_not_raised(tmp_path, capsys):
+    # The store directory cannot be made inside a regular file.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    rc = run_cli(blocker / "store", tmp_path / "data", "sql", "DESCRIBE t")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_store_dir_must_differ_from_data_dir(tmp_path, capsys):

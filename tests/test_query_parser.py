@@ -5,6 +5,8 @@ import pytest
 from covidstore.sql import (
     ColumnRef,
     Comparison,
+    DescribeTable,
+    DropTable,
     InList,
     KeyFieldRef,
     SqlSyntaxError,
@@ -19,6 +21,17 @@ from conftest import workload_text
 
 def corpus_query(name: str):
     return parse_query(split_statements(workload_text(name))[0])
+
+
+def test_syntax_nodes_compare_by_kind():
+    # Nodes of two kinds with the same fields never compare equal.
+    assert KeyFieldRef(None, "x") != ColumnRef(None, "x")
+    assert DropTable("t") != DescribeTable("t")
+    assert Comparison(ColumnRef(None, "x"), (1,)) != InList(ColumnRef(None, "x"), (1,))
+    assert ColumnRef("c", "x") == ColumnRef("c", "x")
+    assert hash(ColumnRef("c", "x")) == hash(ColumnRef("c", "x"))
+    assert hash(DropTable("t")) == hash(DropTable("t"))
+    assert len({KeyFieldRef(None, "x"), ColumnRef(None, "x"), ColumnRef(None, "x")}) == 2
 
 
 # ------------------------------------------------------------ corpus shapes

@@ -206,6 +206,20 @@ def test_run_script_failed_create_leaves_no_table(tmp_path):
         assert store.table_names() == ["t"]
 
 
+def test_run_script_reports_a_file_system_error_and_continues(tmp_path):
+    # A 300-character table name is too long for a file name: the store
+    # raises OSError, which the shell renders like any other failure.
+    script = tmp_path / "cmds.txt"
+    script.write_text(f"create '{'x' * 300}', 'f'\ncreate 't', 'f'\n", encoding="utf-8")
+    out = io.StringIO()
+    with open_store(tmp_path / "kv") as store:
+        assert run_script(store, script, out) == 1
+        assert store.table_names() == ["t"]
+        assert run(store, f"create '{'y' * 300}', 'f'").startswith("ERROR: ")
+    assert out.getvalue().startswith("ERROR: ")
+    assert out.getvalue().count("ERROR:") == 1
+
+
 def test_run_script_stops_at_exit(store, tmp_path):
     script = tmp_path / "cmds.txt"
     script.write_text("create 'one', 'a'\nexit\ncreate 'two', 'a'\n", encoding="utf-8")
