@@ -46,6 +46,8 @@ from .query import Comparison, KeyFieldRef, Literal, Ref, SelectQuery, parse_que
 CATALOG_NAME = "CATALOG"
 
 Value = Union[str, int, float, None]
+# (is key field, lowered name) -> (position in a row, output header)
+Positions = dict[tuple[bool, str], tuple[int, str]]
 
 
 class ResultSet(NamedTuple):
@@ -81,6 +83,7 @@ class Catalog:
         self._store = store
         self._path = store.directory / CATALOG_NAME
         self._entries: dict[str, CreateTable] = {}
+        self._positions: dict[str, Positions] = {}
         if self._path.exists():
             text = self._path.read_text(encoding="utf-8")
             for statement in split_statements(text):
@@ -103,6 +106,21 @@ class Catalog:
 
     def has(self, name: str) -> bool:
         return name.lower() in self._entries
+
+    def positions(self, name: str) -> tuple[CreateTable, Positions]:
+        """A table's definition and its name-to-position map, built once per entry."""
+        entry = self.get(name)
+        names = self._positions.get(name.lower())
+        if names is None:
+            schema = entry.schema
+            names = {
+                (True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(schema.key_fields)
+            }
+            first = 1 + len(schema.key_fields)
+            for i, col in enumerate(schema.columns):
+                names[(False, col.name.lower())] = (first + i, col.name)
+            self._positions[name.lower()] = names
+        return entry, names
 
     # ------------------------------------------------------------- mutations
 
@@ -152,6 +170,7 @@ class Catalog:
             self._store.disable_table(backing)
             self._store.drop_table(backing)
         del self._entries[key]
+        self._positions.pop(key, None)
         self._persist()
         return True
 
@@ -179,8 +198,7 @@ class Catalog:
 class _Source(NamedTuple):
     qualifier: str  # alias if declared, else the table name
     entry: CreateTable
-    # (is key field, lowered name) -> (position in a row, output header)
-    names: dict[tuple[bool, str], tuple[int, str]]
+    names: Positions
 
 
 def _decode(
@@ -193,9 +211,10 @@ def _decode(
     """Each row of the source that passes its filters, decoded where referenced.
 
     A row holds every position, with None at a column the query does not
-    reference.  Predicates on key fields run on the split row key before
-    any cell is decoded; then every referenced column is decoded, and only
-    then do column predicates and same-source conditions drop the row.
+    reference.  Predicates on key fields run inside the store's scan, on
+    the split row key, so a row they drop is never parsed; then every
+    referenced column of a kept row is decoded, and only then do column
+    predicates and same-source conditions drop the row.
     """
     entry = source.entry
     schema = entry.schema
@@ -212,12 +231,22 @@ def _decode(
             decode = int if ctype == "int" else float
             columns.append((p, name, ctype, decode, coords[p - first]))
     blank = [None] * len(schema.columns)
+
+    def split_key(key: str) -> list[Value]:
+        parts = key.split(terminator, nfields - 1)
+        return [key, *parts, *[None] * (nfields - len(parts))]
+
+    def keep(key: str) -> bool:
+        # A loop, not all() over a generator: this runs once per row key.
+        values = split_key(key)
+        for p, allowed in key_predicates:
+            if values[p] not in allowed:
+                return False
+        return True
+
     out: list[list[Value]] = []
-    for row in store.scan(entry.mapping.store_table):
-        parts = row.key.split(terminator, nfields - 1)
-        values: list[Value] = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
-        if not all(values[p] in allowed for p, allowed in key_predicates):
-            continue
+    for row in store.scan(entry.mapping.store_table, keep=keep if key_predicates else None):
+        values = split_key(row.key) + blank
         for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
             if raw is not None:
@@ -241,12 +270,7 @@ def _typed_eq(a: Value, b: Value) -> bool:
 
 
 def _make_source(source_ast, catalog: Catalog) -> _Source:
-    entry = catalog.get(source_ast.table)
-    schema = entry.schema
-    names = {(True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(schema.key_fields)}
-    first = 1 + len(schema.key_fields)
-    for i, col in enumerate(schema.columns):
-        names[(False, col.name.lower())] = (first + i, col.name)
+    entry, names = catalog.positions(source_ast.table)
     return _Source(source_ast.alias or source_ast.table, entry, names)
 
 
@@ -280,8 +304,9 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     Each source scans its table once and decodes only the columns that the
     projection, the ON clause and the WHERE clause reference (every column
     for SELECT *).  A WHERE predicate, or an ON condition whose two sides
-    name one source, filters that source as it is decoded; a predicate on a
-    key field runs on the split row key before any cell is decoded.
+    name one source, filters that source as it is decoded.  Predicates on
+    key fields run inside the store's scan, on the split row key, so the
+    store parses only the rows whose key passes them.
 
     A join is a hash join: the second source's rows are hashed on their
     values of the conditions between the sources, then probed with the

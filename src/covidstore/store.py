@@ -11,17 +11,34 @@ later write adds to is sorted once, before the next read or flush.  Reads
 hand out read-only views of the table's own rows instead of sorted copies.
 
 A store is a directory.  MANIFEST lists the tables, one tab-separated line
-each; every table keeps its cells in a <name>.dat file, rewritten on flush
+each:
+
+    <name> TAB <families> TAB <enabled 0|1> TAB <data file> TAB <bytes> TAB <crc32>
+
+Every table keeps its cells in a <name>.dat file, rewritten on flush
 with one line per row, rows in key order:
 
     <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
 
-with the pairs in coordinate order.  A LOCK file keeps a second process out
-while the store is open.  Keys, coordinates and values are UTF-8 text
-without tabs or newlines, and a family or qualifier holds no colon or comma,
-which is what keeps the on-disk format trivial.  A data file in the older
-one-line-per-cell layout has four fields a line, so it is refused as
-corrupt; rebuild such a store by re-running DROP/CREATE and load.
+with the pairs in coordinate order.  Flush writes the data files first and
+MANIFEST after them, with each file's byte size and zlib.crc32.  A LOCK
+file keeps a second process out while the store is open.  Keys,
+coordinates and values are UTF-8 text without tabs or newlines, and a
+family or qualifier holds no colon or comma, which is what keeps the
+on-disk format trivial.
+
+Open reads every data file in full and checks its size and checksum.  A
+file that matches was written by flush, so open only indexes its lines by
+row key; a row is parsed the first time get, scan, put or import_tsv
+touches it, and a table nothing touches is neither parsed nor rewritten.
+A file that does not match, or whose MANIFEST line has the four fields of
+an older store, is parsed in full at open and refused as corrupt at its
+first bad line.  One that parses cleanly is accepted (a crash between a
+data file's replace and the MANIFEST rewrite leaves exactly that), and its
+MANIFEST line keeps four fields until flush rewrites the file.  A data
+file in the older one-line-per-cell layout has four fields a line, so it
+is refused as corrupt; rebuild such a store by re-running DROP/CREATE and
+load.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -31,9 +48,10 @@ nothing in the workflows here needs the stricter behavior.
 from __future__ import annotations
 
 import os
+import zlib
 from pathlib import Path
 from types import MappingProxyType
-from typing import Final, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
 
 # Marker used in import column specs for the field that becomes the row key.
 ROW_KEY: Final = "HBASE_ROW_KEY"
@@ -193,25 +211,79 @@ class ImportReport(NamedTuple):
 
 
 class _Table:
-    __slots__ = ("descriptor", "data_file", "rows", "dirty", "unsorted", "view")
+    __slots__ = (
+        "descriptor", "data_file", "checksum", "rows", "lines", "coords", "keys",
+        "dirty", "unsorted", "view",
+    )
 
     def __init__(self, descriptor: TableDescriptor, data_file: str) -> None:
         self.descriptor = descriptor
         self.data_file = data_file
+        # (bytes, crc32) of the data file as flush wrote it; None when the
+        # file on disk was not written by flush, so the next open parses it
+        # in full.
+        self.checksum: Optional[tuple[int, int]] = (0, 0)
         self.rows: dict[str, dict[ColumnCoord, str]] = {}
+        # Lines of a checked data file not parsed yet, by row key.  Each is
+        # exactly the line flush would write for its row.
+        self.lines: dict[str, str] = {}
+        # Each coordinate text is checked once and maps to one shared object.
+        self.coords: dict[str, ColumnCoord] = {}
+        # Every row key in order; None once a write may have added one.
+        self.keys: Optional[list[str]] = []
         self.dirty = False
         # Keys of rows whose cells may be out of coordinate order.
         self.unsorted: set[str] = set()
-        # What scan hands out, in key order; None once a write may have changed it.
+        # What a full scan hands out, in key order; None once a write may have changed it.
         self.view: Optional[list[Row]] = None
+
+    def parse(self, line: str) -> tuple[str, dict[ColumnCoord, str]]:
+        """Key and cells of one data file line; raises CellValueError."""
+        fields = line.split("\t")
+        key, names, values = fields[0], fields[1::2], fields[2::2]
+        if not key or len(names) != len(values) or not values or "" in values:
+            raise CellValueError("expected a key and coordinate/value pairs, none empty")
+        coords = self.coords
+        try:
+            row = dict(zip(map(coords.__getitem__, names), values))
+        except KeyError:
+            for name in names:
+                if name not in coords:
+                    coord = ColumnCoord.parse(name)
+                    if coord.family not in self.descriptor.families:
+                        raise CellValueError(f"unknown family {coord.family!r}") from None
+                    coords[name] = coord
+            row = dict(zip(map(coords.__getitem__, names), values))
+        if len(row) != len(values):
+            raise CellValueError("a coordinate repeats")
+        return key, row
+
+    def row(self, key: str) -> Optional[dict[ColumnCoord, str]]:
+        """The row at key, parsed on first touch; None if there is none."""
+        row = self.rows.get(key)
+        if row is None and key in self.lines:
+            line = self.lines.pop(key)
+            try:
+                row = self.rows[key] = self.parse(line)[1]
+            except CellValueError as exc:
+                raise CorruptStoreError(
+                    f"corrupt data file {self.data_file}: row {key!r}: {exc}"
+                ) from None
+        return row
+
+    def ordered_keys(self) -> list[str]:
+        if self.keys is None:
+            self.keys = sorted([*self.rows, *self.lines])
+        return self.keys
 
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
         """Upsert cells, given in coordinate order, into a row."""
         self.dirty = True
         self.view = None
-        row = self.rows.get(key)
+        row = self.row(key)
         if row is None:
             self.rows[key] = dict(cells)
+            self.keys = None
         else:
             row.update(cells)
             self.unsorted.add(key)
@@ -224,12 +296,20 @@ class _Table:
             rows[key] = {c: cells[c] for c in sorted(cells)}
         self.unsorted.clear()
 
-    def scan(self) -> list[Row]:
-        if self.view is None:
-            self.sort()
-            rows = self.rows
-            self.view = [Row(key, MappingProxyType(rows[key])) for key in sorted(rows)]
-        return self.view
+    def scan(self, keep: Optional[Callable[[str], bool]] = None) -> list[Row]:
+        """Rows in key order, only those whose key passes keep if it is given."""
+        if self.view is not None:
+            return self.view if keep is None else [r for r in self.view if keep(r.key)]
+        self.sort()
+        keys = self.ordered_keys()
+        row = self.row
+        rows = [
+            Row(key, MappingProxyType(row(key)))  # type: ignore[arg-type]
+            for key in (keys if keep is None else filter(keep, keys))
+        ]
+        if keep is None:
+            self.view = rows
+        return rows
 
 
 MANIFEST_NAME: Final = "MANIFEST"
@@ -239,8 +319,15 @@ LOCK_NAME: Final = "LOCK"
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace path with data, so a reader finds the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 def open_store(directory: str | Path) -> "Store":
@@ -304,50 +391,57 @@ class Store:
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 4:
+            if len(parts) not in (4, 6):
                 raise CorruptStoreError(
                     f"corrupt manifest {manifest}: line {i}: "
-                    f"expected 4 fields, found {len(parts)}"
+                    f"expected 6 fields (4 in an older store), found {len(parts)}"
                 )
-            name, families_text, flag, data_file = parts
+            name, families_text, flag, data_file = parts[:4]
             if not name or name in self._tables:
                 raise CorruptStoreError(
                     f"corrupt manifest {manifest}: line {i}: bad table name {name!r}"
                 )
             families = frozenset(f for f in families_text.split(",") if f)
-            if not families or flag not in ("0", "1"):
+            sums = parts[4:]
+            if (
+                not families
+                or flag not in ("0", "1")
+                or not all(n.isascii() and n.isdigit() for n in sums)
+            ):
                 raise CorruptStoreError(
                     f"corrupt manifest {manifest}: line {i}: bad table entry"
                 )
             table = _Table(TableDescriptor(name, families, flag == "1"), data_file)
-            self._read_data(table)
+            self._read_data(table, (int(sums[0]), int(sums[1])) if sums else None)
             self._tables[name] = table
 
-    def _read_data(self, table: _Table) -> None:
+    def _read_data(self, table: _Table, checksum: Optional[tuple[int, int]]) -> None:
+        """Index the data file's lines by row key, or parse it in full.
+
+        Only a file whose size and crc32 match its MANIFEST line is indexed;
+        any other is parsed strictly, line by line, and its table keeps no
+        checksum until flush rewrites the file.
+        """
         path = self.directory / table.data_file
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
             # A crash between manifest write and first flush leaves no data
             # file; that is an empty table, not corruption.
             return
-        text = path.read_text(encoding="utf-8")
-        # Each coordinate text is checked once and maps to one shared object.
-        coords: dict[str, ColumnCoord] = {}
+        lines = data.decode("utf-8").split("\n")
+        if (len(data), zlib.crc32(data)) == checksum:
+            table.checksum = checksum
+            lines.pop()  # the empty text after the last newline
+            table.lines = {line[: line.find("\t")]: line for line in lines}
+            table.keys = list(table.lines)
+            return
+        table.checksum = table.keys = None
         try:
-            for i, line in enumerate(text.split("\n"), 1):
+            for i, line in enumerate(lines, 1):
                 if not line:
                     continue
-                fields = line.split("\t")
-                key, names, values = fields[0], fields[1::2], fields[2::2]
-                if not key or len(names) != len(values) or not values or "" in values:
-                    raise CellValueError("expected a key and coordinate/value pairs, none empty")
-                for name in names:
-                    if name not in coords:
-                        coord = coords[name] = ColumnCoord.parse(name)
-                        if coord.family not in table.descriptor.families:
-                            raise CellValueError(f"unknown family {coord.family!r}")
-                row = dict(zip(map(coords.__getitem__, names), values))
-                if len(row) != len(values):
-                    raise CellValueError("a coordinate repeats")
+                key, row = table.parse(line)
                 if table.rows.setdefault(key, row) is not row:
                     raise CellValueError(f"row key {key!r} repeated")
         except CellValueError as exc:
@@ -360,31 +454,38 @@ class Store:
         for name in sorted(self._tables):
             t = self._tables[name]
             d = t.descriptor
-            lines.append(
-                "\t".join(
-                    [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0", t.data_file]
-                )
-            )
-        text = "".join(line + "\n" for line in lines)
-        write_atomic(self.directory / MANIFEST_NAME, text.encode("utf-8"))
+            fields = [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0", t.data_file]
+            if t.checksum is not None:
+                fields += map(str, t.checksum)
+            lines.append("\t".join(fields) + "\n")
+        write_atomic(self.directory / MANIFEST_NAME, "".join(lines).encode("utf-8"))
 
     def _write_table(self, table: _Table) -> None:
+        """Rewrite the data file; a row nothing touched keeps its line as read."""
+        table.sort()
         names: dict[ColumnCoord, str] = {}  # each coordinate's text, built once
-        lines = []
-        for row in table.scan():
-            fields = [row.key]
-            for coord, value in row.cells.items():
-                fields += (names.get(coord) or names.setdefault(coord, str(coord)), value)
-            lines.append("\t".join(fields) + "\n")
-        write_atomic(self.directory / table.data_file, "".join(lines).encode("utf-8"))
+        out = []
+        for key in table.ordered_keys():
+            line = table.lines.get(key)
+            if line is None:
+                fields = [key]
+                for coord, value in table.rows[key].items():
+                    fields += (names.get(coord) or names.setdefault(coord, str(coord)), value)
+                line = "\t".join(fields)
+            out.append(line + "\n")
+        data = "".join(out).encode("utf-8")
+        write_atomic(self.directory / table.data_file, data)
+        table.checksum = (len(data), zlib.crc32(data))
         table.dirty = False
 
     def flush(self) -> None:
-        """Write every pending mutation to disk."""
+        """Write every pending mutation to disk: data files first, then MANIFEST."""
         self._ensure_open()
-        for table in self._tables.values():
-            if table.dirty:
-                self._write_table(table)
+        dirty = [table for table in self._tables.values() if table.dirty]
+        for table in dirty:
+            self._write_table(table)
+        if dirty:
+            self._write_manifest()
 
     def close(self) -> None:
         """Flush, then release the store directory for other processes."""
@@ -497,7 +598,7 @@ class Store:
         """
         self._ensure_open()
         t = self._enabled_table(table)
-        row = t.rows.get(row_key)
+        row = t.row(row_key)
         if not row:
             return []
         if coord is not None:
@@ -506,14 +607,15 @@ class Store:
         t.sort()
         return list(t.rows[row_key].items())
 
-    def scan(self, table: str) -> list[Row]:
+    def scan(self, table: str, keep: Optional[Callable[[str], bool]] = None) -> list[Row]:
         """Every row of the table, keys ascending, cells in coordinate order.
 
-        The list is the caller's; each row's cells are a read-only view,
-        valid until the next write to the table.
+        With keep, only the rows whose key keep returns true for, and only
+        those rows are parsed.  The list is the caller's; each row's cells
+        are a read-only view, valid until the next write to the table.
         """
         self._ensure_open()
-        return list(self._enabled_table(table).scan())
+        return list(self._enabled_table(table).scan(keep))
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.

@@ -50,8 +50,8 @@ def import_spec() -> ImportSpec:
 def _check_every_scan(monkeypatch):
     unchecked = Store.scan
 
-    def checked(self, table):
-        rows = unchecked(self, table)
+    def checked(self, table, keep=None):
+        rows = unchecked(self, table, keep)
         keys = [row.key for row in rows]
         assert keys == sorted(keys), f"scan of {table!r} returned keys out of order"
         for row in rows:

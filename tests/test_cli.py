@@ -154,6 +154,16 @@ def test_ingest_missing_input(dirs, capsys):
     assert "error: deaths: cannot read" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_temp_file(raw_data, capsys):
+    store_dir, data_dir = raw_data
+    stem = raw_file_name("confirmed")[: -len(".csv")]
+    (data_dir / f"{stem}-sparse.csv").mkdir()  # the replace onto it fails
+    rc = run_cli(store_dir, data_dir, "ingest", "confirmed")
+    assert rc == 1
+    assert "error: " in capsys.readouterr().err
+    assert sorted(p.name for p in data_dir.glob("*.tmp")) == []
+
+
 # --------------------------------------------------------------------- load
 
 

@@ -1,6 +1,7 @@
 """Table lifecycle, cell IO, persistence format, locking, and bulk import."""
 
 import os
+import zlib
 import tempfile
 from pathlib import Path
 
@@ -554,3 +555,189 @@ def test_row_per_line_round_trip(cells):
                 s.put("t", key, ColumnCoord(family, qual), value)  # same cell: a rewrite
             s.flush()
         assert (d / "t.dat").read_bytes() == written
+
+
+# ------------------------------------------------------- open-time contract
+
+
+def _two_tables(d):
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.create_table("u", {"a"})
+        for key in ("k1", "k2", "k3"):
+            s.put("t", key, C("a:q"), key.upper())
+            s.put("u", key, C("a:r"), "1")
+
+
+def _rows(s, table):
+    return [(r.key, list(r.cells.items())) for r in s.scan(table)]
+
+
+def test_manifest_records_size_and_checksum(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    lines = (d / "MANIFEST").read_text(encoding="utf-8").splitlines()
+    for line, table in zip(lines, ("t", "u")):
+        data = (d / f"{table}.dat").read_bytes()
+        assert line.split("\t")[4:] == [str(len(data)), str(zlib.crc32(data))]
+
+
+def test_older_four_field_manifest_opens_through_the_strict_parser(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    with open_store(d) as s:
+        before = {t: _rows(s, t) for t in ("t", "u")}
+    manifest = d / "MANIFEST"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("".join("\t".join(l.split("\t")[:4]) + "\n" for l in lines))
+    with open_store(d) as s:
+        assert {t: _rows(s, t) for t in ("t", "u")} == before
+        s.put("t", "k4", C("a:q"), "K4")
+    # Flush gives the rewritten table a checksum; the other keeps four fields.
+    fields = [l.split("\t") for l in manifest.read_text(encoding="utf-8").splitlines()]
+    assert [len(f) for f in fields] == [6, 4]
+    with open_store(d) as s:
+        assert _rows(s, "t") == before["t"] + [("k4", [(C("a:q"), "K4")])]
+
+
+def test_replaced_data_file_with_stale_checksum_opens_with_new_rows(tmp_path):
+    # A kill between the data file's replace and the MANIFEST rewrite.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    (d / "t.dat").write_text("k9\ta:q\tnine\ta:z\tzed\n", encoding="utf-8")
+    with open_store(d) as s:
+        assert _rows(s, "t") == [("k9", [(C("a:q"), "nine"), (C("a:z"), "zed")])]
+        assert s.get("t", "k1") == []
+
+
+def test_bad_checksum_field_is_a_corrupt_manifest(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    manifest = d / "MANIFEST"
+    manifest.write_text("t\ta\t1\tt.dat\t12\tabc\n", encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*line 1: bad table entry"):
+        open_store(d)
+    assert not (d / "LOCK").exists()
+
+
+def test_writing_one_table_leaves_the_other_data_file_alone(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    other = d / "u.dat"
+    before = other.read_bytes(), other.stat().st_mtime_ns
+    source = tmp_path / "in.tsv"
+    source.write_text("k5\tfive\n", encoding="utf-8")
+    with open_store(d) as s:
+        report = s.import_tsv("t", source, ImportSpec(columns=(ROW_KEY, C("a:q"))))
+        assert report.loaded == 1
+    assert (other.read_bytes(), other.stat().st_mtime_ns) == before
+    with open_store(d) as s:
+        assert s.get("t", "k5") == [(C("a:q"), "five")]
+
+
+def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    # A bad line under a matching checksum is found only when its row is read.
+    data = (d / "t.dat").read_bytes().replace(b"k2\ta:q\tK2", b"k2\taq\tK2")
+    (d / "t.dat").write_bytes(data)
+    manifest = d / "MANIFEST"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[0] = "\t".join(lines[0].split("\t")[:4] + [str(len(data)), str(zlib.crc32(data))])
+    manifest.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    with open_store(d) as s:
+        kept = s.scan("t", keep=lambda key: key != "k2")
+        assert [(r.key, dict(r.cells)) for r in kept] == [
+            ("k1", {C("a:q"): "K1"}),
+            ("k3", {C("a:q"): "K3"}),
+        ]
+        assert s.get("t", "k3") == [(C("a:q"), "K3")]
+        with pytest.raises(CorruptStoreError, match=r"t\.dat: row 'k2': invalid column coordinate"):
+            s.scan("t")
+
+
+# ------------------------------------------- lazy reads against an eager model
+
+_FAMILY_COORDS = st.builds(ColumnCoord, st.sampled_from("ab"), _coord_quals)
+_IMPORT_SPEC = ImportSpec(columns=(ROW_KEY, C("a:x"), C("b:y")))
+_index = st.integers(0, 5)
+_op = st.one_of(
+    st.tuples(st.just("get"), _index),
+    st.tuples(st.just("cell"), _index, _FAMILY_COORDS),
+    st.tuples(st.just("keep"), st.frozensets(_index)),
+    st.tuples(st.just("scan")),
+    st.tuples(st.just("put"), _index, _FAMILY_COORDS, _texts),
+    st.tuples(
+        st.just("import"), st.lists(st.tuples(_index, _texts, _texts), min_size=1, max_size=3)
+    ),
+    st.tuples(st.just("flush")),
+)
+
+
+def _model_rows(model, keys=None):
+    return [
+        (key, sorted(model[key].items()))
+        for key in sorted(model)
+        if keys is None or key in keys
+    ]
+
+
+def _eager_bytes(model) -> bytes:
+    return "".join(
+        "\t".join([key, *(f"{c}\t{v}" for c, v in cells)]) + "\n"
+        for key, cells in _model_rows(model)
+    ).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(_texts, min_size=1, max_size=6, unique=True),
+    cells=st.dictionaries(st.tuples(_index, _FAMILY_COORDS), _texts, max_size=30),
+    ops=st.lists(_op, max_size=20),
+)
+def test_lazy_reads_match_an_eager_model(pool, cells, ops):
+    def key_of(i):
+        return pool[i % len(pool)]
+
+    model: dict[str, dict[ColumnCoord, str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "kv"
+        with open_store(d) as s:
+            s.create_table("t", {"a", "b"})
+            for (i, coord), value in cells.items():
+                s.put("t", key_of(i), coord, value)
+                model.setdefault(key_of(i), {})[coord] = value
+        with open_store(d) as s:
+            for op in ops:
+                kind = op[0]
+                if kind == "get":
+                    key = key_of(op[1])
+                    assert s.get("t", key) == sorted(model.get(key, {}).items())
+                elif kind == "cell":
+                    key, coord = key_of(op[1]), op[2]
+                    value = model.get(key, {}).get(coord)
+                    assert s.get("t", key, coord) == ([] if value is None else [(coord, value)])
+                elif kind == "keep":
+                    keys = {key_of(i) for i in op[1]}
+                    rows = s.scan("t", keep=keys.__contains__)
+                    assert [(r.key, list(r.cells.items())) for r in rows] == _model_rows(model, keys)
+                elif kind == "scan":
+                    assert _rows(s, "t") == _model_rows(model)
+                elif kind == "put":
+                    key, coord, value = key_of(op[1]), op[2], op[3]
+                    s.put("t", key, coord, value)
+                    model.setdefault(key, {})[coord] = value
+                elif kind == "import":
+                    source = Path(tmp) / "in.tsv"
+                    source.write_text(
+                        "".join(f"{key_of(i)}\t{x}\t{y}\n" for i, x, y in op[1]), encoding="utf-8"
+                    )
+                    assert s.import_tsv("t", source, _IMPORT_SPEC).loaded == len(op[1])
+                    for i, x, y in op[1]:
+                        model.setdefault(key_of(i), {}).update({C("a:x"): x, C("b:y"): y})
+                else:
+                    s.flush()
+                    assert (d / "t.dat").read_bytes() == _eager_bytes(model)
+        assert (d / "t.dat").read_bytes() == _eager_bytes(model)
+        with open_store(d) as s:
+            assert _rows(s, "t") == _model_rows(model)
