@@ -8,6 +8,11 @@ date range so the DDL never has to be written by hand.
 Exit codes: 0 on success, 1 for user errors (bad arguments, missing files,
 failed statements, file-system errors), 2 for data errors (lines skipped
 during a strict load).
+
+A command imports only the layers it runs.  The engine names cmd_sql calls
+stay attributes of this module, bound on first use by __getattr__, and
+cmd_sql looks them up here, so a wrapper set on this module (as the
+benchmark's tracer does) is the one that runs.
 """
 
 from __future__ import annotations
@@ -17,19 +22,31 @@ import os
 import sys
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ingest
-from .shell import repl, run_script
-from .sql import (
-    Catalog,
-    SqlError,
-    execute_statement,
-    generate_schema,
-    parse_statement,
-    render_result_set,
-    split_statements,
-)
+from .sql.errors import SqlError
 from .store import ColumnCoord, ImportSpec, ROW_KEY, StoreError, open_store, write_atomic
+
+if TYPE_CHECKING:
+    from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
+
+_ENGINE_NAMES = ("Catalog", "parse_statement", "execute_statement", "render_result_set")
+
+
+def _bind_engine() -> None:
+    """Bind the engine's names here, keeping any this module already holds."""
+    from .sql import engine
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(engine, name))
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        _bind_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -68,7 +85,9 @@ def _parse_date_range(text: str) -> tuple[date, date]:
 
 def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[str]:
     """The column spec a dated load uses, as literal text entries."""
-    return [ROW_KEY] + ingest.series_columns(start, end, family)
+    from .ingest import series_columns
+
+    return [ROW_KEY] + series_columns(start, end, family)
 
 
 def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
@@ -87,11 +106,6 @@ def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
 
 
 def cmd_fetch(args) -> int:
-    # Imported here: urllib.request is a large share of CLI start-up, and
-    # only fetch uses it.
-    import urllib.error
-    import urllib.request
-
     data_dir = Path(args.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     urls = dict(args.url or [])
@@ -105,10 +119,14 @@ def cmd_fetch(args) -> int:
                 with open(source, "rb") as fh:
                     payload = fh.read()
             else:
+                # Imported here: urllib.request is a large share of CLI
+                # start-up, and only a download uses it.
+                import urllib.request
+
                 url = urls.get(series, default_url(series))
                 with urllib.request.urlopen(url, timeout=args.timeout) as resp:
                     payload = resp.read()
-        except (OSError, urllib.error.URLError) as exc:
+        except OSError as exc:  # URLError is an OSError
             print(f"error: {series}: {exc}", file=sys.stderr)
             rc = EXIT_USER_ERROR
             continue
@@ -120,6 +138,8 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from . import ingest
+
     data_dir = Path(args.data_dir)
     rc = EXIT_OK
     for series in args.series:
@@ -169,11 +189,14 @@ def cmd_sql(args) -> int:
             return EXIT_USER_ERROR
     else:
         text = args.statement
+    from .sql.lexer import split_statements
+
     statements = split_statements(text)
     if not statements:
         print("error: no statements to run", file=sys.stderr)
         return EXIT_USER_ERROR
 
+    _bind_engine()
     rc = EXIT_OK
     with open_store(args.store_dir) as store:
         catalog = Catalog(store)
@@ -197,6 +220,8 @@ def cmd_sql(args) -> int:
 
 
 def cmd_shell(args) -> int:
+    from .shell import repl, run_script
+
     with open_store(args.store_dir) as store:
         if args.script:
             errors = run_script(store, args.script)
@@ -206,6 +231,8 @@ def cmd_shell(args) -> int:
 
 
 def cmd_schema_gen(args) -> int:
+    from .sql.ddl import generate_schema
+
     start, end = _parse_date_range(args.dates)
     store_table = args.store_table or args.table
     print(generate_schema(args.table, store_table, args.family, start, end))
@@ -323,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         # This handler comes first: BrokenPipeError is an OSError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (StoreError, SqlError, ingest.FormatError, ValueError, OSError) as exc:
+    except (StoreError, SqlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 

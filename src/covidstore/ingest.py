@@ -34,6 +34,9 @@ FIXED_COLUMNS = 4
 
 _DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
 
+# A field that is exactly "0" in a line of comma-joined fields.
+_ZERO_FIELD = re.compile(r"(?<![^,])0(?![^,])")
+
 _DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -175,16 +178,11 @@ def sparsify(values: Sequence[str]) -> list[Optional[str]]:
 
 
 class FormattedRecord(NamedTuple):
-    """One output row: composite key, coordinates, sparse daily values."""
+    """One output row's composite key and coordinates."""
 
     row_key: RowKey
     lat: str
     long: str
-    values: tuple[Optional[str], ...]
-
-    def to_line(self) -> str:
-        tail = ",".join(v if v is not None else "" for v in self.values)
-        return f"{self.row_key.serialized()},{self.lat},{self.long},{tail}"
 
 
 class RowError(NamedTuple):
@@ -212,7 +210,10 @@ def format_file(input_path: str | Path) -> FormatResult:
 
     The header must have at least the four fixed columns plus one date.
     Quoted fields are handled by a real CSV parse, not textual substitution,
-    so an embedded quoted comma cannot shift later columns.
+    so an embedded quoted comma cannot shift later columns.  A row whose
+    daily fields hold no quote, asterisk or comma is already clean, so its
+    daily fields are joined once and only the "0" fields blanked; any other
+    row goes through sanitize_field and sparsify field by field.
     """
     input_path = Path(input_path)
     try:
@@ -235,6 +236,7 @@ def format_file(input_path: str | Path) -> FormatResult:
             )
         dates = [normalize_date(tok) for tok in header[FIXED_COLUMNS:]]
         width = len(header)
+        commas = len(dates) - 1  # in the joined daily fields when none holds one
 
         merged = f"{sanitize_field(header[0])}{KEY_SEPARATOR}{sanitize_field(header[1])}"
         fixed = [merged] + [sanitize_field(h) for h in header[2:FIXED_COLUMNS]]
@@ -249,16 +251,20 @@ def format_file(input_path: str | Path) -> FormatResult:
                     RowError(line_no, f"expected {width} fields, found {len(row)}")
                 )
                 continue
-            clean = [sanitize_field(f) for f in row]
+            province, country, lat, long = map(sanitize_field, row[:FIXED_COLUMNS])
             try:
-                key = build_row_key(clean[0], clean[1])
+                key = build_row_key(province, country)
             except ValueError as exc:
                 errors.append(RowError(line_no, str(exc)))
                 continue
-            values = tuple(sparsify(clean[FIXED_COLUMNS:]))
-            record = FormattedRecord(key, clean[2], clean[3], values)
-            records.append(record)
-            lines.append(record.to_line())
+            daily = ",".join(row[FIXED_COLUMNS:])
+            if '"' in daily or "*" in daily or daily.count(",") != commas:
+                values = sparsify([sanitize_field(f) for f in row[FIXED_COLUMNS:]])
+                daily = ",".join(v or "" for v in values)
+            else:
+                daily = _ZERO_FIELD.sub("", daily)
+            records.append(FormattedRecord(key, lat, long))
+            lines.append(f"{key.serialized()},{lat},{long},{daily}")
 
     return FormatResult("\n".join(lines) + "\n", records, dates, errors)
 

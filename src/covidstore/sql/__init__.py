@@ -1,63 +1,37 @@
-"""SQL layer: DDL, catalog, query parsing, and execution over the store."""
+"""SQL layer: DDL, catalog, query parsing, and execution over the store.
 
-from .ddl import (
-    CreateTable,
-    DescribeTable,
-    DropTable,
-    generate_schema,
-    parse_ddl,
-    parse_ddl_statement,
-)
-from .engine import (
-    Catalog,
-    ResultSet,
-    execute_query,
-    execute_statement,
-    parse_statement,
-    render_result_set,
-    render_value,
-)
-from .errors import (
-    CatalogError,
-    SqlError,
-    SqlSyntaxError,
-    TypeDecodeError,
-    UnsupportedClauseError,
-)
-from .lexer import split_statements
-from .query import (
-    ColumnRef,
-    Comparison,
-    InList,
-    KeyFieldRef,
-    SelectQuery,
-    parse_query,
-)
+Each name below resolves on first use (a module __getattr__), importing
+only the submodule that defines it, so importing sql.errors for its
+exception types, or sql.ddl to generate a schema, leaves the engine
+unloaded.
+"""
 
-__all__ = [
-    "Catalog",
-    "CatalogError",
-    "ColumnRef",
-    "Comparison",
-    "CreateTable",
-    "DescribeTable",
-    "DropTable",
-    "InList",
-    "KeyFieldRef",
-    "ResultSet",
-    "SelectQuery",
-    "SqlError",
-    "SqlSyntaxError",
-    "TypeDecodeError",
-    "UnsupportedClauseError",
-    "execute_query",
-    "execute_statement",
-    "generate_schema",
-    "parse_ddl",
-    "parse_ddl_statement",
-    "parse_query",
-    "parse_statement",
-    "render_result_set",
-    "render_value",
-    "split_statements",
-]
+import importlib
+
+_HOMES = {
+    "ddl": (
+        "CreateTable", "DescribeTable", "DropTable", "generate_schema", "parse_ddl",
+        "parse_ddl_statement",
+    ),
+    "engine": (
+        "Catalog", "ResultSet", "execute_query", "execute_statement", "parse_statement",
+        "render_result_set", "render_value",
+    ),
+    "errors": (
+        "CatalogError", "SqlError", "SqlSyntaxError", "TypeDecodeError",
+        "UnsupportedClauseError",
+    ),
+    "lexer": ("split_statements",),
+    "query": ("ColumnRef", "Comparison", "InList", "KeyFieldRef", "SelectQuery", "parse_query"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value

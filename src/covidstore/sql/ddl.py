@@ -13,7 +13,6 @@ from __future__ import annotations
 from datetime import date
 from typing import NamedTuple
 
-from ..ingest import date_columns_between, series_columns
 from ..store import ColumnCoord
 from .errors import SqlError, SqlSyntaxError
 from .lexer import ATOM, DQSTRING, STRING, Cursor, Node
@@ -212,6 +211,9 @@ def generate_schema(
     latitude, and longitude entries.  The output parses back through
     parse_ddl unchanged.
     """
+    # Imported here: only schema generation needs ingest's date naming.
+    from ..ingest import date_columns_between, series_columns
+
     dates = date_columns_between(start, end)
     if len({d.qualifier for d in dates}) < len(dates):
         raise SqlError(

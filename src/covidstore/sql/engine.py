@@ -85,7 +85,10 @@ class Catalog:
         self._entries: dict[str, CreateTable] = {}
         self._positions: dict[str, Positions] = {}
         if self._path.exists():
-            text = self._path.read_text(encoding="utf-8")
+            try:
+                text = self._path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise CatalogError(f"corrupt catalog {self._path}: {exc}") from None
             for statement in split_statements(text):
                 try:
                     parsed = parse_ddl(statement)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
@@ -132,6 +133,14 @@ class ColumnCoord(NamedTuple):
         if not sep:
             raise CellValueError(f"invalid column coordinate {text!r}")
         return cls(family, qualifier).check()
+
+
+class _CoordTexts(dict):
+    """Each coordinate's family:qualifier text, built on its first lookup."""
+
+    def __missing__(self, coord: ColumnCoord) -> str:
+        text = self[coord] = str(coord)
+        return text
 
 
 class TableDescriptor(NamedTuple):
@@ -384,7 +393,10 @@ class Store:
         manifest = self.directory / MANIFEST_NAME
         if not manifest.exists():
             return
-        text = manifest.read_text(encoding="utf-8")
+        try:
+            text = manifest.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptStoreError(f"corrupt manifest {manifest}: {exc}") from None
         # Split on newline only: values may hold exotic line separators that
         # splitlines() would treat as record breaks.
         for i, line in enumerate(text.split("\n"), 1):
@@ -429,7 +441,10 @@ class Store:
             # A crash between manifest write and first flush leaves no data
             # file; that is an empty table, not corruption.
             return
-        lines = data.decode("utf-8").split("\n")
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
         if (len(data), zlib.crc32(data)) == checksum:
             table.checksum = checksum
             lines.pop()  # the empty text after the last newline
@@ -463,15 +478,13 @@ class Store:
     def _write_table(self, table: _Table) -> None:
         """Rewrite the data file; a row nothing touched keeps its line as read."""
         table.sort()
-        names: dict[ColumnCoord, str] = {}  # each coordinate's text, built once
+        text = _CoordTexts().__getitem__
         out = []
         for key in table.ordered_keys():
             line = table.lines.get(key)
             if line is None:
-                fields = [key]
-                for coord, value in table.rows[key].items():
-                    fields += (names.get(coord) or names.setdefault(coord, str(coord)), value)
-                line = "\t".join(fields)
+                row = table.rows[key]
+                line = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
             out.append(line + "\n")
         data = "".join(out).encode("utf-8")
         write_atomic(self.directory / table.data_file, data)
@@ -640,8 +653,12 @@ class Store:
         columns = spec.columns
         key_index = spec.key_index
         value_indexes = [i for i in range(len(columns)) if i != key_index]
-        # Value fields in coordinate order, so a new row is written sorted.
-        in_order = sorted(value_indexes, key=columns.__getitem__)
+        # (coordinate, field index) in coordinate order, so a new row is written sorted.
+        in_order = sorted((columns[i], i) for i in value_indexes)
+        # Only a line holding one of these, or an empty field where that is
+        # refused, can fail a value check.
+        forbidden = [ch for ch in _FORBIDDEN if ch != spec.separator]
+        check_empty = not spec.skip_empty_columns
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()  # trailing newline, not an empty record
@@ -655,12 +672,13 @@ class Store:
                 key = fields[key_index]
                 if not key:
                     raise CellValueError("empty row key")
-                for i in value_indexes:
-                    if fields[i]:
-                        _check_text(fields[i], "value")
-                    elif not spec.skip_empty_columns:
-                        raise CellValueError(f"empty value in column {columns[i]}")
-                cells = [(columns[i], fields[i]) for i in in_order if fields[i]]
+                if any(map(line.__contains__, forbidden)) or (check_empty and "" in fields):
+                    for i in value_indexes:
+                        if fields[i]:
+                            _check_text(fields[i], "value")
+                        elif check_empty:
+                            raise CellValueError(f"empty value in column {columns[i]}")
+                cells = [(coord, fields[i]) for coord, i in in_order if fields[i]]
                 if not cells:
                     # A row with no cells does not exist; refuse the line
                     # rather than fabricate one.

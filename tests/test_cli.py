@@ -105,6 +105,89 @@ def test_cli_import_leaves_network_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_LAYERS = {
+    "covidstore.ingest",
+    "covidstore.shell",
+    "covidstore.sql.ddl",
+    "covidstore.sql.lexer",
+    "covidstore.sql.query",
+    "covidstore.sql.engine",
+    "urllib.request",
+    "dataclasses",
+}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    src = str(Path(covidstore.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _modules_after_command(tmp_path, *argv) -> set[str]:
+    base = ["--store-dir", str(tmp_path / "store"), "--data-dir", str(tmp_path / "data")]
+    return _modules_after(
+        "from covidstore.cli import main\n"
+        f"assert main({base + list(argv)!r}) == 0"
+    )
+
+
+def test_cli_import_leaves_every_layer_unloaded():
+    assert _modules_after("import covidstore.cli") & _LAYERS == set()
+
+
+def test_fetch_from_dir_loads_no_network_or_sql_modules(tmp_path):
+    loaded = _modules_after_command(tmp_path, "fetch", "--from-dir", str(FIXTURES))
+    assert "urllib.request" not in loaded
+    assert {m for m in loaded if m.startswith("covidstore.sql.")} == {"covidstore.sql.errors"}
+
+
+def test_schema_gen_and_load_leave_engine_and_shell_unloaded(tmp_path):
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("~Morocco,31.79,-7.09,5\n", encoding="utf-8")
+    runs = [
+        ("schema-gen", "--table", "t", "--dates", "2020-01-22:2020-01-22"),
+        ("load", "t", str(sparse), "--dates", "2020-01-22:2020-01-22"),
+    ]
+    day = date(2020, 1, 22)
+    schema = generate_schema("t", "t", "a", day, day)
+    assert run_cli(tmp_path / "store", tmp_path / "data", "sql", schema) == 0
+    for argv in runs:
+        loaded = _modules_after_command(tmp_path, *argv)
+        assert {"covidstore.sql.engine", "covidstore.shell"} & loaded == set(), argv
+
+
+def test_every_sql_export_resolves():
+    import covidstore.sql as sql
+
+    for name in sql.__all__:
+        assert getattr(sql, name).__name__ == name
+
+
+def test_sql_command_calls_the_names_bound_on_the_cli_module(mapped_store, monkeypatch, capsys):
+    import covidstore.cli as cli
+
+    calls = []
+    for name in ("parse_statement", "execute_statement", "render_result_set"):
+        original = getattr(cli, name)
+
+        def wrapper(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    rc = run_cli(*mapped_store, "sql", workload_text("query_join_morocco.sql"))
+    assert rc == 0
+    assert calls == ["parse_statement", "execute_statement", "render_result_set"]
+
+
 def test_fetch_unreachable_url(dirs, capsys):
     store_dir, data_dir = dirs
     rc = run_cli(

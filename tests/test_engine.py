@@ -181,6 +181,16 @@ def test_corrupt_catalog_file(tmp_path):
             Catalog(store)
 
 
+def test_non_utf8_catalog_is_corrupt_and_named(tmp_path):
+    directory = tmp_path / "store"
+    with open_store(directory):
+        pass
+    (directory / "CATALOG").write_bytes(b"CREATE TABLE \xff")
+    with open_store(directory) as store:
+        with pytest.raises(CatalogError, match=r"corrupt catalog .*CATALOG: 'utf-8' codec"):
+            Catalog(store)
+
+
 # ---------------------------------------------------------------- execution
 
 

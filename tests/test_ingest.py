@@ -1,11 +1,15 @@
 """Field cleaning, date naming, key composition, and whole-file formatting."""
 
+import csv
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from covidstore.ingest import (
+    KEY_SEPARATOR,
     DateColumn,
     FormatError,
     RowKey,
@@ -302,3 +306,61 @@ def test_fixture_formats_without_row_errors():
     assert result.errors == []
     assert len(result.dates) == 70
     assert len(result.records) == 215
+
+
+# ------------------------------------------------ per-field reference
+
+
+def _per_field_reference(path):
+    """format_file's text, keys and errors, built field by field from the helpers."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        dates = [normalize_date(t) for t in header[4:]]
+        fixed = [sanitize_field(h) for h in header[:4]]
+        lines = [",".join([fixed[0] + KEY_SEPARATOR + fixed[1], *fixed[2:]]
+                          + [d.header_form for d in dates])]
+        keys, errors = [], []
+        for row in reader:
+            if len(row) != len(header):
+                errors.append((reader.line_num, f"expected {len(header)} fields, found {len(row)}"))
+                continue
+            clean = [sanitize_field(f) for f in row]
+            try:
+                key = build_row_key(clean[0], clean[1])
+            except ValueError as exc:
+                errors.append((reader.line_num, str(exc)))
+                continue
+            keys.append(key)
+            values = [v if v is not None else "" for v in sparsify(clean[4:])]
+            lines.append(",".join([key.serialized(), clean[2], clean[3], *values]))
+    return "\n".join(lines) + "\n", keys, errors
+
+
+_ATOMS = ['"', "*", ",", ", ", "0", "00", " 0", "0.0", "", "7", "12"]
+_raw_field = st.tuples(st.lists(st.sampled_from(_ATOMS), max_size=3).map("".join), st.booleans())
+
+
+def _csv_field(field):
+    text, quoted = field
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    days=st.integers(1, 4),
+    rows=st.lists(st.lists(_raw_field, min_size=5, max_size=8), max_size=8),
+)
+def test_format_file_matches_the_per_field_reference(days, rows):
+    header = "Province/State,Country/Region,Lat,Long," + ",".join(
+        f"1/{22 + i}/20" for i in range(days)
+    )
+    text = "\n".join([header] + [",".join(map(_csv_field, row)) for row in rows]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_text(text, encoding="utf-8")
+        result = format_file(path)
+        expected_text, keys, errors = _per_field_reference(path)
+    assert result.text == expected_text
+    assert [r.row_key for r in result.records] == keys
+    assert [(e.line_number, e.message) for e in result.errors] == errors

@@ -356,6 +356,27 @@ def test_corrupt_data_line_reported_with_location(tmp_path, line, why):
     assert not (d / "LOCK").exists()
 
 
+def test_non_utf8_data_file_is_corrupt_and_named(tmp_path):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+    (d / "t.dat").write_bytes(b"k\ta:q\t\xff\n")
+    with pytest.raises(CorruptStoreError, match=r"corrupt data file .*t\.dat: 'utf-8' codec"):
+        open_store(d)
+    assert not (d / "LOCK").exists()
+
+
+def test_non_utf8_manifest_is_corrupt_and_named(tmp_path):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+    (d / "MANIFEST").write_bytes(b"t\ta\t1\tt\xff.dat\n")
+    with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*MANIFEST: 'utf-8' codec"):
+        open_store(d)
+    assert not (d / "LOCK").exists()
+
+
 def test_missing_data_file_is_empty_table(tmp_path):
     d = tmp_path / "kv"
     with open_store(d) as s:
@@ -476,6 +497,70 @@ def test_import_into_missing_file(store):
     store.create_table("t", {"a"})
     with pytest.raises(StoreError, match="cannot read"):
         store.import_tsv("t", "/no/such/file.csv", SPEC3)
+
+
+_NEWLINE = "value must not contain tab or newline characters"
+_COLS3 = (ROW_KEY, C("a:lt"), C("a:d122"))
+
+
+@pytest.mark.parametrize(
+    "columns, skip_empty, text, errors, rows",
+    [
+        pytest.param(
+            # Text mode reads CRLF as LF, so no value ever holds the CR.
+            _COLS3, True, "k1,1,2\r\nk2,,4\r\n", [],
+            {"k1": {"a:d122": "2", "a:lt": "1"}, "k2": {"a:d122": "4"}},
+            id="crlf",
+        ),
+        pytest.param(
+            _COLS3, True, "k1,1\t5,2\nk2,3,4\nk\t3,5,6\nk4,\t,\n",
+            [(1, _NEWLINE), (3, "row key must not contain tab or newline characters"),
+             (4, _NEWLINE)],
+            {"k2": {"a:d122": "4", "a:lt": "3"}},
+            id="tab-in-value-with-comma-separator",
+        ),
+        pytest.param(
+            _COLS3, False, "k1,1,\nk2,,4\nk3,5,6\nk4,,\r\n",
+            [(1, "empty value in column a:d122"), (2, "empty value in column a:lt"),
+             (4, "empty value in column a:lt")],
+            {"k3": {"a:d122": "6", "a:lt": "5"}},
+            id="empty-field-not-skipped",
+        ),
+        pytest.param(
+            _COLS3, True, ",1,2\nk,3,4\n,,\n\t,5,6\n",
+            [(1, "empty row key"), (3, "empty row key"),
+             (4, "row key must not contain tab or newline characters")],
+            {"k": {"a:d122": "4", "a:lt": "3"}},
+            id="empty-key",
+        ),
+        pytest.param(
+            (C("a:lt"), ROW_KEY), True, "1,k1\n,k2\n3\t,k3\n4,k4\n",
+            [(2, "no values to write"), (3, _NEWLINE)],
+            {"k1": {"a:lt": "1"}, "k4": {"a:lt": "4"}},
+            id="one-value-column",
+        ),
+    ],
+)
+def test_import_errors_match_with_and_without_skipping(
+    tmp_path, columns, skip_empty, text, errors, rows
+):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for skip in (True, False):
+        spec = ImportSpec(
+            columns, separator=",", skip_bad_lines=skip, skip_empty_columns=skip_empty
+        )
+        with open_store(tmp_path / f"kv-{skip}") as s:
+            s.create_table("t", {"a"})
+            if skip or not errors:
+                report = s.import_tsv("t", path, spec)
+                assert report == (len(text.splitlines()) - len(errors), errors)
+                assert {r.key: {str(c): v for c, v in r.cells.items()} for r in s.scan("t")} == rows
+            else:
+                line_no, message = errors[0]
+                with pytest.raises(StoreError) as exc:
+                    s.import_tsv("t", path, spec)
+                assert str(exc.value) == f"{path}: line {line_no}: {message}"
 
 
 def test_import_spec_validation():
