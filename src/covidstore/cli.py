@@ -184,8 +184,8 @@ def cmd_sql(args) -> int:
     if args.file:
         try:
             text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_USER_ERROR
     else:
         text = args.statement

@@ -182,7 +182,11 @@ def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) ->
     """
     # Resolve at call time so stream redirection is honored.
     out = sys.stdout if out is None else out
-    return _run(store, Path(path).read_text(encoding="utf-8").splitlines(), out)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    return _run(store, text.splitlines(), out)
 
 
 def repl(

@@ -15,9 +15,13 @@ leaves the others None.
 
 Decode on read: a cell that does not decode as its declared type raises
 TypeDecodeError only when the query references its column and its row
-passes that source's key-field predicates.  Every referenced column of such
-a row is decoded before any column predicate can drop the row, so a
-predicate never hides a bad cell.
+passes that source's key-field predicates.  In a join, a second-source row
+must also pass the join's key filter: when an ON condition between the
+sources names a key field of the second source, a second-source row whose
+key fields match no first-source row is never parsed, so a bad cell in it
+raises nothing.  Every referenced column of a row that passes is decoded
+before any column predicate can drop the row, so a predicate never hides a
+bad cell.
 
 Predicates never match NULL, and join conditions reject rows with NULL (or
 NaN) on either side, which is ordinary inner-join behavior.  An empty
@@ -210,14 +214,18 @@ def _decode(
     referenced: set[int],
     predicates: list[tuple[int, frozenset[Literal]]],
     conditions: list[tuple[int, int]],
+    key_in: Optional[tuple[list[int], set[tuple[Value, ...]]]],
 ) -> list[list[Value]]:
     """Each row of the source that passes its filters, decoded where referenced.
 
     A row holds every position, with None at a column the query does not
     reference.  Predicates on key fields run inside the store's scan, on
-    the split row key, so a row they drop is never parsed; then every
-    referenced column of a kept row is decoded, and only then do column
-    predicates and same-source conditions drop the row.
+    the split row key, so a row they drop is never parsed.  key_in, when
+    given, is (key-field positions, allowed value tuples): after those
+    predicates, the scan also drops a row whose values at the positions
+    are not one of the tuples.  Then every referenced column of a kept row
+    is decoded, and only then do column predicates and same-source
+    conditions drop the row.
     """
     entry = source.entry
     schema = entry.schema
@@ -245,10 +253,11 @@ def _decode(
         for p, allowed in key_predicates:
             if values[p] not in allowed:
                 return False
-        return True
+        return key_in is None or tuple(values[p] for p in key_in[0]) in key_in[1]
 
+    filtered = key_predicates or key_in is not None
     out: list[list[Value]] = []
-    for row in store.scan(entry.mapping.store_table, keep=keep if key_predicates else None):
+    for row in store.scan(entry.mapping.store_table, keep=keep if filtered else None):
         values = split_key(row.key) + blank
         for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
@@ -311,6 +320,12 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     key fields run inside the store's scan, on the split row key, so the
     store parses only the rows whose key passes them.
 
+    The first source is decoded before the second.  An ON condition
+    between the sources whose second-source side is a key field also runs
+    inside the second scan: that scan parses only the rows whose key
+    fields hold values some decoded first-source row holds at the other
+    sides, so a bad cell in a row that joins nothing is never decoded.
+
     A join is a hash join: the second source's rows are hashed on their
     values of the conditions between the sources, then probed with the
     first source's rows in scan order.  Output order is the scan order of
@@ -352,7 +367,11 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
         for p in ast.where
     ]
 
+    # Each condition between the sources, as (first-source position,
+    # second-source position) whichever side it was written on.
+    pairs = [(a, b) if i == 0 else (b, a) for (i, a), (j, b) in conditions if i != j]
     rows = []
+    key_in = None
     for idx, src in enumerate(sources):
         referenced = {p for i, p in outputs if i == idx}
         referenced.update(p for sides in conditions for i, p in sides if i == idx)
@@ -363,17 +382,35 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
                 referenced,
                 [(p, values) for i, p, values in predicates if i == idx],
                 [(a, b) for (i, a), (j, b) in conditions if i == j == idx],
+                key_in,
             )
         )
+        if idx == 0 and len(sources) == 2:
+            key_in = _join_keys(rows[0], pairs, sources[1])
     if len(sources) == 1:
         envs = [(row,) for row in rows[0]]
     else:
-        # Each condition between the sources, as (first-source position,
-        # second-source position) whichever side it was written on.
-        pairs = [(a, b) if i == 0 else (b, a) for (i, a), (j, b) in conditions if i != j]
         envs = _hash_join(rows[0], rows[1], pairs)
     out = [tuple(env[idx][position] for idx, position in outputs) for env in envs]
     return ResultSet([header for _, _, header in bound], out)
+
+
+def _join_keys(
+    left: list[list[Value]], pairs: list[tuple[int, int]], right: _Source
+) -> Optional[tuple[list[int], set[tuple[Value, ...]]]]:
+    """What the second scan may keep, as _decode's key_in; None if nothing.
+
+    Of the conditions between the sources, those whose second-source side
+    is a key field bind that source's row key: a second-source row can
+    match only if its key fields hold a tuple that some first-source row
+    holds at the other sides (a semi-join).  A tuple holding NULL or NaN
+    is left out, since the hash join would never match it.
+    """
+    on_key = [(a, b) for a, b in pairs if b <= len(right.entry.schema.key_fields)]
+    if not on_key:
+        return None
+    keys = {tuple(row[a] for a, _ in on_key) for row in left}
+    return [b for _, b in on_key], {k for k in keys if all(_typed_eq(v, v) for v in k)}
 
 
 def _hash_join(

@@ -646,9 +646,14 @@ class Store:
                 )
         path = Path(file)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+            # newline="": only \n and \r\n end a line, so a lone \r stays in
+            # its field, where the value check refuses it.
+            with open(path, encoding="utf-8", newline="") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
+        if "\r" in text:  # a replace that finds nothing still costs a copy's time
+            text = text.replace("\r\n", "\n")
 
         columns = spec.columns
         key_index = spec.key_index

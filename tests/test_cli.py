@@ -466,6 +466,15 @@ def test_shell_script_exit_codes(mapped_store, tmp_path, capsys):
     assert "ERROR: table 'nothing_here' not found" in capsys.readouterr().out
 
 
+def test_non_utf8_input_file_is_named(dirs, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"SELECT 1\xff;\n")
+    for argv in (("sql", "-f", str(path)), ("shell", "--script", str(path))):
+        assert run_cli(*dirs, *argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode"), argv
+
+
 # --------------------------------------------------------------- schema-gen
 
 

@@ -194,8 +194,7 @@ def test_non_utf8_catalog_is_corrupt_and_named(tmp_path):
 # ---------------------------------------------------------------- execution
 
 
-@pytest.fixture
-def loaded(store):
+def _fill(store):
     catalog = Catalog(store)
     catalog.create_mapped_table(parse_ddl(CASES_DDL))
     catalog.create_mapped_table(parse_ddl(EXTRA_DDL))
@@ -207,6 +206,11 @@ def loaded(store):
     put_cells(store, "extra_backing", "Num~Land", {"b:d122": "9"})
     put_cells(store, "extra_backing", "alone", {"b:d122": "3"})
     return catalog, store
+
+
+@pytest.fixture
+def loaded(store):
+    return _fill(store)
 
 
 def test_star_headers_and_null_for_absent_cells(loaded):
@@ -353,6 +357,68 @@ def test_join_never_matches_text_to_number(loaded):
     for on in ("t.key.P = u.01_22_2020", "u.01_22_2020 = t.key.P"):
         rs = run(f"SELECT t.key.P FROM cases t JOIN extra u ON {on}", *loaded)
         assert rs.rows == [], on
+
+
+def test_join_never_matches_a_number_to_key_field_text(loaded):
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "x~y", {"a:d122": "7"})
+    put_cells(store, "extra_backing", "7~z", {"b:d122": "1"})
+    for on in ("t.01_22_2020 = u.key.P", "u.key.P = t.01_22_2020"):
+        rs = run(f"SELECT t.key.P, u.key.P FROM cases t JOIN extra u ON {on}", *loaded)
+        assert rs.rows == [], on
+
+
+def test_join_whose_first_source_keeps_no_rows(loaded):
+    for on in ("t.key.C = u.key.C", "t.Lat = u.01_22_2020"):
+        rs = run(
+            f"SELECT t.key.P, u.key.P FROM cases t JOIN extra u ON {on} "
+            "WHERE t.key.C = 'Nowhere'",
+            *loaded,
+        )
+        assert rs.rows == [], on
+
+
+def test_join_on_a_key_field_and_a_column_together(loaded):
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "Two~Land", {"a:d122": "9"})
+    put_cells(store, "extra_backing", "Other~Land", {"b:d122": "60"})
+    rs = run(
+        "SELECT t.key.P, u.key.P, u.01_22_2020 FROM cases t JOIN extra u "
+        "ON t.key.C = u.key.C AND t.01_22_2020 = u.01_22_2020",
+        *loaded,
+    )
+    assert rs.rows == [("Num", "Other", 60), ("Two", "Num", 9)]
+
+
+def test_second_source_bad_cell_raises_only_in_a_row_that_can_join(loaded):
+    # The join's key-field conditions run inside the second scan, so a row
+    # whose key fields match no first-source row is never decoded; a NULL
+    # key field matches nothing, not even the NULL of "solo".
+    catalog, store = loaded
+    put_cells(store, "extra_backing", "Bad~Row", {"b:d122": "abc"})
+    put_cells(store, "extra_backing", "Lone", {"b:d122": "abc"})
+    text = "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u ON t.key.C = u.key.C"
+    assert run(text, *loaded).rows == [("Num", 9), ("", 7)]
+    put_cells(store, "cases_backing", "Good~Row", {"a:lt": "1"})
+    with pytest.raises(TypeDecodeError) as err:
+        run(text, *loaded)
+    assert str(err.value) == "row 'Bad~Row' column 01_22_2020: cannot decode 'abc' as int"
+
+
+def test_key_bound_join_parses_only_the_second_table_rows_it_can_match(tmp_path):
+    directory = tmp_path / "store"
+    with open_store(directory) as store:
+        _fill(store)
+    with open_store(directory) as store:
+        rs = run(
+            "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u "
+            "ON t.key.P = u.key.P AND t.key.C = u.key.C WHERE t.key.C = 'Land'",
+            Catalog(store),
+            store,
+        )
+        assert rs.rows == [("Num", 9)]
+        assert sorted(store._table("cases_backing").lines) == ["a~b~c", "solo", "~Aland"]
+        assert sorted(store._table("extra_backing").lines) == ["alone", "~Aland"]
 
 
 def test_unqualified_column_resolves_when_unique(loaded):

@@ -499,6 +499,26 @@ def test_import_into_missing_file(store):
         store.import_tsv("t", "/no/such/file.csv", SPEC3)
 
 
+def test_import_lone_cr_stays_in_its_field(store, tmp_path):
+    # Only LF and CRLF end a line: a lone CR is refused as a value on its
+    # own line, and later lines keep their numbers.
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"k1,1\r2,3\nk2,4,5\n")
+    store.create_table("t", {"a"})
+    report = store.import_tsv("t", path, SPEC3)
+    assert report == (1, [(1, "value must not contain tab or newline characters")])
+    assert [r.key for r in store.scan("t")] == ["k2"]
+
+
+def test_import_non_utf8_file_is_named(store, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"k1,1,\xff\n")
+    store.create_table("t", {"a"})
+    with pytest.raises(StoreError) as exc:
+        store.import_tsv("t", path, SPEC3)
+    assert str(exc.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+
 _NEWLINE = "value must not contain tab or newline characters"
 _COLS3 = (ROW_KEY, C("a:lt"), C("a:d122"))
 
@@ -507,7 +527,7 @@ _COLS3 = (ROW_KEY, C("a:lt"), C("a:d122"))
     "columns, skip_empty, text, errors, rows",
     [
         pytest.param(
-            # Text mode reads CRLF as LF, so no value ever holds the CR.
+            # CRLF ends a line as LF does, so no value ever holds the CR.
             _COLS3, True, "k1,1,2\r\nk2,,4\r\n", [],
             {"k1": {"a:d122": "2", "a:lt": "1"}, "k2": {"a:d122": "4"}},
             id="crlf",
