@@ -9,42 +9,51 @@ Exit codes: 0 on success, 1 for user errors (bad arguments, missing files,
 failed statements, file-system errors), 2 for data errors (lines skipped
 during a strict load).
 
-A command imports only the layers it runs.  The engine names cmd_sql calls
-stay attributes of this module, bound on first use by __getattr__, and
-cmd_sql looks them up here, so a wrapper set on this module (as the
-benchmark's tracer does) is the one that runs.
+A command imports only the layers it runs: fetch none, ingest and
+schema-gen the ingest module (schema-gen only writes text), load the store
+(and ingest for --dates), sql the store and the SQL engine, shell the store
+and the shell.  The store and engine names the commands call stay
+attributes of this module, bound on first use by _bind or __getattr__, and
+the commands look them up here at call time, so a wrapper set on this
+module (as the benchmark's tracer does) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import StoreError, write_atomic
 from .sql.errors import SqlError
-from .store import ColumnCoord, ImportSpec, ROW_KEY, StoreError, open_store, write_atomic
 
 if TYPE_CHECKING:
     from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
+    from .store import ROW_KEY, ColumnCoord, ImportSpec, open_store
 
-_ENGINE_NAMES = ("Catalog", "parse_statement", "execute_statement", "render_result_set")
+# The names each lazily imported layer binds here, by module.
+_LAZY = {
+    ".store": ("ColumnCoord", "ImportSpec", "ROW_KEY", "open_store"),
+    ".sql.engine": ("Catalog", "parse_statement", "execute_statement", "render_result_set"),
+}
 
 
-def _bind_engine() -> None:
-    """Bind the engine's names here, keeping any this module already holds."""
-    from .sql import engine
-
-    for name in _ENGINE_NAMES:
-        globals().setdefault(name, getattr(engine, name))
+def _bind(module: str) -> None:
+    """Bind a layer's names here, keeping any this module already holds."""
+    layer = importlib.import_module(module, __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(layer, name))
 
 
 def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        _bind_engine()
-        return globals()[name]
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -87,6 +96,7 @@ def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[
     """The column spec a dated load uses, as literal text entries."""
     from .ingest import series_columns
 
+    _bind(".store")
     return [ROW_KEY] + series_columns(start, end, family)
 
 
@@ -159,6 +169,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_load(args) -> int:
+    _bind(".store")
     if args.dates:
         start, end = _parse_date_range(args.dates)
         columns = import_columns_for_dates(start, end, args.family)
@@ -196,7 +207,8 @@ def cmd_sql(args) -> int:
         print("error: no statements to run", file=sys.stderr)
         return EXIT_USER_ERROR
 
-    _bind_engine()
+    _bind(".sql.engine")
+    _bind(".store")
     rc = EXIT_OK
     with open_store(args.store_dir) as store:
         catalog = Catalog(store)
@@ -222,6 +234,7 @@ def cmd_sql(args) -> int:
 def cmd_shell(args) -> int:
     from .shell import repl, run_script
 
+    _bind(".store")
     with open_store(args.store_dir) as store:
         if args.script:
             errors = run_script(store, args.script)
@@ -231,7 +244,7 @@ def cmd_shell(args) -> int:
 
 
 def cmd_schema_gen(args) -> int:
-    from .sql.ddl import generate_schema
+    from .ingest import generate_schema
 
     start, end = _parse_date_range(args.dates)
     store_table = args.store_table or args.table

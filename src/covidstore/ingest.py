@@ -25,7 +25,8 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .store import write_atomic
+from . import write_atomic
+from .sql.errors import SqlError
 
 KEY_SEPARATOR = "~"
 
@@ -33,9 +34,6 @@ KEY_SEPARATOR = "~"
 FIXED_COLUMNS = 4
 
 _DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
-
-# A field that is exactly "0" in a line of comma-joined fields.
-_ZERO_FIELD = re.compile(r"(?<![^,])0(?![^,])")
 
 _DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -132,6 +130,41 @@ def series_columns(start: date, end: date, family: str) -> list[str]:
     """
     dates = date_columns_between(start, end)
     return [f"{family}:lt", f"{family}:lg"] + [f"{family}:{d.qualifier}" for d in dates]
+
+
+def generate_schema(table: str, store_table: str, family: str, start: date, end: date) -> str:
+    """Emit the CREATE TABLE statement for a time-series table.
+
+    One int column per day from start to end inclusive, named MM_DD_YYYY and
+    mapped to d<month><two-digit day> qualifiers after the key, latitude and
+    longitude.  It only writes text, which sql.parse_ddl parses unchanged.
+    """
+    dates = date_columns_between(start, end)
+    if len({d.qualifier for d in dates}) < len(dates):
+        raise SqlError(
+            f"date range {start}:{end} covers a month and day twice, "
+            "and date qualifiers carry no year; one mapping spans at most a year"
+        )
+    decls = [f"{d.column_name} int" for d in dates]
+    date_block = ",\n".join(", ".join(decls[i : i + 3]) for i in range(0, len(decls), 3))
+    mapping = ",".join([":key"] + series_columns(start, end, family))
+    return (
+        f"CREATE TABLE {table} (\n"
+        "key struct<Province_State : string,Country_Region : string>,\n"
+        "Lat float,\n"
+        "Long float,\n"
+        f"{date_block}\n"
+        ")\n"
+        "ROW FORMAT DELIMITED\n"
+        "COLLECTION ITEMS TERMINATED BY '~'\n"
+        "STORED BY 'org.apache.hadoop.hive.hbase.HBaseStorageHandler'\n"
+        "WITH SERDEPROPERTIES (\n"
+        f'"hbase.table.name" = "{store_table}",\n'
+        f'"hbase.mapred.output.outputtable" = "{store_table}",\n'
+        f'"hbase.columns.mapping" = "{mapping}",\n'
+        '"hbase.composite.key.factory" = '
+        '"org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2");'
+    )
 
 
 class RowKey(NamedTuple):
@@ -262,7 +295,8 @@ def format_file(input_path: str | Path) -> FormatResult:
                 values = sparsify([sanitize_field(f) for f in row[FIXED_COLUMNS:]])
                 daily = ",".join(v or "" for v in values)
             else:
-                daily = _ZERO_FIELD.sub("", daily)
+                # Each pass blanks every other field of a run of "0" fields.
+                daily = f",{daily},".replace(",0,", ",,").replace(",0,", ",,")[1:-1]
             records.append(FormattedRecord(key, lat, long))
             lines.append(f"{key.serialized()},{lat},{long},{daily}")
 

@@ -183,10 +183,12 @@ def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) ->
     # Resolve at call time so stream redirection is honored.
     out = sys.stdout if out is None else out
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # Only \n and \r\n end a line, as in import_tsv, not str.splitlines().
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return _run(store, text.splitlines(), out)
+    return _run(store, text.replace("\r\n", "\n").split("\n"), out)
 
 
 def repl(

@@ -1,4 +1,4 @@
-"""Hive-flavored DDL: parsing CREATE/DROP/DESCRIBE and generating CREATE.
+"""Hive-flavored DDL: parsing CREATE/DROP/DESCRIBE.
 
 A mapped table declares a struct-typed key column named "key" first, then
 plain int or float columns.  The SERDEPROPERTIES block carries the name of
@@ -6,11 +6,12 @@ the backing store table and a column mapping whose entries line up with the
 declared columns, ":key" standing for the row key itself.  The STORED BY
 class and any extra properties are recorded verbatim and otherwise ignored;
 they matter to the cluster software this replaces, not to this engine.
+The CREATE text for a time-series table comes from ingest.generate_schema,
+which only writes text; the DDL tests parse its output here.
 """
 
 from __future__ import annotations
 
-from datetime import date
 from typing import NamedTuple
 
 from ..store import ColumnCoord
@@ -24,9 +25,6 @@ PROP_MAPPING = "hbase.columns.mapping"
 _REQUIRED_PROPS = (PROP_TABLE_NAME, PROP_MAPPING)
 
 _KEY_MARKER = ":key"
-
-_STORAGE_CLASS = "org.apache.hadoop.hive.hbase.HBaseStorageHandler"
-_KEY_FACTORY_CLASS = "org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2"
 
 
 class ColumnDef(NamedTuple):
@@ -196,53 +194,3 @@ def _parse_create(p: Cursor) -> CreateTable:
     mapping = ColumnMapping(properties[PROP_TABLE_NAME], coords)
     return CreateTable(schema, mapping, properties, stored_by, p.text.strip())
 
-
-def generate_schema(
-    table: str,
-    store_table: str,
-    family: str,
-    start: date,
-    end: date,
-) -> str:
-    """Emit the CREATE TABLE statement for a time-series table.
-
-    One int column per day from start to end inclusive, named MM_DD_YYYY and
-    mapped to d<month><two-digit day> qualifiers after the fixed key,
-    latitude, and longitude entries.  The output parses back through
-    parse_ddl unchanged.
-    """
-    # Imported here: only schema generation needs ingest's date naming.
-    from ..ingest import date_columns_between, series_columns
-
-    dates = date_columns_between(start, end)
-    if len({d.qualifier for d in dates}) < len(dates):
-        raise SqlError(
-            f"date range {start}:{end} covers a month and day twice, "
-            "and date qualifiers carry no year; one mapping spans at most a year"
-        )
-
-    decls = [f"{d.column_name} int" for d in dates]
-    lines: list[str] = []
-    for i in range(0, len(decls), 3):
-        chunk = ", ".join(decls[i : i + 3])
-        lines.append(chunk + ("," if i + 3 < len(decls) else ""))
-    date_block = "\n".join(lines)
-
-    mapping = ",".join([_KEY_MARKER] + series_columns(start, end, family))
-
-    return (
-        f"CREATE TABLE {table} (\n"
-        "key struct<Province_State : string,Country_Region : string>,\n"
-        "Lat float,\n"
-        "Long float,\n"
-        f"{date_block}\n"
-        ")\n"
-        "ROW FORMAT DELIMITED\n"
-        "COLLECTION ITEMS TERMINATED BY '~'\n"
-        f"STORED BY '{_STORAGE_CLASS}'\n"
-        "WITH SERDEPROPERTIES (\n"
-        f'"{PROP_TABLE_NAME}" = "{store_table}",\n'
-        f'"hbase.mapred.output.outputtable" = "{store_table}",\n'
-        f'"{PROP_MAPPING}" = "{mapping}",\n'
-        f'"hbase.composite.key.factory" = "{_KEY_FACTORY_CLASS}");'
-    )

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from ..store import Store, write_atomic
+from .. import write_atomic
+from ..store import Store
 from .ddl import (
     CreateTable,
     DescribeTable,

@@ -31,14 +31,16 @@ Open reads every data file in full and checks its size and checksum.  A
 file that matches was written by flush, so open only indexes its lines by
 row key; a row is parsed the first time get, scan, put or import_tsv
 touches it, and a table nothing touches is neither parsed nor rewritten.
-A file that does not match, or whose MANIFEST line has the four fields of
-an older store, is parsed in full at open and refused as corrupt at its
-first bad line.  One that parses cleanly is accepted (a crash between a
-data file's replace and the MANIFEST rewrite leaves exactly that), and its
-MANIFEST line keeps four fields until flush rewrites the file.  A data
-file in the older one-line-per-cell layout has four fields a line, so it
-is refused as corrupt; rebuild such a store by re-running DROP/CREATE and
-load.
+import_tsv keeps a new row in the same form, the line flush would write,
+built from the input fields (HBase's bulk load: write the storage format,
+not each cell).  A file that does not match, or whose MANIFEST line has
+the four fields of an older store, is parsed in full at open and refused
+as corrupt at its first bad line.  One that parses cleanly is accepted
+(a crash between a data file's replace and the MANIFEST rewrite leaves
+exactly that), and its MANIFEST line keeps four fields until flush
+rewrites the file.  A data file in the older one-line-per-cell layout has
+four fields a line, so it is refused as corrupt; rebuild such a store by
+re-running DROP/CREATE and load.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -49,20 +51,19 @@ from __future__ import annotations
 
 import os
 import zlib
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
+
+from . import StoreError, write_atomic
 
 # Marker used in import column specs for the field that becomes the row key.
 ROW_KEY: Final = "HBASE_ROW_KEY"
 
 _FORBIDDEN = ("\t", "\n", "\r")
 _COORD_FORBIDDEN = (":", ",") + _FORBIDDEN
-
-
-class StoreError(Exception):
-    """Base class for all store failures."""
 
 
 class TableNotFoundError(StoreError):
@@ -233,8 +234,9 @@ class _Table:
         # in full.
         self.checksum: Optional[tuple[int, int]] = (0, 0)
         self.rows: dict[str, dict[ColumnCoord, str]] = {}
-        # Lines of a checked data file not parsed yet, by row key.  Each is
-        # exactly the line flush would write for its row.
+        # Rows not parsed yet, by row key: lines of a checked data file and
+        # new rows import_tsv added.  Each is exactly the line flush would
+        # write for its row.
         self.lines: dict[str, str] = {}
         # Each coordinate text is checked once and maps to one shared object.
         self.coords: dict[str, ColumnCoord] = {}
@@ -323,20 +325,6 @@ class _Table:
 
 MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
-
-
-def write_atomic(path: Path, data: bytes) -> None:
-    """Replace path with data, so a reader finds the old file or the new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 def open_store(directory: str | Path) -> "Store":
@@ -658,8 +646,13 @@ class Store:
         columns = spec.columns
         key_index = spec.key_index
         value_indexes = [i for i in range(len(columns)) if i != key_index]
-        # (coordinate, field index) in coordinate order, so a new row is written sorted.
+        # Value fields in coordinate order: coordinates (the table's shared
+        # objects), texts, and a picker (itemgetter of one index is no tuple).
         in_order = sorted((columns[i], i) for i in value_indexes)
+        texts = [str(coord) for coord, _ in in_order]
+        coords = [t.coords.setdefault(text, c) for text, (c, _) in zip(texts, in_order)]
+        order = [i for _, i in in_order]
+        pick = itemgetter(*order) if len(order) > 1 else lambda f: tuple(map(f.__getitem__, order))
         # Only a line holding one of these, or an empty field where that is
         # refused, can fail a value check.
         forbidden = [ch for ch in _FORBIDDEN if ch != spec.separator]
@@ -683,8 +676,8 @@ class Store:
                             _check_text(fields[i], "value")
                         elif check_empty:
                             raise CellValueError(f"empty value in column {columns[i]}")
-                cells = [(coord, fields[i]) for coord, i in in_order if fields[i]]
-                if not cells:
+                values = pick(fields)
+                if not any(values):
                     # A row with no cells does not exist; refuse the line
                     # rather than fabricate one.
                     raise CellValueError("no values to write")
@@ -694,6 +687,13 @@ class Store:
                     raise StoreError(f"{path}: line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))
                 continue
-            t.write(key, cells)  # type: ignore[arg-type]
+            if key in t.rows or key in t.lines:
+                t.write(key, list(compress(zip(coords, values), values)))
+            else:
+                t.lines[key] = "\t".join(
+                    [key, *chain.from_iterable(compress(zip(texts, values), values))]
+                )
+                t.keys = t.view = None
+                t.dirty = True
             loaded += 1
         return ImportReport(loaded, errors)

@@ -143,10 +143,42 @@ def test_cli_import_leaves_every_layer_unloaded():
     assert _modules_after("import covidstore.cli") & _LAYERS == set()
 
 
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "covidstore" or m.startswith("covidstore.")}
+
+
 def test_fetch_from_dir_loads_no_network_or_sql_modules(tmp_path):
     loaded = _modules_after_command(tmp_path, "fetch", "--from-dir", str(FIXTURES))
     assert "urllib.request" not in loaded
-    assert {m for m in loaded if m.startswith("covidstore.sql.")} == {"covidstore.sql.errors"}
+    assert _package_modules(loaded) == {
+        "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.errors",
+    }
+
+
+def test_ingest_and_schema_gen_leave_the_store_and_the_parser_unloaded(tmp_path):
+    assert run_cli(tmp_path / "store", tmp_path / "data", "fetch", "--from-dir", str(FIXTURES)) == 0
+    ingest = _modules_after_command(tmp_path, "ingest")
+    schema_gen = _modules_after_command(
+        tmp_path, "schema-gen", "--table", "t", "--dates", "2020-01-22:2020-03-31"
+    )
+    for loaded in (ingest, schema_gen):
+        assert _package_modules(loaded) == {
+            "covidstore", "covidstore.cli", "covidstore.ingest", "covidstore.sql",
+            "covidstore.sql.errors",
+        }
+    assert not (tmp_path / "store").exists()
+
+
+def test_sql_join_loads_the_engine_and_the_store_only(mapped_store):
+    loaded = _modules_after_command(
+        mapped_store[0].parent, "sql", workload_text("query_join_morocco.sql")
+    )
+    assert _package_modules(loaded) == {
+        "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.ddl",
+        "covidstore.sql.engine", "covidstore.sql.errors", "covidstore.sql.lexer",
+        "covidstore.sql.query", "covidstore.store",
+    }
+    assert {"urllib.request", "dataclasses"} & loaded == set()
 
 
 def test_schema_gen_and_load_leave_engine_and_shell_unloaded(tmp_path):

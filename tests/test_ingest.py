@@ -2,7 +2,7 @@
 
 import csv
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -364,3 +364,34 @@ def test_format_file_matches_the_per_field_reference(days, rows):
     assert result.text == expected_text
     assert [r.row_key for r in result.records] == keys
     assert [(e.line_number, e.message) for e in result.errors] == errors
+
+
+# Rows of clean daily fields, which take the joined-line path: runs of "0"
+# and the values that only look like zero.
+_ZERO_ATOMS = ["0", "0", "0", "00", "0.0", "-0", "", "7"]
+_clean_rows = st.integers(1, 40).flatmap(
+    lambda days: st.lists(
+        st.lists(st.sampled_from(_ZERO_ATOMS), min_size=days, max_size=days),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_clean_rows)
+def test_joined_zero_blanking_matches_the_per_field_reference(rows):
+    days = len(rows[0])
+    header = "Province/State,Country/Region,Lat,Long," + ",".join(
+        (date(2020, 1, 22) + timedelta(days=i)).strftime("%m/%d/%y") for i in range(days)
+    )
+    text = "\n".join(
+        [header] + [",".join([f"P{i}", "C", "0", "0", *row]) for i, row in enumerate(rows)]
+    ) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_text(text, encoding="utf-8")
+        result = format_file(path)
+        expected_text, _, _ = _per_field_reference(path)
+    assert result.errors == []
+    assert result.text == expected_text

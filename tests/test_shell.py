@@ -228,6 +228,21 @@ def test_run_script_stops_at_exit(store, tmp_path):
     assert not store.has_table("two")
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\v", "\f", "\u2028", "\u2029"])
+def test_run_script_breaks_lines_only_at_newlines(tmp_path, sep):
+    # str.splitlines() would also break at sep; the store accepts it in a value.
+    value = f"a{sep}b"
+    script = tmp_path / "cmds.txt"
+    with open(script, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"create 't', 'f'\r\nput 't', 'k', 'f:q', '{value}'\n")
+    out = io.StringIO()
+    with open_store(tmp_path / "kv") as store:
+        assert run_script(store, script, out) == 0
+    assert out.getvalue() == ""
+    with open_store(tmp_path / "kv") as store:
+        assert store.get("t", "k") == [(ColumnCoord("f", "q"), value)]
+
+
 def test_repl_is_quiet_without_a_tty(store):
     stdin = io.StringIO("create 'cases', 'a'\nbogus\nget 'cases', 'x'\nexit\nscan 'cases'\n")
     out = io.StringIO()

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covidstore.ingest import write_formatted_files
 from covidstore.store import (
     ROW_KEY,
     CellValueError,
@@ -23,6 +24,8 @@ from covidstore.store import (
     UnknownFamilyError,
     open_store,
 )
+
+from conftest import SERIES, TABLES, import_spec, raw_fixture
 
 C = ColumnCoord.parse
 
@@ -465,6 +468,20 @@ def test_import_merges_duplicate_keys(store, tmp_path):
     assert store.get("t", "k") == [(C("a:d122"), "7"), (C("a:lt"), "1")]
 
 
+def test_scan_after_an_import_of_new_rows_shows_them(store, tmp_path):
+    store.create_table("t", {"a"})
+    store.put("t", "k1", C("a:lt"), "1")
+    assert [r.key for r in store.scan("t")] == ["k1"]
+    path = tmp_path / "in.csv"
+    path.write_text("k0,2,\nk2,,3\n", encoding="utf-8")
+    assert store.import_tsv("t", path, SPEC3).loaded == 2
+    assert _rows(store, "t") == [
+        ("k0", [(C("a:lt"), "2")]),
+        ("k1", [(C("a:lt"), "1")]),
+        ("k2", [(C("a:d122"), "3")]),
+    ]
+
+
 def test_import_across_month_boundary_reads_in_coordinate_order(tmp_path):
     # d930 is written first but sorts last: qualifiers order as text.
     d = tmp_path / "kv"
@@ -581,6 +598,29 @@ def test_import_errors_match_with_and_without_skipping(
                 with pytest.raises(StoreError) as exc:
                     s.import_tsv("t", path, spec)
                 assert str(exc.value) == f"{path}: line {line_no}: {message}"
+
+
+def test_load_writes_the_bytes_that_put_per_cell_writes(tmp_path):
+    spec = import_spec()
+    data = tmp_path / "data"
+    data.mkdir()
+    with open_store(tmp_path / "loaded") as loaded, open_store(tmp_path / "put") as put:
+        for series in SERIES:
+            table = TABLES[series]
+            _, sparse, _ = write_formatted_files(raw_fixture(series), data)
+            loaded.create_table(table, {"a"})
+            assert loaded.import_tsv(table, sparse, spec).skipped == 0
+            # A new row stays the line flush writes: no row was parsed.
+            assert loaded._tables[table].rows == {}
+            put.create_table(table, {"a"})
+            for line in sparse.read_text(encoding="utf-8").splitlines():
+                fields = line.split(",")
+                key = fields[spec.key_index]
+                for coord, value in zip(spec.columns, fields):
+                    if coord != ROW_KEY and value:
+                        put.put(table, key, coord, value)
+    for name in [*(f"{TABLES[series]}.dat" for series in SERIES), "MANIFEST"]:
+        assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "put" / name).read_bytes()
 
 
 def test_import_spec_validation():
@@ -764,7 +804,12 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
 # ------------------------------------------- lazy reads against an eager model
 
 _FAMILY_COORDS = st.builds(ColumnCoord, st.sampled_from("ab"), _coord_quals)
-_IMPORT_SPEC = ImportSpec(columns=(ROW_KEY, C("a:x"), C("b:y")))
+# Fields out of coordinate order, the key in the middle; a line whose fields
+# are both empty is skipped.
+_IMPORT_SPEC = ImportSpec(
+    columns=(C("b:y"), ROW_KEY, C("a:x")), skip_bad_lines=True, skip_empty_columns=True
+)
+_maybe_texts = st.one_of(st.just(""), _texts)
 _index = st.integers(0, 5)
 _op = st.one_of(
     st.tuples(st.just("get"), _index),
@@ -773,7 +818,8 @@ _op = st.one_of(
     st.tuples(st.just("scan")),
     st.tuples(st.just("put"), _index, _FAMILY_COORDS, _texts),
     st.tuples(
-        st.just("import"), st.lists(st.tuples(_index, _texts, _texts), min_size=1, max_size=3)
+        st.just("import"),
+        st.lists(st.tuples(_index, _maybe_texts, _maybe_texts), min_size=1, max_size=6),
     ),
     st.tuples(st.just("flush")),
 )
@@ -833,13 +879,22 @@ def test_lazy_reads_match_an_eager_model(pool, cells, ops):
                     s.put("t", key, coord, value)
                     model.setdefault(key, {})[coord] = value
                 elif kind == "import":
+                    # New keys, keys repeated in the file, and keys whose rows
+                    # are still unparsed lines; flushed at once, so the bytes
+                    # show how each was written.
                     source = Path(tmp) / "in.tsv"
                     source.write_text(
-                        "".join(f"{key_of(i)}\t{x}\t{y}\n" for i, x, y in op[1]), encoding="utf-8"
+                        "".join(f"{y}\t{key_of(i)}\t{x}\n" for i, x, y in op[1]), encoding="utf-8"
                     )
-                    assert s.import_tsv("t", source, _IMPORT_SPEC).loaded == len(op[1])
-                    for i, x, y in op[1]:
-                        model.setdefault(key_of(i), {}).update({C("a:x"): x, C("b:y"): y})
+                    written = [(i, x, y) for i, x, y in op[1] if x or y]
+                    assert s.import_tsv("t", source, _IMPORT_SPEC).loaded == len(written)
+                    for i, x, y in written:
+                        row = model.setdefault(key_of(i), {})
+                        for coord, value in ((C("a:x"), x), (C("b:y"), y)):
+                            if value:
+                                row[coord] = value
+                    s.flush()
+                    assert (d / "t.dat").read_bytes() == _eager_bytes(model)
                 else:
                     s.flush()
                     assert (d / "t.dat").read_bytes() == _eager_bytes(model)
