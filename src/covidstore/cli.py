@@ -11,11 +11,12 @@ during a strict load).
 
 A command imports only the layers it runs: fetch none, ingest and
 schema-gen the ingest module (schema-gen only writes text), load the store
-(and ingest for --dates), sql the store and the SQL engine, shell the store
-and the shell.  The store and engine names the commands call stay
-attributes of this module, bound on first use by _bind or __getattr__, and
-the commands look them up here at call time, so a wrapper set on this
-module (as the benchmark's tracer does) is the one that runs.
+(and the date naming module, dates, for --dates), sql the store and the
+SQL engine, shell the store and the shell.  The store and engine names
+the commands call stay attributes of this module, bound on first use by
+_bind or __getattr__, and the commands look them up here at call time,
+so a wrapper set on this module (as the benchmark's tracer does) is the
+one that runs.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _parse_date_range(text: str) -> tuple[date, date]:
 
 def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[str]:
     """The column spec a dated load uses, as literal text entries."""
-    from .ingest import series_columns
+    from .dates import series_columns
 
     _bind(".store")
     return [ROW_KEY] + series_columns(start, end, family)

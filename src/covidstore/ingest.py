@@ -20,26 +20,18 @@ two sibling outputs, one with the normalized header row and one without it
 from __future__ import annotations
 
 import csv
-import re
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import write_atomic
+from .dates import DateColumn, FormatError, date_columns_between, series_columns
 from .sql.errors import SqlError
 
 KEY_SEPARATOR = "~"
 
 # Number of fixed leading columns in the raw layout: province, country, lat, long.
 FIXED_COLUMNS = 4
-
-_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
-
-_DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-class FormatError(ValueError):
-    """Raised when an input file or header cannot be processed at all."""
 
 
 def sanitize_field(raw: str) -> str:
@@ -55,52 +47,6 @@ def sanitize_field(raw: str) -> str:
     return cleaned.replace(",", "-")
 
 
-class DateColumn(NamedTuple):
-    """One daily column, with its three naming conventions.
-
-    header_form is the zero-padded MM/DD/YYYY header text, column_name the
-    MM_DD_YYYY identifier used by the relational layer, and qualifier the
-    compact store coordinate: "d", month without leading zero, then the
-    two-digit day (March 31 -> d331, October 1 -> d1001).  The tuple is
-    (year, month, day), so columns sort in date order.
-    """
-
-    year: int
-    month: int
-    day: int
-
-    @classmethod
-    def from_header(cls, raw: str) -> "DateColumn":
-        m = _DATE_RE.match(raw.strip())
-        if not m:
-            raise FormatError(f"unrecognized date column {raw!r}")
-        month, day, year = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if year < 100:
-            year += 2000
-        if not 1 <= month <= 12 or not 1 <= day <= _DAYS_IN_MONTH[month - 1]:
-            raise FormatError(f"unrecognized date column {raw!r}")
-        return cls(year, month, day)
-
-    @classmethod
-    def from_date(cls, d: date) -> "DateColumn":
-        return cls(d.year, d.month, d.day)
-
-    def as_date(self) -> date:
-        return date(self.year, self.month, self.day)
-
-    @property
-    def header_form(self) -> str:
-        return f"{self.month:02d}/{self.day:02d}/{self.year:04d}"
-
-    @property
-    def column_name(self) -> str:
-        return f"{self.month:02d}_{self.day:02d}_{self.year:04d}"
-
-    @property
-    def qualifier(self) -> str:
-        return f"d{self.month}{self.day:02d}"
-
-
 def normalize_date(raw: str) -> DateColumn:
     """Parse one raw date header token such as "3/2/20".
 
@@ -108,28 +54,6 @@ def normalize_date(raw: str) -> DateColumn:
     token when it does not look like a month/day/year date.
     """
     return DateColumn.from_header(raw)
-
-
-def date_columns_between(start: date, end: date) -> list[DateColumn]:
-    """All daily columns from start to end inclusive, in order."""
-    if start > end:
-        raise ValueError(f"start date {start} is after end date {end}")
-    out = []
-    d = start
-    while d <= end:
-        out.append(DateColumn.from_date(d))
-        d += timedelta(days=1)
-    return out
-
-
-def series_columns(start: date, end: date, family: str) -> list[str]:
-    """The store columns of a time-series table, as family:qualifier text.
-
-    Latitude (lt) and longitude (lg) come first, then one d<month><day>
-    qualifier per date from start to end inclusive.
-    """
-    dates = date_columns_between(start, end)
-    return [f"{family}:lt", f"{family}:lg"] + [f"{family}:{d.qualifier}" for d in dates]
 
 
 def generate_schema(table: str, store_table: str, family: str, start: date, end: date) -> str:

@@ -33,10 +33,12 @@ tuples.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Union
 
 from .. import write_atomic
-from ..store import Store
+from ..store import Store, TableNotEnabledError, TableNotFoundError
 from .ddl import (
     CreateTable,
     DescribeTable,
@@ -227,6 +229,12 @@ def _decode(
     are not one of the tuples.  Then every referenced column of a kept row
     is decoded, and only then do column predicates and same-source
     conditions drop the row.
+
+    The scan looks its rows up rather than testing every key: each bound
+    key field gets the texts it may hold, those of its = and IN
+    predicates and those its key_in tuples hold at it, and the store's
+    index of key parts yields the keys whose parts are among them.  keep
+    then decides on those keys alone, so the index only narrows.
     """
     entry = source.entry
     schema = entry.schema
@@ -248,17 +256,43 @@ def _decode(
         parts = key.split(terminator, nfields - 1)
         return [key, *parts, *[None] * (nfields - len(parts))]
 
+    pick, joined = (_picker(key_in[0]), key_in[1]) if key_in is not None else (None, set())
+
     def keep(key: str) -> bool:
-        # A loop, not all() over a generator: this runs once per row key.
+        # A loop, not all() over a generator: this runs once per candidate key.
         values = split_key(key)
         for p, allowed in key_predicates:
             if values[p] not in allowed:
                 return False
-        return key_in is None or tuple(values[p] for p in key_in[0]) in key_in[1]
+        return pick is None or pick(values) in joined
 
+    # The texts each bound key field may hold, by its part position in the
+    # key.  key_in gives each of its positions the values its tuples hold
+    # there, a superset that keep narrows to the tuples.  A key field holds
+    # text, so a number never matches it.
+    texts: dict[int, set[str]] = {}
+    bounds = list(key_predicates)
+    if key_in is not None:
+        positions, tuples = key_in
+        bounds += zip(positions, map(set, zip(*tuples)) if tuples else repeat(set()))
+    for p, values in bounds:
+        allowed = {v for v in values if isinstance(v, str)}
+        texts[p - 1] = texts[p - 1] & allowed if p - 1 in texts else allowed
     filtered = key_predicates or key_in is not None
+    backing = entry.mapping.store_table
+    try:
+        rows = store.scan(
+            backing,
+            keep=keep if filtered else None,
+            key_parts=(terminator, nfields, texts) if texts else None,
+        )
+    except (TableNotFoundError, TableNotEnabledError) as exc:
+        state = "does not exist" if isinstance(exc, TableNotFoundError) else "is disabled"
+        raise CatalogError(
+            f"mapped table {schema.table_name!r}: its backing table {backing!r} {state}"
+        ) from None
     out: list[list[Value]] = []
-    for row in store.scan(entry.mapping.store_table, keep=keep if filtered else None):
+    for row in rows:
         values = split_key(row.key) + blank
         for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
@@ -319,13 +353,20 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     for SELECT *).  A WHERE predicate, or an ON condition whose two sides
     name one source, filters that source as it is decoded.  Predicates on
     key fields run inside the store's scan, on the split row key, so the
-    store parses only the rows whose key passes them.
+    store parses only the rows whose key passes them.  Their = and IN
+    texts are looked up in the store's index of row-key parts, so the
+    scan tests only the keys that hold them, not every key of the table.
 
     The first source is decoded before the second.  An ON condition
     between the sources whose second-source side is a key field also runs
     inside the second scan: that scan parses only the rows whose key
     fields hold values some decoded first-source row holds at the other
     sides, so a bad cell in a row that joins nothing is never decoded.
+    That filter is a lookup too: the values at each such key field select
+    the candidate keys, and only those are tested against the tuples.
+
+    A source whose mapping names a backing table the store no longer
+    holds, or holds disabled, raises CatalogError naming both tables.
 
     A join is a hash join: the second source's rows are hashed on their
     values of the conditions between the sources, then probed with the
@@ -410,8 +451,16 @@ def _join_keys(
     on_key = [(a, b) for a, b in pairs if b <= len(right.entry.schema.key_fields)]
     if not on_key:
         return None
-    keys = {tuple(row[a] for a, _ in on_key) for row in left}
+    keys = set(map(_picker([a for a, _ in on_key]), left))
     return [b for _, b in on_key], {k for k in keys if all(_typed_eq(v, v) for v in k)}
+
+
+def _picker(positions: list[int]) -> Callable[[list[Value]], tuple[Value, ...]]:
+    """A function from a row to the tuple of its values at positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # itemgetter of one position returns no tuple, and of none is an error.
+    return lambda row: tuple([row[p] for p in positions])
 
 
 def _hash_join(
@@ -423,16 +472,16 @@ def _hash_join(
     holding NULL or NaN is neither inserted nor probed, since it equals
     nothing; with no pairs, every key is () and this is a cross product.
     """
-    left_positions = [a for a, _ in pairs]
-    right_positions = [b for _, b in pairs]
+    left_key = _picker([a for a, _ in pairs])
+    right_key = _picker([b for _, b in pairs])
     table: dict[tuple[Value, ...], list[list[Value]]] = {}
     for row in right:
-        key = tuple(row[p] for p in right_positions)
+        key = right_key(row)
         if all(_typed_eq(v, v) for v in key):
             table.setdefault(key, []).append(row)
     out = []
     for row in left:
-        key = tuple(row[p] for p in left_positions)
+        key = left_key(row)
         if all(_typed_eq(v, v) for v in key):
             out.extend((row, match) for match in table.get(key, ()))
     return out

@@ -42,6 +42,16 @@ rewrites the file.  A data file in the older one-line-per-cell layout has
 four fields a line, so it is refused as corrupt; rebuild such a store by
 re-running DROP/CREATE and load.
 
+A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
+instead of testing every key.  Each table keeps an in-memory index of its
+row keys' parts: for each terminator and part count a bound scan asks
+for, built on the first such scan with one split per key, it maps each
+position's part text to the keys holding it, in key order.  Only keys are
+indexed, so a write to an existing row keeps the index; whatever can add
+a row key drops it (put or import_tsv of a new key, and the full parse at
+open), and the next bound scan builds it again.  The index lives only in
+memory and is never written.
+
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
 nothing in the workflows here needs the stricter behavior.
@@ -51,11 +61,12 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections import defaultdict
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import StoreError, write_atomic
 
@@ -64,6 +75,10 @@ ROW_KEY: Final = "HBASE_ROW_KEY"
 
 _FORBIDDEN = ("\t", "\n", "\r")
 _COORD_FORBIDDEN = (":", ",") + _FORBIDDEN
+
+# A scan's bound on row-key parts: (terminator, part count, allowed texts by
+# part position); see Store.scan.
+KeyParts = tuple[str, int, Mapping[int, AbstractSet[str]]]
 
 
 class TableNotFoundError(StoreError):
@@ -223,7 +238,7 @@ class ImportReport(NamedTuple):
 class _Table:
     __slots__ = (
         "descriptor", "data_file", "checksum", "rows", "lines", "coords", "keys",
-        "dirty", "unsorted", "view",
+        "parts", "dirty", "unsorted", "view",
     )
 
     def __init__(self, descriptor: TableDescriptor, data_file: str) -> None:
@@ -242,6 +257,10 @@ class _Table:
         self.coords: dict[str, ColumnCoord] = {}
         # Every row key in order; None once a write may have added one.
         self.keys: Optional[list[str]] = []
+        # The row keys by key part, built on the first scan bound on parts:
+        # (terminator, part count, position) -> part text -> keys in key
+        # order.  Dropped, with keys, whenever a row key may have been added.
+        self.parts: dict[tuple[str, int, int], dict[str, list[str]]] = {}
         self.dirty = False
         # Keys of rows whose cells may be out of coordinate order.
         self.unsorted: set[str] = set()
@@ -287,6 +306,60 @@ class _Table:
             self.keys = sorted([*self.rows, *self.lines])
         return self.keys
 
+    def forget_keys(self) -> None:
+        """Drop what was derived from the key set, which a new row changes."""
+        self.keys = self.view = None
+        self.parts.clear()
+
+    def part_index(self, terminator: str, count: int, position: int) -> dict[str, list[str]]:
+        """The row keys by their part at position, each key split into at most count parts.
+
+        One split of each key indexes every position of (terminator, count).
+        """
+        index = self.parts.get((terminator, count, position))
+        if index is None:
+            keys = self.ordered_keys()
+            split = [key.split(terminator, count - 1) for key in keys]
+            for p in range(count):
+                by_part: defaultdict[str, list[str]] = defaultdict(list)
+                for key, parts in zip(keys, split):
+                    if len(parts) > p:
+                        by_part[parts[p]].append(key)
+                self.parts[(terminator, count, p)] = by_part
+            index = self.parts[(terminator, count, position)]
+        return index
+
+    def candidates(
+        self, terminator: str, count: int, allowed: Mapping[int, AbstractSet[str]]
+    ) -> list[str]:
+        """The keys, in order, whose part at each position of allowed is one of its texts.
+
+        Each key is split at its first count - 1 terminators; a key with
+        fewer parts than a position has no part there, so it is never a
+        candidate.  The keys of the position that allows the fewest are
+        looked up, then checked at the other positions.
+        """
+        keys = self.ordered_keys()
+        bounds = []
+        for position, texts in allowed.items():
+            index = self.part_index(terminator, count, position)
+            hits = [index[text] for text in texts if text in index]
+            bounds.append((sum(map(len, hits)), position, texts, hits))
+        bounds.sort(key=itemgetter(0))
+        if not bounds or bounds[0][0] == len(keys):
+            return keys  # every bound position allows every key
+        _, _, _, hits = bounds[0]
+        found = hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits))
+        others = [(p, texts) for n, p, texts, _ in bounds[1:] if n < len(keys)]
+        if not others:
+            return found
+        out = []
+        for key in found:
+            parts = key.split(terminator, count - 1)
+            if all(p < len(parts) and parts[p] in texts for p, texts in others):
+                out.append(key)
+        return out
+
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
         """Upsert cells, given in coordinate order, into a row."""
         self.dirty = True
@@ -294,7 +367,7 @@ class _Table:
         row = self.row(key)
         if row is None:
             self.rows[key] = dict(cells)
-            self.keys = None
+            self.forget_keys()
         else:
             row.update(cells)
             self.unsorted.add(key)
@@ -307,18 +380,20 @@ class _Table:
             rows[key] = {c: cells[c] for c in sorted(cells)}
         self.unsorted.clear()
 
-    def scan(self, keep: Optional[Callable[[str], bool]] = None) -> list[Row]:
-        """Rows in key order, only those whose key passes keep if it is given."""
-        if self.view is not None:
+    def scan(
+        self, keep: Optional[Callable[[str], bool]] = None, key_parts: Optional[KeyParts] = None
+    ) -> list[Row]:
+        """Rows in key order: the candidates of key_parts if given, then those keep passes."""
+        if key_parts is None and self.view is not None:
             return self.view if keep is None else [r for r in self.view if keep(r.key)]
         self.sort()
-        keys = self.ordered_keys()
+        keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
         row = self.row
         rows = [
             Row(key, MappingProxyType(row(key)))  # type: ignore[arg-type]
             for key in (keys if keep is None else filter(keep, keys))
         ]
-        if keep is None:
+        if keep is None and key_parts is None:
             self.view = rows
         return rows
 
@@ -439,7 +514,8 @@ class Store:
             table.lines = {line[: line.find("\t")]: line for line in lines}
             table.keys = list(table.lines)
             return
-        table.checksum = table.keys = None
+        table.checksum = None
+        table.forget_keys()
         try:
             for i, line in enumerate(lines, 1):
                 if not line:
@@ -608,15 +684,25 @@ class Store:
         t.sort()
         return list(t.rows[row_key].items())
 
-    def scan(self, table: str, keep: Optional[Callable[[str], bool]] = None) -> list[Row]:
+    def scan(
+        self,
+        table: str,
+        keep: Optional[Callable[[str], bool]] = None,
+        key_parts: Optional[KeyParts] = None,
+    ) -> list[Row]:
         """Every row of the table, keys ascending, cells in coordinate order.
 
-        With keep, only the rows whose key keep returns true for, and only
-        those rows are parsed.  The list is the caller's; each row's cells
-        are a read-only view, valid until the next write to the table.
+        With key_parts, (terminator, count, allowed), only the candidate
+        keys: split at their first count - 1 terminators, their part at
+        each position of allowed is one of its texts.  The table's index
+        of key parts finds them without testing every key.  With keep, only
+        the rows (of the candidates, if any) whose key keep returns true
+        for; keep sees no other key.  Only the rows returned are parsed.
+        The list is the caller's; each row's cells are a read-only view,
+        valid until the next write to the table.
         """
         self._ensure_open()
-        return list(self._enabled_table(table).scan(keep))
+        return list(self._enabled_table(table).scan(keep, key_parts))
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.
@@ -693,7 +779,7 @@ class Store:
                 t.lines[key] = "\t".join(
                     [key, *chain.from_iterable(compress(zip(texts, values), values))]
                 )
-                t.keys = t.view = None
+                t.forget_keys()
                 t.dirty = True
             loaded += 1
         return ImportReport(loaded, errors)

@@ -16,7 +16,7 @@ import covidstore
 from covidstore.cli import import_columns_for_dates, main, raw_file_name
 from covidstore.sql import generate_schema
 
-from conftest import FIXTURES, TABLES, workload_text
+from conftest import FIXTURES, TABLES, WORKLOAD, workload_text
 
 
 def run_cli(store_dir, data_dir, *argv):
@@ -163,8 +163,8 @@ def test_ingest_and_schema_gen_leave_the_store_and_the_parser_unloaded(tmp_path)
     )
     for loaded in (ingest, schema_gen):
         assert _package_modules(loaded) == {
-            "covidstore", "covidstore.cli", "covidstore.ingest", "covidstore.sql",
-            "covidstore.sql.errors",
+            "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.ingest",
+            "covidstore.sql", "covidstore.sql.errors",
         }
     assert not (tmp_path / "store").exists()
 
@@ -179,6 +179,34 @@ def test_sql_join_loads_the_engine_and_the_store_only(mapped_store):
         "covidstore.sql.query", "covidstore.store",
     }
     assert {"urllib.request", "dataclasses"} & loaded == set()
+
+
+def test_join_after_the_shell_drops_a_backing_table_names_the_mapping(mapped_store, capsys):
+    store_dir, data_dir = mapped_store
+    script = WORKLOAD / "shell_drop_confirmed.txt"
+    assert run_cli(store_dir, data_dir, "shell", "--script", str(script)) == 0
+    capsys.readouterr()
+    assert run_cli(store_dir, data_dir, "sql", workload_text("query_join_morocco.sql")) == 1
+    assert capsys.readouterr().err == (
+        "statement 1: error: mapped table 'confirmed_covid19_cases': "
+        "its backing table 'confirmed_covid19_cases' does not exist\n"
+    )
+
+
+def test_load_dates_loads_the_store_and_the_date_naming_only(tmp_path):
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("~Morocco,31.79,-7.09,5\n", encoding="utf-8")
+    day = date(2020, 1, 22)
+    schema = generate_schema("t", "t", "a", day, day)
+    assert run_cli(tmp_path / "store", tmp_path / "data", "sql", schema) == 0
+    loaded = _modules_after_command(
+        tmp_path, "load", "t", str(sparse), "--dates", "2020-01-22:2020-01-22"
+    )
+    assert _package_modules(loaded) == {
+        "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.sql",
+        "covidstore.sql.errors", "covidstore.store",
+    }
+    assert {"csv", "urllib.request", "dataclasses"} & loaded == set()
 
 
 def test_schema_gen_and_load_leave_engine_and_shell_unloaded(tmp_path):

@@ -1,6 +1,11 @@
 """Catalog lifecycle and SELECT execution semantics."""
 
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covidstore.sql import (
     Catalog,
@@ -19,7 +24,7 @@ from covidstore.sql import (
     render_result_set,
     render_value,
 )
-from covidstore.store import ColumnCoord, StoreError, open_store
+from covidstore.store import ROW_KEY, ColumnCoord, ImportSpec, Store, StoreError, open_store
 
 from conftest import TABLES
 
@@ -421,6 +426,59 @@ def test_key_bound_join_parses_only_the_second_table_rows_it_can_match(tmp_path)
         assert sorted(store._table("extra_backing").lines) == ["alone", "~Aland"]
 
 
+def test_key_bound_scans_pass_their_key_texts_to_the_store(loaded, monkeypatch):
+    catalog, store = loaded
+    bounds = []
+    scan = Store.scan
+
+    def recording(self, table, keep=None, key_parts=None):
+        bounds.append((table, key_parts))
+        return scan(self, table, keep, key_parts)
+
+    monkeypatch.setattr(Store, "scan", recording)
+    rs = run(
+        "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u "
+        "ON t.key.P = u.key.P AND t.key.C = u.key.C "
+        "WHERE t.key.C IN ('Land', 'Aland', 2) AND t.key.P = 'Num'",
+        catalog,
+        store,
+    )
+    assert rs.rows == [("Num", 9)]
+    # Text literals only: a key field never equals a number.
+    assert bounds == [
+        ("cases_backing", ("~", 2, {0: {"Num"}, 1: {"Land", "Aland"}})),
+        ("extra_backing", ("~", 2, {0: {"Num"}, 1: {"Land"}})),
+    ]
+    bounds.clear()
+    run("SELECT * FROM cases WHERE cases.01_22_2020 = 5", catalog, store)
+    assert bounds == [("cases_backing", None)]
+
+
+_JOIN_ON_C = "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u ON t.key.C = u.key.C"
+
+
+def test_query_on_a_mapping_whose_backing_table_is_gone_names_both(loaded):
+    catalog, store = loaded
+    store.disable_table("extra_backing")
+    store.drop_table("extra_backing")
+    assert catalog.has("extra")
+    with pytest.raises(CatalogError) as err:
+        run(_JOIN_ON_C, *loaded)
+    assert str(err.value) == (
+        "mapped table 'extra': its backing table 'extra_backing' does not exist"
+    )
+
+
+def test_query_on_a_mapping_whose_backing_table_is_disabled_names_both(loaded):
+    catalog, store = loaded
+    store.disable_table("cases_backing")
+    with pytest.raises(CatalogError) as err:
+        run(_JOIN_ON_C, *loaded)
+    assert str(err.value) == (
+        "mapped table 'cases': its backing table 'cases_backing' is disabled"
+    )
+
+
 def test_unqualified_column_resolves_when_unique(loaded):
     rs = run("SELECT Lat FROM cases t JOIN extra u ON t.key.C = u.key.C", *loaded)
     assert rs.columns == ["Lat"]
@@ -587,3 +645,158 @@ def test_dataset_coordinates_decode_as_floats(dataset):
         *dataset,
     )
     assert rs.rows == [(31.7917, -7.0926)]
+
+
+# ------------------------------------- index-narrowed queries, brute-forced
+
+# Each table draws up to 1500 keys from these pools, which hold 1293
+# distinct keys: up to about 900 rows, several times the fixture's 215.
+_PROVINCES = ["", "1", "a"] + [f"P{i}" for i in range(40)]
+# A country may hold the terminator, or read "1", which the number 1 never matches.
+_COUNTRIES = ["", "1", "~", "a~b", "Land"] + [f"C{i}" for i in range(25)]
+# Keys of one part: their country field reads NULL.
+_SOLOS = ["solo", "P1", "Land"]
+_LITERALS = st.one_of(
+    st.sampled_from(["", "1", "P1", "P2", "a", "C1", "C2", "Land", "~", "a~b", "b", "solo", "zz"]),
+    st.sampled_from([1, 0, 2.5]),
+)
+_PREDICATE = st.tuples(
+    st.sampled_from("tu"), st.sampled_from("PC"), st.lists(_LITERALS, min_size=1, max_size=3)
+)
+_QUERY = st.tuples(
+    st.sampled_from([None, ("P", "C"), ("C",), ("P",)]),  # None: no join, else its ON fields
+    st.lists(_PREDICATE, max_size=3),
+)
+
+
+def _mapped_ddl(name: str, column: str, coord: str) -> str:
+    return (
+        f"CREATE TABLE {name} (key struct<P:string,C:string>, {column} int) "
+        "ROW FORMAT DELIMITED COLLECTION ITEMS TERMINATED BY '~' STORED BY 'h' "
+        f'WITH SERDEPROPERTIES ("hbase.table.name" = "{name}_backing", '
+        f'"hbase.columns.mapping" = ":key,{coord}")'
+    )
+
+
+def _draw_keys(rng, n: int) -> set[str]:
+    keys = set()
+    for _ in range(n):
+        if rng.random() < 0.05:
+            keys.add(rng.choice(_SOLOS))
+        else:
+            keys.add(f"{rng.choice(_PROVINCES)}~{rng.choice(_COUNTRIES)}")
+    return keys
+
+
+def _key_fields(key: str) -> dict[str, object]:
+    province, sep, country = key.partition("~")
+    return {"P": province, "C": country if sep else None}
+
+
+def _brute_passes(key: str, predicates) -> bool:
+    fields = _key_fields(key)
+    return all(
+        fields[f] is not None and any(isinstance(v, str) and v == fields[f] for v in values)
+        for f, values in predicates
+    )
+
+
+def _sql_literal(value) -> str:
+    return f"'{value}'" if isinstance(value, str) else repr(value)
+
+
+def _query_text(on, predicates) -> str:
+    where = []
+    for source, field, values in predicates:
+        if on is None and source == "u":
+            continue
+        ref = f"{source}.key.{field}"
+        if len(values) == 1:
+            where.append(f"{ref} = {_sql_literal(values[0])}")
+        else:
+            where.append(f"{ref} IN ({', '.join(map(_sql_literal, values))})")
+    if on is None:
+        text = "SELECT t.key.P, t.key.C, t.v FROM tt t"
+    else:
+        conditions = " AND ".join(f"t.key.{f} = u.key.{f}" for f in on)
+        text = f"SELECT t.key.P, u.key.C, t.v, u.w FROM tt t JOIN uu u ON {conditions}"
+    return text + (" WHERE " + " AND ".join(where) if where else "")
+
+
+def _brute_answer(model, on, predicates) -> list[tuple]:
+    """The query's rows, by splitting and testing every key of the model.
+
+    Second-table rows are matched through a dict on their ON fields, in
+    key order; a NULL field matches nothing.
+    """
+    first = [(f, v) for s, f, v in predicates if s == "t"]
+    second = [(f, v) for s, f, v in predicates if s == "u"]
+    matches: dict[tuple, list[tuple]] = {}
+    for ku in sorted(model["uu"]) if on is not None else ():
+        fu = _key_fields(ku)
+        if _brute_passes(ku, second):
+            matches.setdefault(tuple(fu[f] for f in on), []).append((fu["C"], model["uu"][ku]))
+    out = []
+    for kt in sorted(model["tt"]):
+        if not _brute_passes(kt, first):
+            continue
+        ft = _key_fields(kt)
+        if on is None:
+            out.append((ft["P"], ft["C"], model["tt"][kt]))
+        elif all(ft[f] is not None for f in on):
+            for country, w in matches.get(tuple(ft[f] for f in on), ()):
+                out.append((ft["P"], country, model["tt"][kt], w))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 1500),
+    queries=st.lists(_QUERY, min_size=1, max_size=4),
+)
+def test_index_narrowed_queries_match_a_brute_force_filter(seed, size, queries):
+    rng = random.Random(seed)
+    specs = {
+        "tt": ImportSpec((ROW_KEY, ColumnCoord("a", "v"))),
+        "uu": ImportSpec((ROW_KEY, ColumnCoord("b", "w"))),
+    }
+    model: dict[str, dict[str, int]] = {"tt": {}, "uu": {}}
+
+    def load(store, name, keys, source):
+        rows = {key: rng.randint(1, 999) for key in sorted(keys)}
+        source.write_text("".join(f"{k}\t{v}\n" for k, v in rows.items()), encoding="utf-8")
+        assert store.import_tsv(f"{name}_backing", source, specs[name]).skipped == 0
+        model[name].update(rows)
+
+    def check(catalog, store, phase):
+        for on, predicates in queries:
+            text = _query_text(on, predicates)
+            assert run(text, catalog, store).rows == _brute_answer(model, on, predicates), (
+                phase, text,
+            )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "rows.tsv"
+        with open_store(Path(tmp) / "store") as store:
+            catalog = Catalog(store)
+            catalog.create_mapped_table(parse_ddl(_mapped_ddl("tt", "v", "a:v")))
+            catalog.create_mapped_table(parse_ddl(_mapped_ddl("uu", "w", "b:w")))
+            load(store, "tt", _draw_keys(rng, size), source)
+            load(store, "uu", _draw_keys(rng, size), source)
+            check(catalog, store, "loaded")
+            # Writes after the queries built each table's index of key parts.
+            new = sorted(_draw_keys(rng, 20) - model["tt"].keys())[:3] or ["P1~new"]
+            for key in new:
+                store.put("tt_backing", key, ColumnCoord("a", "v"), "7")
+                model["tt"][key] = 7
+            check(catalog, store, "put")
+            load(store, "uu", _draw_keys(rng, 40), source)
+            check(catalog, store, "import_tsv")
+            for statement in ("DROP TABLE uu", _mapped_ddl("uu", "w", "b:w")):
+                execute_statement(parse_statement(statement), catalog, store)
+            model["uu"] = {}
+            load(store, "uu", _draw_keys(rng, size // 2), source)
+            check(catalog, store, "DROP/CREATE and load")
+        with open_store(Path(tmp) / "store") as store:
+            check(Catalog(store), store, "reopened")

@@ -801,6 +801,79 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
             s.scan("t")
 
 
+def test_a_key_bound_scan_calls_keep_on_candidate_keys_only(store):
+    store.create_table("t", {"a"})
+    for key in ("~Aland", "Num~Land", "a~b~c", "solo", "x~Land", "x~Lan"):
+        store.put("t", key, C("a:q"), "v")
+    seen = []
+
+    def keep(key):
+        seen.append(key)
+        return key != "x~Land"
+
+    rows = store.scan("t", keep=keep, key_parts=("~", 2, {1: {"Land", "b~c"}}))
+    assert [r.key for r in rows] == ["Num~Land", "a~b~c"]
+    assert seen == ["Num~Land", "a~b~c", "x~Land"]
+    # Two bound positions, and a key of one part, which has no second part.
+    seen.clear()
+    rows = store.scan("t", keep=keep, key_parts=("~", 2, {0: {"x", "solo"}, 1: {"Land"}}))
+    assert seen == ["x~Land"] and rows == []
+    # A row put after the index was built is found by the next bound scan.
+    store.put("t", "y~Land", C("a:q"), "v")
+    rows = store.scan("t", key_parts=("~", 2, {1: {"Land"}}))
+    assert [r.key for r in rows] == ["Num~Land", "x~Land", "y~Land"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.sets(st.text("ab~", min_size=1, max_size=5), max_size=40),
+    count=st.integers(1, 3),
+    allowed=st.dictionaries(
+        st.integers(0, 2), st.frozensets(st.text("ab~", max_size=3), max_size=3), max_size=3
+    ),
+    added=st.lists(st.text("ab~", min_size=1, max_size=5), max_size=6),
+)
+def test_key_part_scans_match_a_brute_force_filter(keys, count, allowed, added):
+    allowed = {p: texts for p, texts in allowed.items() if p < count}
+
+    def expected(every):
+        out = []
+        for key in sorted(every):
+            parts = key.split("~", count - 1)
+            if all(p < len(parts) and parts[p] in texts for p, texts in allowed.items()):
+                out.append(key)
+        return out
+
+    def check(s, every):
+        seen = []
+
+        def keep(key):
+            seen.append(key)
+            return True
+
+        rows = s.scan("t", keep=keep, key_parts=("~", count, allowed))
+        assert [r.key for r in rows] == seen == expected(every)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "kv"
+        with open_store(d) as s:
+            s.create_table("t", {"a"})
+            for key in keys:
+                s.put("t", key, C("a:q"), "v")
+            check(s, keys)
+            # New keys after the index was built: half put, half imported.
+            half = len(added) // 2
+            for key in added[:half]:
+                s.put("t", key, C("a:q"), "w")
+            source = Path(tmp) / "in.tsv"
+            source.write_text("".join(f"{key}\tw\n" for key in added[half:]), encoding="utf-8")
+            s.import_tsv("t", source, ImportSpec((ROW_KEY, C("a:q"))))
+            every = keys | set(added)
+            check(s, every)
+        with open_store(d) as s:
+            check(s, every)
+
+
 # ------------------------------------------- lazy reads against an eager model
 
 _FAMILY_COORDS = st.builds(ColumnCoord, st.sampled_from("ab"), _coord_quals)
