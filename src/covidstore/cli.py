@@ -25,7 +25,6 @@ import argparse
 import importlib
 import os
 import sys
-from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,6 +32,7 @@ from . import StoreError, write_atomic
 from .sql.errors import SqlError
 
 if TYPE_CHECKING:
+    from datetime import date
     from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
     from .store import ROW_KEY, ColumnCoord, ImportSpec, open_store
 
@@ -80,6 +80,7 @@ def default_url(series: str) -> str:
 
 
 def _parse_date_range(text: str) -> tuple[date, date]:
+    from datetime import date  # here, so that sql, fetch and shell never import it
     start_text, sep, end_text = text.partition(":")
     if not sep:
         raise ValueError(f"date range {text!r} must look like YYYY-MM-DD:YYYY-MM-DD")

@@ -8,13 +8,18 @@ class and any extra properties are recorded verbatim and otherwise ignored;
 they matter to the cluster software this replaces, not to this engine.
 The CREATE text for a time-series table comes from ingest.generate_schema,
 which only writes text; the DDL tests parse its output here.
+
+A CREATE is read token by token, but its column list (a column a day) and
+mapping by a compiled pattern each, up to the first token or entry at fault.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
 from typing import NamedTuple
 
-from ..store import ColumnCoord
+from ..store import COORD_PATTERN, ColumnCoord
 from .errors import SqlError, SqlSyntaxError
 from .lexer import ATOM, DQSTRING, STRING, Cursor, Node
 
@@ -25,6 +30,11 @@ PROP_MAPPING = "hbase.columns.mapping"
 _REQUIRED_PROPS = (PROP_TABLE_NAME, PROP_MAPPING)
 
 _KEY_MARKER = ":key"
+
+# The column list after the key as far as it is ", name type", in the lexer's \w and \s.
+_COLUMNS = re.compile(r"(?:\s*,\s*\w+\s+\w+)*\s*")
+# A mapping entry after the first, as family and qualifier.
+_ENTRY = re.compile(rf",{COORD_PATTERN}(?=,|\Z)")
 
 
 class ColumnDef(NamedTuple):
@@ -127,37 +137,33 @@ def _parse_create(p: Cursor) -> CreateTable:
         if p.list_ends(">"):
             break
 
-    columns: list[ColumnDef] = []
-    seen = {key_name.lower()}
-    while not p.list_ends(")"):
-        name = p.expect_name()
-        ctype = p.expect_name().lower()
-        if ctype not in COLUMN_TYPES:
-            raise SqlError(f"unknown column type {ctype!r} for column {name!r}")
-        if name.lower() in seen:
-            raise SqlError(f"duplicate column {name!r}")
-        seen.add(name.lower())
-        columns.append(ColumnDef(name, ctype))
+    # Up to where the list stops being ", name type"; there, if not at its
+    # ')', the tokens raise the error the first of them makes.
+    listed = p.scan(_COLUMNS)[0].replace(",", " ").split()
+    names, types = listed[0::2], [t.lower() for t in listed[1::2]]
+    lowered = [key_name.lower(), *map(str.lower, names)]
+    if not set(types) <= set(COLUMN_TYPES) or len(set(lowered)) < len(lowered):
+        for i, ctype in enumerate(types):
+            if ctype not in COLUMN_TYPES:
+                raise SqlError(f"unknown column type {ctype!r} for column {names[i]!r}")
+            if lowered[i + 1] in lowered[: i + 1]:
+                raise SqlError(f"duplicate column {names[i]!r}")
+    columns = tuple(map(tuple.__new__, repeat(ColumnDef), zip(names, types)))
+    if not p.list_ends(")"):
+        p.expect_name()
+        p.expect_name()
 
-    p.expect_keyword("ROW")
-    p.expect_keyword("FORMAT")
-    p.expect_keyword("DELIMITED")
-    p.expect_keyword("COLLECTION")
-    p.expect_keyword("ITEMS")
-    p.expect_keyword("TERMINATED")
-    p.expect_keyword("BY")
+    p.expect_keyword("ROW FORMAT DELIMITED COLLECTION ITEMS TERMINATED BY")
     term_tok = p.expect(STRING, "a quoted terminator")
     if len(term_tok.text) != 1:
         raise SqlError(
             f"collection terminator must be one character, got {term_tok.text!r}"
         )
 
-    p.expect_keyword("STORED")
-    p.expect_keyword("BY")
+    p.expect_keyword("STORED BY")
     stored_by = p.expect(STRING, "a quoted storage handler class").text
 
-    p.expect_keyword("WITH")
-    p.expect_keyword("SERDEPROPERTIES")
+    p.expect_keyword("WITH SERDEPROPERTIES")
     p.expect("LPAREN", "'('")
     properties: dict[str, str] = {}
     while True:
@@ -183,14 +189,15 @@ def _parse_create(p: Cursor) -> CreateTable:
         )
     if entries[0] != _KEY_MARKER:
         raise SqlError(f"first mapping entry must be {_KEY_MARKER!r}, got {entries[0]!r}")
-    coords = tuple(ColumnCoord.parse(e) for e in entries[1:])
-    seen: set[ColumnCoord] = set()
-    for coord in coords:
-        if coord in seen:
-            raise SqlError(f"column mapping names {coord} twice")
-        seen.add(coord)
+    pairs = _ENTRY.findall(",".join(entries))  # a match per valid entry: none holds a comma
+    if len(pairs) < len(columns):
+        list(map(ColumnCoord.parse, entries[1:]))  # raises for the first invalid entry
+    coords = tuple(map(tuple.__new__, repeat(ColumnCoord), pairs))
+    if len(set(coords)) < len(coords):
+        twice = next(c for i, c in enumerate(coords) if c in coords[:i])
+        raise SqlError(f"column mapping names {twice} twice")
 
-    schema = RelationalSchema(table_name, tuple(key_fields), tuple(columns), term_tok.text)
+    schema = RelationalSchema(table_name, tuple(key_fields), columns, term_tok.text)
     mapping = ColumnMapping(properties[PROP_TABLE_NAME], coords)
     return CreateTable(schema, mapping, properties, stored_by, p.text.strip())
 

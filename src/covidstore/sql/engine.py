@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .. import write_atomic
-from ..store import Store, TableNotEnabledError, TableNotFoundError
+from ..store import CellValueError, Store, TableNotEnabledError, TableNotFoundError
 from .ddl import (
     CreateTable,
     DescribeTable,
@@ -72,9 +72,10 @@ def render_value(value: Value) -> str:
 
 
 def render_result_set(rs: ResultSet) -> str:
+    # render_value inlined: str of a float is its repr on Python 3.10 and later.
     lines = ["\t".join(rs.columns)]
     for row in rs.rows:
-        lines.append("\t".join(render_value(v) for v in row))
+        lines.append("\t".join(["NULL" if v is None else str(v) for v in row]))
     return "\n".join(lines)
 
 
@@ -99,7 +100,7 @@ class Catalog:
             for statement in split_statements(text):
                 try:
                     parsed = parse_ddl(statement)
-                except SqlError as exc:
+                except (SqlError, CellValueError) as exc:
                     raise CatalogError(f"corrupt catalog {self._path}: {exc}") from exc
                 self._entries[parsed.schema.table_name.lower()] = parsed
 
@@ -258,9 +259,10 @@ def _decode(
 
     pick, joined = (_picker(key_in[0]), key_in[1]) if key_in is not None else (None, set())
 
+    split: dict[str, list[Value]] = {}  # by key, so that keep and decode split it once
     def keep(key: str) -> bool:
         # A loop, not all() over a generator: this runs once per candidate key.
-        values = split_key(key)
+        values = split[key] = split_key(key)
         for p, allowed in key_predicates:
             if values[p] not in allowed:
                 return False
@@ -292,8 +294,9 @@ def _decode(
             f"mapped table {schema.table_name!r}: its backing table {backing!r} {state}"
         ) from None
     out: list[list[Value]] = []
+    unfiltered = not (column_predicates or conditions)
     for row in rows:
-        values = split_key(row.key) + blank
+        values = (split[row.key] if filtered else split_key(row.key)) + blank
         for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
             if raw is not None:
@@ -303,7 +306,7 @@ def _decode(
                     raise TypeDecodeError(
                         f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
                     ) from None
-        if all(values[p] in allowed for p, allowed in column_predicates) and all(
+        if unfiltered or all(values[p] in allowed for p, allowed in column_predicates) and all(
             _typed_eq(values[a], values[b]) for a, b in conditions
         ):
             out.append(values)
@@ -314,6 +317,14 @@ def _typed_eq(a: Value, b: Value) -> bool:
     # NULL equals nothing and NaN not even itself; numbers compare across
     # int/float; a number never equals its decimal text.
     return a is not None and a == b
+
+
+def _matchable(key: tuple[Value, ...]) -> bool:
+    # No NULL and no NaN, in a loop: a tuple compares NaN equal to itself by identity.
+    for v in key:
+        if v is None or v != v:
+            return False
+    return True
 
 
 def _make_source(source_ast, catalog: Catalog) -> _Source:
@@ -452,7 +463,7 @@ def _join_keys(
     if not on_key:
         return None
     keys = set(map(_picker([a for a, _ in on_key]), left))
-    return [b for _, b in on_key], {k for k in keys if all(_typed_eq(v, v) for v in k)}
+    return [b for _, b in on_key], set(filter(_matchable, keys))
 
 
 def _picker(positions: list[int]) -> Callable[[list[Value]], tuple[Value, ...]]:
@@ -477,12 +488,12 @@ def _hash_join(
     table: dict[tuple[Value, ...], list[list[Value]]] = {}
     for row in right:
         key = right_key(row)
-        if all(_typed_eq(v, v) for v in key):
+        if _matchable(key):
             table.setdefault(key, []).append(row)
     out = []
     for row in left:
         key = left_key(row)
-        if all(_typed_eq(v, v) for v in key):
+        if _matchable(key):
             out.extend((row, match) for match in table.get(key, ()))
     return out
 

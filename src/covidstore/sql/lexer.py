@@ -12,6 +12,10 @@ The lexical rules:
   carriage return, and any other escaped character stands for itself, which
   is how '\\~' denotes a tilde and '\\'' a quote.
 * A ``;`` inside a string does not end a statement.
+
+A Cursor reads tokens as its parser asks, or a stretch of text by pattern
+(scan), as the DDL parser reads a CREATE's column list; a first pass over
+the text finds its first lexical error, wherever the parser stops.
 """
 
 from __future__ import annotations
@@ -45,12 +49,11 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 # Written as runs between escapes, so that re keeps backtracking state per
 # escape rather than per character (about 1 MB for a 366-day mapping).
 _QUOTED = r"""'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*\""""
-# Whitespace matches no alternative, so finditer skips it; every other
-# character starts a token or is "bad".  In str patterns \w is exactly
-# isalnum() or "_", and \S is exactly not isspace().
-_TOKEN = re.compile(
-    rf"(?P<str>{_QUOTED})|(?P<atom>\w+)|(?P<punct>[()<>,;=.:*\-])|(?P<bad>\S)", re.DOTALL
-)
+# Whitespace matches no alternative, so finditer skips it (Cursor refuses any
+# other such character first).  \w is exactly isalnum() or "_", \s isspace().
+_TOKEN = re.compile(rf"(?P<str>{_QUOTED})|(?P<atom>\w+)|(?P<punct>[()<>,;=.:*\-])", re.DOTALL)
+# Whole tokens and whitespace, as far as they go; ASCII first, as it is cheaper.
+_LEXED = re.compile(rf"(?:[a-zA-Z0-9_ \n()<>,;=.:*\-]+|[\w\s]+|{_QUOTED})*", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -99,33 +102,51 @@ def _unescape(m: re.Match[str]) -> str:
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind, tok, pos = m.lastgroup, m[0], m.start()
-        if kind == "atom":
-            tokens.append(Token(ATOM, tok, pos))
-        elif kind == "punct":
-            tokens.append(Token(_PUNCT[tok], tok, pos))
-        elif kind == "str":
-            value = _ESCAPE.sub(_unescape, tok[1:-1])
-            tokens.append(Token(STRING if tok[0] == "'" else DQSTRING, value, pos))
-        elif tok in ("'", '"'):
-            raise SqlSyntaxError("unterminated string literal", pos)
-        else:
-            raise SqlSyntaxError(f"unexpected character {tok!r}", pos)
-    return tokens
+    p = Cursor(text)
+    while p.peek() is not None:
+        p.pos += 1
+    return p.tokens
 
 
 class Cursor:
-    """A parser's place in one statement's tokens."""
+    """A parser's place in one statement's tokens, read as the parser asks."""
 
     def __init__(self, text: str) -> None:
+        bad = _LEXED.match(text).end()
+        if bad < len(text):
+            if text[bad] in "'\"":
+                raise SqlSyntaxError("unterminated string literal", bad)
+            raise SqlSyntaxError(f"unexpected character {text[bad]!r}", bad)
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens: list[Token] = []  # read so far; pos indexes them
         self.pos = 0
+        self._matches = _TOKEN.finditer(text)
+        self._end = 0  # where the text after the tokens read so far starts
 
     def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        m = next(self._matches, None)
+        if m is None:
+            return None
+        self._end = m.end()
+        text = m[0]
+        if m.lastgroup == "str":
+            kind = STRING if text[0] == "'" else DQSTRING
+            text = _ESCAPE.sub(_unescape, text[1:-1])
+        else:
+            kind = _PUNCT.get(text, ATOM)
+        # tuple.__new__ skips the Python __new__ of a NamedTuple, as ddl does too.
+        tok = tuple.__new__(Token, (kind, text, m.start()))
+        self.tokens.append(tok)
+        return tok
+
+    def scan(self, pattern: re.Pattern[str]) -> re.Match[str]:
+        """Match pattern (it may match "") after the tokens read, all consumed; read on past it."""
+        m = pattern.match(self.text, self._end)
+        self._end = m.end()
+        self._matches = _TOKEN.finditer(self.text, self._end)
+        return m
 
     def next(self) -> Token:
         tok = self.peek()
@@ -157,9 +178,10 @@ class Cursor:
             raise SqlSyntaxError(f"expected {expected}, found 'end of statement'", len(self.text))
         raise SqlSyntaxError(f"expected {expected}, found {tok.text!r}", tok.pos)
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.take_keyword(word):
-            self.fail(word)
+    def expect_keyword(self, words: str) -> None:  # one or more, space-separated
+        for word in words.split():
+            if not self.take_keyword(word):
+                self.fail(word)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()

@@ -60,6 +60,7 @@ nothing in the workflows here needs the stricter behavior.
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from collections import defaultdict
 from itertools import chain, compress
@@ -74,7 +75,9 @@ from . import StoreError, write_atomic
 ROW_KEY: Final = "HBASE_ROW_KEY"
 
 _FORBIDDEN = ("\t", "\n", "\r")
-_COORD_FORBIDDEN = (":", ",") + _FORBIDDEN
+# family:qualifier, a group each, neither empty nor holding : , \t \n or \r.
+COORD_PATTERN = r"([^:,\t\n\r]+):([^:,\t\n\r]+)"
+_COORD = re.compile(COORD_PATTERN)
 
 # A scan's bound on row-key parts: (terminator, part count, allowed texts by
 # part position); see Store.scan.
@@ -136,19 +139,15 @@ class ColumnCoord(NamedTuple):
         Family and qualifier are non-empty and hold no colon, comma, tab or
         newline, so the rendered text parses back to the same coordinate.
         """
-        family, qualifier = self
-        if not family or not qualifier or any(
-            ch in family or ch in qualifier for ch in _COORD_FORBIDDEN
-        ):
-            raise CellValueError(f"invalid column coordinate {str(self)!r}")
+        ColumnCoord.parse(f"{self.family}:{self.qualifier}")
         return self
 
     @classmethod
     def parse(cls, text: str) -> "ColumnCoord":
-        family, sep, qualifier = text.partition(":")
-        if not sep:
+        m = _COORD.fullmatch(text)
+        if m is None:
             raise CellValueError(f"invalid column coordinate {text!r}")
-        return cls(family, qualifier).check()
+        return cls._make(m.groups())
 
 
 class _CoordTexts(dict):

@@ -149,7 +149,7 @@ def _package_modules(loaded: set[str]) -> set[str]:
 
 def test_fetch_from_dir_loads_no_network_or_sql_modules(tmp_path):
     loaded = _modules_after_command(tmp_path, "fetch", "--from-dir", str(FIXTURES))
-    assert "urllib.request" not in loaded
+    assert {"urllib.request", "datetime"} & loaded == set()
     assert _package_modules(loaded) == {
         "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.errors",
     }
@@ -178,7 +178,7 @@ def test_sql_join_loads_the_engine_and_the_store_only(mapped_store):
         "covidstore.sql.engine", "covidstore.sql.errors", "covidstore.sql.lexer",
         "covidstore.sql.query", "covidstore.store",
     }
-    assert {"urllib.request", "dataclasses"} & loaded == set()
+    assert {"urllib.request", "dataclasses", "datetime"} & loaded == set()
 
 
 def test_join_after_the_shell_drops_a_backing_table_names_the_mapping(mapped_store, capsys):

@@ -196,6 +196,27 @@ def test_non_utf8_catalog_is_corrupt_and_named(tmp_path):
             Catalog(store)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("01_22_2020 int", "01_22_2020", "expected a name, found ')'"),
+        ("01_22_2020 int", "01_22_2020 int 7", "expected ',' or ')', found '7'"),
+        (":key,b:d122", ":key,b:", "invalid column coordinate 'b:'"),
+        (":key,b:d122", ":key,b\\td122", "invalid column coordinate 'b\\td122'"),
+    ],
+)
+def test_catalog_refuses_a_bad_second_entry_and_names_the_file(tmp_path, old, new, message):
+    directory = tmp_path / "store"
+    with open_store(directory):
+        pass
+    text = f"{CASES_DDL.strip()};\n{EXTRA_DDL.strip().replace(old, new)};\n"
+    (directory / "CATALOG").write_text(text, encoding="utf-8")
+    with open_store(directory) as store:
+        with pytest.raises(CatalogError) as err:
+            Catalog(store)
+    assert str(err.value).startswith(f"corrupt catalog {directory / 'CATALOG'}: {message}")
+
+
 # ---------------------------------------------------------------- execution
 
 
@@ -573,6 +594,28 @@ def test_render_value():
     assert render_value("x~y") == "x~y"
     assert render_value(31.7917) == "31.7917"
     assert render_value(2.0) == "2.0"
+
+
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]),
+)
+
+
+@given(rows=st.lists(st.lists(_VALUES, min_size=1, max_size=6), max_size=5))
+def test_render_result_set_renders_each_value_as_render_value(rows):
+    from covidstore.sql import ResultSet
+
+    width = max(map(len, rows), default=1)
+    rows = [tuple(row + [None] * (width - len(row))) for row in rows]
+    columns = [f"c{i}" for i in range(width)]
+    expected = "\n".join(
+        ["\t".join(columns)] + ["\t".join(render_value(v) for v in row) for row in rows]
+    )
+    assert render_result_set(ResultSet(columns, rows)) == expected
 
 
 def test_render_result_set_is_tsv_without_trailing_newline():
