@@ -218,31 +218,37 @@ def _decode(
     referenced: set[int],
     predicates: list[tuple[int, frozenset[Literal]]],
     conditions: list[tuple[int, int]],
-    key_in: Optional[tuple[list[int], set[tuple[Value, ...]]]],
+    key_in: Optional[tuple[list[int], set[tuple[str, ...]]]],
 ) -> list[list[Value]]:
     """Each row of the source that passes its filters, decoded where referenced.
 
     A row holds every position, with None at a column the query does not
     reference.  Predicates on key fields run inside the store's scan, on
     the split row key, so a row they drop is never parsed.  key_in, when
-    given, is (key-field positions, allowed value tuples): after those
-    predicates, the scan also drops a row whose values at the positions
-    are not one of the tuples.  Then every referenced column of a kept row
-    is decoded, and only then do column predicates and same-source
-    conditions drop the row.
+    given, is (key-field positions, allowed text tuples): the scan also
+    drops a row whose key fields at the positions hold none of the tuples.
+    Then every referenced column of a kept row is decoded, and only then
+    do column predicates and same-source conditions drop the row.
 
-    The scan looks its rows up rather than testing every key: each bound
-    key field gets the texts it may hold, those of its = and IN
-    predicates and those its key_in tuples hold at it, and the store's
-    index of key parts yields the keys whose parts are among them.  keep
-    then decides on those keys alone, so the index only narrows.
+    The scan looks its rows up rather than testing every key: each = or
+    IN predicate on a key field, and key_in, is one bound on the key's
+    parts, and the store's index of key parts returns exactly the rows
+    whose key meets every bound.  A key field holds text, so a number
+    never matches it.
     """
     entry = source.entry
     schema = entry.schema
     terminator = schema.collection_terminator
     nfields = len(schema.key_fields)
     first = 1 + nfields
-    key_predicates = [(p, values) for p, values in predicates if p < first]
+    bounds = [
+        ((p - 1,), {(v,) for v in values if isinstance(v, str)})
+        for p, values in predicates
+        if p < first
+    ]
+    if key_in is not None:
+        positions, tuples = key_in
+        bounds.append((tuple([p - 1 for p in positions]), tuples))
     column_predicates = [(p, values) for p, values in predicates if p >= first]
     declared, coords = schema.columns, entry.mapping.coords
     columns = []
@@ -252,42 +258,9 @@ def _decode(
             decode = int if ctype == "int" else float
             columns.append((p, name, ctype, decode, coords[p - first]))
     blank = [None] * len(schema.columns)
-
-    def split_key(key: str) -> list[Value]:
-        parts = key.split(terminator, nfields - 1)
-        return [key, *parts, *[None] * (nfields - len(parts))]
-
-    pick, joined = (_picker(key_in[0]), key_in[1]) if key_in is not None else (None, set())
-
-    split: dict[str, list[Value]] = {}  # by key, so that keep and decode split it once
-    def keep(key: str) -> bool:
-        # A loop, not all() over a generator: this runs once per candidate key.
-        values = split[key] = split_key(key)
-        for p, allowed in key_predicates:
-            if values[p] not in allowed:
-                return False
-        return pick is None or pick(values) in joined
-
-    # The texts each bound key field may hold, by its part position in the
-    # key.  key_in gives each of its positions the values its tuples hold
-    # there, a superset that keep narrows to the tuples.  A key field holds
-    # text, so a number never matches it.
-    texts: dict[int, set[str]] = {}
-    bounds = list(key_predicates)
-    if key_in is not None:
-        positions, tuples = key_in
-        bounds += zip(positions, map(set, zip(*tuples)) if tuples else repeat(set()))
-    for p, values in bounds:
-        allowed = {v for v in values if isinstance(v, str)}
-        texts[p - 1] = texts[p - 1] & allowed if p - 1 in texts else allowed
-    filtered = key_predicates or key_in is not None
     backing = entry.mapping.store_table
     try:
-        rows = store.scan(
-            backing,
-            keep=keep if filtered else None,
-            key_parts=(terminator, nfields, texts) if texts else None,
-        )
+        rows = store.scan(backing, (terminator, nfields, bounds) if bounds else None)
     except (TableNotFoundError, TableNotEnabledError) as exc:
         state = "does not exist" if isinstance(exc, TableNotFoundError) else "is disabled"
         raise CatalogError(
@@ -296,7 +269,8 @@ def _decode(
     out: list[list[Value]] = []
     unfiltered = not (column_predicates or conditions)
     for row in rows:
-        values = (split[row.key] if filtered else split_key(row.key)) + blank
+        parts = row.key.split(terminator, nfields - 1)
+        values = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
         for p, name, ctype, decode, coord in columns:
             raw = row.cells.get(coord)
             if raw is not None:
@@ -364,17 +338,16 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     for SELECT *).  A WHERE predicate, or an ON condition whose two sides
     name one source, filters that source as it is decoded.  Predicates on
     key fields run inside the store's scan, on the split row key, so the
-    store parses only the rows whose key passes them.  Their = and IN
-    texts are looked up in the store's index of row-key parts, so the
-    scan tests only the keys that hold them, not every key of the table.
+    store parses only the rows whose key passes them.  The scan looks
+    their = and IN texts up in the store's index of row-key parts rather
+    than testing every key of the table.
 
     The first source is decoded before the second.  An ON condition
     between the sources whose second-source side is a key field also runs
     inside the second scan: that scan parses only the rows whose key
-    fields hold values some decoded first-source row holds at the other
-    sides, so a bad cell in a row that joins nothing is never decoded.
-    That filter is a lookup too: the values at each such key field select
-    the candidate keys, and only those are tested against the tuples.
+    fields hold a tuple of values some decoded first-source row holds at
+    the other sides, so a bad cell in a row that joins nothing is never
+    decoded.  That filter is one more lookup in the same index.
 
     A source whose mapping names a backing table the store no longer
     holds, or holds disabled, raises CatalogError naming both tables.
@@ -441,29 +414,34 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
         if idx == 0 and len(sources) == 2:
             key_in = _join_keys(rows[0], pairs, sources[1])
     if len(sources) == 1:
-        envs = [(row,) for row in rows[0]]
+        out = list(map(_picker([p for _, p in outputs]), rows[0]))
     else:
-        envs = _hash_join(rows[0], rows[1], pairs)
-    out = [tuple(env[idx][position] for idx, position in outputs) for env in envs]
+        # The join yields the first source's outputs, then the second's.
+        sides = [_picker([p for i, p in outputs if i == idx]) for idx in (0, 1)]
+        out = _hash_join(rows[0], rows[1], pairs, *sides)
+        joined = sorted(range(len(outputs)), key=lambda k: outputs[k][0])
+        if joined != sorted(joined):  # the projection interleaves the sources
+            out = list(map(_picker([joined.index(k) for k in range(len(outputs))]), out))
     return ResultSet([header for _, _, header in bound], out)
 
 
 def _join_keys(
     left: list[list[Value]], pairs: list[tuple[int, int]], right: _Source
-) -> Optional[tuple[list[int], set[tuple[Value, ...]]]]:
+) -> Optional[tuple[list[int], set[tuple[str, ...]]]]:
     """What the second scan may keep, as _decode's key_in; None if nothing.
 
     Of the conditions between the sources, those whose second-source side
     is a key field bind that source's row key: a second-source row can
     match only if its key fields hold a tuple that some first-source row
-    holds at the other sides (a semi-join).  A tuple holding NULL or NaN
-    is left out, since the hash join would never match it.
+    holds at the other sides (a semi-join).  A key field holds text, so
+    only the tuples of text are kept: one holding NULL, NaN or a number
+    would never match.
     """
     on_key = [(a, b) for a, b in pairs if b <= len(right.entry.schema.key_fields)]
     if not on_key:
         return None
     keys = set(map(_picker([a for a, _ in on_key]), left))
-    return [b for _, b in on_key], set(filter(_matchable, keys))
+    return [b for _, b in on_key], {k for k in keys if all(map(isinstance, k, repeat(str)))}
 
 
 def _picker(positions: list[int]) -> Callable[[list[Value]], tuple[Value, ...]]:
@@ -471,30 +449,40 @@ def _picker(positions: list[int]) -> Callable[[list[Value]], tuple[Value, ...]]:
     if len(positions) > 1:
         return itemgetter(*positions)
     # itemgetter of one position returns no tuple, and of none is an error.
-    return lambda row: tuple([row[p] for p in positions])
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
 
 
 def _hash_join(
-    left: list[list[Value]], right: list[list[Value]], pairs: list[tuple[int, int]]
-) -> list[tuple[list[Value], list[Value]]]:
-    """Every (left, right) row pair whose values agree at each pair of positions.
+    left: list[list[Value]],
+    right: list[list[Value]],
+    pairs: list[tuple[int, int]],
+    left_out: Callable[[list[Value]], tuple[Value, ...]],
+    right_out: Callable[[list[Value]], tuple[Value, ...]],
+) -> list[tuple[Value, ...]]:
+    """left_out(l) + right_out(r) for every row pair whose values agree at each pair of positions.
 
     Pairs come in left order, then right order within a left row.  A key
     holding NULL or NaN is neither inserted nor probed, since it equals
     nothing; with no pairs, every key is () and this is a cross product.
+    Each row's outputs are picked once, however many rows it matches.
     """
     left_key = _picker([a for a, _ in pairs])
     right_key = _picker([b for _, b in pairs])
-    table: dict[tuple[Value, ...], list[list[Value]]] = {}
+    table: dict[tuple[Value, ...], list[tuple[Value, ...]]] = {}
     for row in right:
         key = right_key(row)
         if _matchable(key):
-            table.setdefault(key, []).append(row)
-    out = []
+            table.setdefault(key, []).append(right_out(row))
+    out: list[tuple[Value, ...]] = []
     for row in left:
         key = left_key(row)
         if _matchable(key):
-            out.extend((row, match) for match in table.get(key, ()))
+            matches = table.get(key)
+            if matches:
+                out += map(left_out(row).__add__, matches)
     return out
 
 

@@ -44,13 +44,13 @@ re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
 instead of testing every key.  Each table keeps an in-memory index of its
-row keys' parts: for each terminator and part count a bound scan asks
-for, built on the first such scan with one split per key, it maps each
-position's part text to the keys holding it, in key order.  Only keys are
-indexed, so a write to an existing row keeps the index; whatever can add
-a row key drops it (put or import_tsv of a new key, and the full parse at
-open), and the next bound scan builds it again.  The index lives only in
-memory and is never written.
+row keys' parts: for each terminator, part count and tuple of part
+positions a bound scan asks for, built on the first such scan with one
+split per key, it maps each tuple of part texts at those positions to the
+keys holding it, in key order.  Only keys are indexed, so a write to an
+existing row keeps the index; whatever can add a row key drops it (put or
+import_tsv of a new key, and the full parse at open), and the next bound
+scan builds it again.  The index lives only in memory and is never written.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -62,12 +62,11 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from collections import defaultdict
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Final, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Final, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import StoreError, write_atomic
 
@@ -79,9 +78,10 @@ _FORBIDDEN = ("\t", "\n", "\r")
 COORD_PATTERN = r"([^:,\t\n\r]+):([^:,\t\n\r]+)"
 _COORD = re.compile(COORD_PATTERN)
 
-# A scan's bound on row-key parts: (terminator, part count, allowed texts by
-# part position); see Store.scan.
-KeyParts = tuple[str, int, Mapping[int, AbstractSet[str]]]
+# A scan's bound on row-key parts: (terminator, part count, bounds), each
+# bound (part positions, allowed tuples of part texts); see Store.scan.
+KeyBound = tuple[tuple[int, ...], AbstractSet[tuple[str, ...]]]
+KeyParts = tuple[str, int, Sequence[KeyBound]]
 
 
 class TableNotFoundError(StoreError):
@@ -256,10 +256,10 @@ class _Table:
         self.coords: dict[str, ColumnCoord] = {}
         # Every row key in order; None once a write may have added one.
         self.keys: Optional[list[str]] = []
-        # The row keys by key part, built on the first scan bound on parts:
-        # (terminator, part count, position) -> part text -> keys in key
+        # The row keys by key parts, built on the first scan bound on them:
+        # (terminator, part count, positions) -> part texts -> keys in key
         # order.  Dropped, with keys, whenever a row key may have been added.
-        self.parts: dict[tuple[str, int, int], dict[str, list[str]]] = {}
+        self.parts: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], list[str]]] = {}
         self.dirty = False
         # Keys of rows whose cells may be out of coordinate order.
         self.unsorted: set[str] = set()
@@ -310,54 +310,48 @@ class _Table:
         self.keys = self.view = None
         self.parts.clear()
 
-    def part_index(self, terminator: str, count: int, position: int) -> dict[str, list[str]]:
-        """The row keys by their part at position, each key split into at most count parts.
+    def part_index(
+        self, terminator: str, count: int, positions: tuple[int, ...]
+    ) -> dict[tuple[str, ...], list[str]]:
+        """The row keys by their parts at positions, each key split into at most count parts.
 
-        One split of each key indexes every position of (terminator, count).
+        A key with too few parts to hold every position is in no entry.
         """
-        index = self.parts.get((terminator, count, position))
+        index = self.parts.get((terminator, count, positions))
         if index is None:
-            keys = self.ordered_keys()
-            split = [key.split(terminator, count - 1) for key in keys]
-            for p in range(count):
-                by_part: defaultdict[str, list[str]] = defaultdict(list)
-                for key, parts in zip(keys, split):
-                    if len(parts) > p:
-                        by_part[parts[p]].append(key)
-                self.parts[(terminator, count, p)] = by_part
-            index = self.parts[(terminator, count, position)]
+            index = self.parts[(terminator, count, positions)] = {}
+            last = max(positions)
+            for key in self.ordered_keys():
+                parts = key.split(terminator, count - 1)
+                if len(parts) > last:
+                    index.setdefault(tuple([parts[p] for p in positions]), []).append(key)
         return index
 
-    def candidates(
-        self, terminator: str, count: int, allowed: Mapping[int, AbstractSet[str]]
-    ) -> list[str]:
-        """The keys, in order, whose part at each position of allowed is one of its texts.
+    def candidates(self, terminator: str, count: int, bounds: Sequence[KeyBound]) -> list[str]:
+        """The keys, in order, holding one allowed tuple of parts for every bound.
 
         Each key is split at its first count - 1 terminators; a key with
-        fewer parts than a position has no part there, so it is never a
-        candidate.  The keys of the position that allows the fewest are
-        looked up, then checked at the other positions.
+        too few parts for a bound's positions holds none of its tuples.
+        The keys of the bound with the fewest hits are looked up, then
+        checked against the others.
         """
         keys = self.ordered_keys()
-        bounds = []
-        for position, texts in allowed.items():
-            index = self.part_index(terminator, count, position)
-            hits = [index[text] for text in texts if text in index]
-            bounds.append((sum(map(len, hits)), position, texts, hits))
-        bounds.sort(key=itemgetter(0))
-        if not bounds or bounds[0][0] == len(keys):
-            return keys  # every bound position allows every key
-        _, _, _, hits = bounds[0]
+        looked_up = []
+        for positions, allowed in bounds:
+            index = self.part_index(terminator, count, positions)
+            hits = [index[texts] for texts in allowed if texts in index]
+            # A key is in one entry of an index at most, so this counts keys.
+            looked_up.append((sum(map(len, hits)), hits))
+        looked_up.sort(key=itemgetter(0))
+        if not looked_up or looked_up[0][0] == len(keys):
+            return keys  # every bound allows every key
+        hits = looked_up[0][1]
         found = hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits))
-        others = [(p, texts) for n, p, texts, _ in bounds[1:] if n < len(keys)]
-        if not others:
-            return found
-        out = []
-        for key in found:
-            parts = key.split(terminator, count - 1)
-            if all(p < len(parts) and parts[p] in texts for p, texts in others):
-                out.append(key)
-        return out
+        for n, hits in looked_up[1:]:
+            if n < len(keys):
+                allowed_keys = set(chain.from_iterable(hits))
+                found = [key for key in found if key in allowed_keys]
+        return found
 
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
         """Upsert cells, given in coordinate order, into a row."""
@@ -379,20 +373,15 @@ class _Table:
             rows[key] = {c: cells[c] for c in sorted(cells)}
         self.unsorted.clear()
 
-    def scan(
-        self, keep: Optional[Callable[[str], bool]] = None, key_parts: Optional[KeyParts] = None
-    ) -> list[Row]:
-        """Rows in key order: the candidates of key_parts if given, then those keep passes."""
+    def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
+        """Rows in key order, only the candidates of key_parts if given."""
         if key_parts is None and self.view is not None:
-            return self.view if keep is None else [r for r in self.view if keep(r.key)]
+            return self.view
         self.sort()
         keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
         row = self.row
-        rows = [
-            Row(key, MappingProxyType(row(key)))  # type: ignore[arg-type]
-            for key in (keys if keep is None else filter(keep, keys))
-        ]
-        if keep is None and key_parts is None:
+        rows = [Row(key, MappingProxyType(row(key))) for key in keys]  # type: ignore[arg-type]
+        if key_parts is None:
             self.view = rows
         return rows
 
@@ -683,25 +672,19 @@ class Store:
         t.sort()
         return list(t.rows[row_key].items())
 
-    def scan(
-        self,
-        table: str,
-        keep: Optional[Callable[[str], bool]] = None,
-        key_parts: Optional[KeyParts] = None,
-    ) -> list[Row]:
+    def scan(self, table: str, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Every row of the table, keys ascending, cells in coordinate order.
 
-        With key_parts, (terminator, count, allowed), only the candidate
-        keys: split at their first count - 1 terminators, their part at
-        each position of allowed is one of its texts.  The table's index
-        of key parts finds them without testing every key.  With keep, only
-        the rows (of the candidates, if any) whose key keep returns true
-        for; keep sees no other key.  Only the rows returned are parsed.
-        The list is the caller's; each row's cells are a read-only view,
-        valid until the next write to the table.
+        With key_parts, (terminator, count, bounds), only the rows whose
+        key, split at its first count - 1 terminators, holds one allowed
+        tuple for every bound: each bound is (part positions, allowed
+        tuples of the part texts at them).  The table's index of key parts
+        finds them without testing every key, and only the rows returned
+        are parsed.  The list is the caller's; each row's cells are a
+        read-only view, valid until the next write to the table.
         """
         self._ensure_open()
-        return list(self._enabled_table(table).scan(keep, key_parts))
+        return list(self._enabled_table(table).scan(key_parts))
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.

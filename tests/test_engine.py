@@ -303,6 +303,17 @@ def test_join_on_key_field(loaded):
     assert rs.rows == [("Land", 60, 9), ("Aland", 5, 7)]
 
 
+def test_join_projection_may_interleave_the_sources(loaded):
+    rs = run(
+        "SELECT u.01_22_2020, t.key.P, u.key.C, t.01_22_2020 "
+        "FROM cases t JOIN extra u ON t.key.C = u.key.C",
+        *loaded,
+    )
+    assert rs.rows == [(9, "Num", "Land", 60), (7, "", "Aland", 5)]
+    rs = run("SELECT u.key.P FROM cases t JOIN extra u ON t.key.C = u.key.C", *loaded)
+    assert rs.rows == [("Num",), ("",)]
+
+
 def test_join_rejects_null_on_either_side(loaded):
     # "solo" and "alone" both decode key.C as NULL; NULL joins nothing,
     # not even another NULL
@@ -447,14 +458,33 @@ def test_key_bound_join_parses_only_the_second_table_rows_it_can_match(tmp_path)
         assert sorted(store._table("extra_backing").lines) == ["alone", "~Aland"]
 
 
+def test_a_join_on_two_key_fields_parses_only_the_tuples_it_can_match(store, catalog):
+    # The first source yields the tuples (A, X) and (B, Y).  A~Y holds an
+    # allowed text at each key field, but not an allowed tuple, so its bad
+    # cell is never decoded.
+    catalog.create_mapped_table(parse_ddl(CASES_DDL))
+    catalog.create_mapped_table(parse_ddl(EXTRA_DDL))
+    put_cells(store, "cases_backing", "A~X", {"a:lt": "1"})
+    put_cells(store, "cases_backing", "B~Y", {"a:lt": "2"})
+    put_cells(store, "extra_backing", "A~X", {"b:d122": "10"})
+    put_cells(store, "extra_backing", "A~Y", {"b:d122": "abc"})
+    rs = run(
+        "SELECT t.key.P, u.01_22_2020 FROM cases t JOIN extra u "
+        "ON t.key.P = u.key.P AND t.key.C = u.key.C WHERE t.key.C IN ('X', 'Y')",
+        catalog,
+        store,
+    )
+    assert rs.rows == [("A", 10)]
+
+
 def test_key_bound_scans_pass_their_key_texts_to_the_store(loaded, monkeypatch):
     catalog, store = loaded
     bounds = []
     scan = Store.scan
 
-    def recording(self, table, keep=None, key_parts=None):
+    def recording(self, table, key_parts=None):
         bounds.append((table, key_parts))
-        return scan(self, table, keep, key_parts)
+        return scan(self, table, key_parts)
 
     monkeypatch.setattr(Store, "scan", recording)
     rs = run(
@@ -465,10 +495,11 @@ def test_key_bound_scans_pass_their_key_texts_to_the_store(loaded, monkeypatch):
         store,
     )
     assert rs.rows == [("Num", 9)]
-    # Text literals only: a key field never equals a number.
+    # One bound per predicate, text literals only: a key field never equals
+    # a number.  The join's key fields make one bound of tuples.
     assert bounds == [
-        ("cases_backing", ("~", 2, {0: {"Num"}, 1: {"Land", "Aland"}})),
-        ("extra_backing", ("~", 2, {0: {"Num"}, 1: {"Land"}})),
+        ("cases_backing", ("~", 2, [((1,), {("Land",), ("Aland",)}), ((0,), {("Num",)})])),
+        ("extra_backing", ("~", 2, [((0, 1), {("Num", "Land")})])),
     ]
     bounds.clear()
     run("SELECT * FROM cases WHERE cases.01_22_2020 = 5", catalog, store)

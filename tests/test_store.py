@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covidstore.ingest import write_formatted_files
 from covidstore.store import (
@@ -791,7 +791,7 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
     lines[0] = "\t".join(lines[0].split("\t")[:4] + [str(len(data)), str(zlib.crc32(data))])
     manifest.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     with open_store(d) as s:
-        kept = s.scan("t", keep=lambda key: key != "k2")
+        kept = s.scan("t", ("~", 1, [((0,), {("k1",), ("k3",)})]))
         assert [(r.key, dict(r.cells)) for r in kept] == [
             ("k1", {C("a:q"): "K1"}),
             ("k3", {C("a:q"): "K3"}),
@@ -801,58 +801,42 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
             s.scan("t")
 
 
-def test_a_key_bound_scan_calls_keep_on_candidate_keys_only(store):
-    store.create_table("t", {"a"})
-    for key in ("~Aland", "Num~Land", "a~b~c", "solo", "x~Land", "x~Lan"):
-        store.put("t", key, C("a:q"), "v")
-    seen = []
-
-    def keep(key):
-        seen.append(key)
-        return key != "x~Land"
-
-    rows = store.scan("t", keep=keep, key_parts=("~", 2, {1: {"Land", "b~c"}}))
-    assert [r.key for r in rows] == ["Num~Land", "a~b~c"]
-    assert seen == ["Num~Land", "a~b~c", "x~Land"]
-    # Two bound positions, and a key of one part, which has no second part.
-    seen.clear()
-    rows = store.scan("t", keep=keep, key_parts=("~", 2, {0: {"x", "solo"}, 1: {"Land"}}))
-    assert seen == ["x~Land"] and rows == []
-    # A row put after the index was built is found by the next bound scan.
-    store.put("t", "y~Land", C("a:q"), "v")
-    rows = store.scan("t", key_parts=("~", 2, {1: {"Land"}}))
-    assert [r.key for r in rows] == ["Num~Land", "x~Land", "y~Land"]
+_KEY_PART = st.text("ab~", max_size=3)
+# A bound: part positions, repeats allowed, and allowed tuples of part texts.
+_KEY_BOUND = st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(
+    lambda positions: st.tuples(
+        st.just(tuple(positions)),
+        st.frozensets(st.tuples(*[_KEY_PART] * len(positions)), max_size=3),
+    )
+)
+_LANDS = {"~Aland", "Num~Land", "a~b~c", "solo", "x~Land", "x~Lan"}
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     keys=st.sets(st.text("ab~", min_size=1, max_size=5), max_size=40),
     count=st.integers(1, 3),
-    allowed=st.dictionaries(
-        st.integers(0, 2), st.frozensets(st.text("ab~", max_size=3), max_size=3), max_size=3
-    ),
+    bounds=st.lists(_KEY_BOUND, max_size=3),
     added=st.lists(st.text("ab~", min_size=1, max_size=5), max_size=6),
 )
-def test_key_part_scans_match_a_brute_force_filter(keys, count, allowed, added):
-    allowed = {p: texts for p, texts in allowed.items() if p < count}
-
+# A part holding the terminator past the last split, and a key of one part.
+@example(_LANDS, 2, [((1,), frozenset({("Land",), ("b~c",)}))], ["y~Land"])
+@example(_LANDS, 2, [((0,), frozenset({("x",), ("solo",)})), ((1,), frozenset({("Land",)}))], [])
+def test_key_part_scans_match_a_brute_force_filter(keys, count, bounds, added):
     def expected(every):
         out = []
         for key in sorted(every):
             parts = key.split("~", count - 1)
-            if all(p < len(parts) and parts[p] in texts for p, texts in allowed.items()):
+            if all(
+                max(positions) < len(parts) and tuple(parts[p] for p in positions) in allowed
+                for positions, allowed in bounds
+            ):
                 out.append(key)
         return out
 
     def check(s, every):
-        seen = []
-
-        def keep(key):
-            seen.append(key)
-            return True
-
-        rows = s.scan("t", keep=keep, key_parts=("~", count, allowed))
-        assert [r.key for r in rows] == seen == expected(every)
+        rows = s.scan("t", ("~", count, bounds))
+        assert [r.key for r in rows] == expected(every)
 
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp) / "kv"
@@ -872,6 +856,8 @@ def test_key_part_scans_match_a_brute_force_filter(keys, count, allowed, added):
             check(s, every)
         with open_store(d) as s:
             check(s, every)
+            # Only the rows returned were parsed.
+            assert sorted(s._table("t").lines) == sorted(every - set(expected(every)))
 
 
 # ------------------------------------------- lazy reads against an eager model
@@ -887,7 +873,7 @@ _index = st.integers(0, 5)
 _op = st.one_of(
     st.tuples(st.just("get"), _index),
     st.tuples(st.just("cell"), _index, _FAMILY_COORDS),
-    st.tuples(st.just("keep"), st.frozensets(_index)),
+    st.tuples(st.just("bound"), st.frozensets(_index)),
     st.tuples(st.just("scan")),
     st.tuples(st.just("put"), _index, _FAMILY_COORDS, _texts),
     st.tuples(
@@ -941,9 +927,9 @@ def test_lazy_reads_match_an_eager_model(pool, cells, ops):
                     key, coord = key_of(op[1]), op[2]
                     value = model.get(key, {}).get(coord)
                     assert s.get("t", key, coord) == ([] if value is None else [(coord, value)])
-                elif kind == "keep":
+                elif kind == "bound":
                     keys = {key_of(i) for i in op[1]}
-                    rows = s.scan("t", keep=keys.__contains__)
+                    rows = s.scan("t", ("~", 1, [((0,), {(key,) for key in keys})]))
                     assert [(r.key, list(r.cells.items())) for r in rows] == _model_rows(model, keys)
                 elif kind == "scan":
                     assert _rows(s, "t") == _model_rows(model)
