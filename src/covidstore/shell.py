@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
-from .store import ColumnCoord, Store, StoreError
+from .store import ColumnCoord, Store, StoreError, _CoordTexts
 
 
 class ShellError(Exception):
@@ -30,6 +30,11 @@ _ARITY: dict[str, tuple[int, Optional[int]]] = {
     "drop": (1, 1),
     "exit": (0, 0),
 }
+
+
+# Each coordinate's family:qualifier text, kept across commands: get and
+# scan render one per cell, and ColumnCoord.__str__ is a Python call.
+_coord_text = _CoordTexts().__getitem__
 
 
 class ShellCommand(NamedTuple):
@@ -107,7 +112,7 @@ def _dispatch(cmd: ShellCommand, store: Store) -> str:
     if cmd.verb == "get":
         coord = ColumnCoord.parse(cmd.args[2]) if len(cmd.args) == 3 else None
         cells = store.get(cmd.args[0], cmd.args[1], coord)
-        lines = [f"column={c}, value={v}" for c, v in cells]
+        lines = [f"column={_coord_text(c)}, value={v}" for c, v in cells]
         lines.append(f"{1 if cells else 0} row(s)")
         return "\n".join(lines)
     if cmd.verb == "scan":
@@ -115,7 +120,7 @@ def _dispatch(cmd: ShellCommand, store: Store) -> str:
         lines = []
         for row in rows:
             for c, v in row.cells.items():
-                lines.append(f"{row.key}  column={c}, value={v}")
+                lines.append(f"{row.key}  column={_coord_text(c)}, value={v}")
         lines.append(f"{len(rows)} row(s)")
         return "\n".join(lines)
     if cmd.verb == "disable":

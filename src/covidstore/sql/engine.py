@@ -11,7 +11,10 @@ A row's positions are the row key, then each key field (None when the key
 has too few parts), then each declared column in declaration order.  Every
 reference in a query is bound once, to a source and one of those
 positions.  A source decodes only the columns its query references and
-leaves the others None.
+leaves the others None.  What queries need of a mapped table (each name's
+position, each column's cell and decoder, SELECT *'s outputs and headers)
+is built on its first query and kept with its catalog entry until DROP
+TABLE removes the entry; store writes never change it.
 
 Decode on read: a cell that does not decode as its declared type raises
 TypeDecodeError only when the query references its column and its row
@@ -33,19 +36,13 @@ tuples.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .. import write_atomic
-from ..store import CellValueError, Store, TableNotEnabledError, TableNotFoundError
-from .ddl import (
-    CreateTable,
-    DescribeTable,
-    DropTable,
-    parse_ddl,
-    parse_ddl_statement,
-)
+from ..store import CellValueError, ColumnCoord, Store, TableNotEnabledError, TableNotFoundError
+from .ddl import CreateTable, DescribeTable, DropTable, parse_ddl, parse_ddl_statement
 from .errors import CatalogError, SqlError, TypeDecodeError
 from .lexer import split_statements
 from .query import Comparison, KeyFieldRef, Literal, Ref, SelectQuery, parse_query
@@ -53,8 +50,6 @@ from .query import Comparison, KeyFieldRef, Literal, Ref, SelectQuery, parse_que
 CATALOG_NAME = "CATALOG"
 
 Value = Union[str, int, float, None]
-# (is key field, lowered name) -> (position in a row, output header)
-Positions = dict[tuple[bool, str], tuple[int, str]]
 
 
 class ResultSet(NamedTuple):
@@ -91,7 +86,7 @@ class Catalog:
         self._store = store
         self._path = store.directory / CATALOG_NAME
         self._entries: dict[str, CreateTable] = {}
-        self._positions: dict[str, Positions] = {}
+        self._plans: dict[str, _Plan] = {}
         if self._path.exists():
             try:
                 text = self._path.read_text(encoding="utf-8")
@@ -118,20 +113,25 @@ class Catalog:
     def has(self, name: str) -> bool:
         return name.lower() in self._entries
 
-    def positions(self, name: str) -> tuple[CreateTable, Positions]:
-        """A table's definition and its name-to-position map, built once per entry."""
-        entry = self.get(name)
-        names = self._positions.get(name.lower())
-        if names is None:
-            schema = entry.schema
-            names = {
-                (True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(schema.key_fields)
-            }
-            first = 1 + len(schema.key_fields)
-            for i, col in enumerate(schema.columns):
+    def plan(self, name: str) -> _Plan:
+        """A table's definition and what its queries need, built once per entry."""
+        plan = self._plans.get(name.lower())
+        if plan is None:
+            entry = self.get(name)
+            fields, columns = entry.schema.key_fields, entry.schema.columns
+            names = {(True, f.lower()): (1 + i, f.lower()) for i, f in enumerate(fields)}
+            first = 1 + len(fields)
+            for i, col in enumerate(columns):
                 names[(False, col.name.lower())] = (first + i, col.name)
-            self._positions[name.lower()] = names
-        return entry, names
+            plan = self._plans[name.lower()] = _Plan(
+                entry,
+                names,
+                entry.mapping.coords,
+                tuple([int if c.ctype == "int" else float for c in columns]),
+                _picker([0, *range(first, first + len(columns))]),
+                ["key", *[c.name for c in columns]],
+            )
+        return plan
 
     # ------------------------------------------------------------- mutations
 
@@ -181,7 +181,7 @@ class Catalog:
             self._store.disable_table(backing)
             self._store.drop_table(backing)
         del self._entries[key]
-        self._positions.pop(key, None)
+        self._plans.pop(key, None)
         self._persist()
         return True
 
@@ -206,41 +206,47 @@ class Catalog:
 # ---------------------------------------------------------------- execution
 
 
+class _Plan(NamedTuple):
+    """What queries need of one catalog entry; Catalog.plan builds it once."""
+
+    entry: CreateTable
+    names: dict[tuple[bool, str], tuple[int, str]]  # (is key, lowered name) -> (position, header)
+    coords: tuple[ColumnCoord, ...]  # each declared column's cell, in declaration order
+    decoders: tuple[Callable[[str], Value], ...]  # int or float, likewise
+    picker: Callable[[list[Value]], tuple[Value, ...]]  # a row's SELECT * outputs
+    headers: list[str]  # and their headers
+
+
 class _Source(NamedTuple):
     qualifier: str  # alias if declared, else the table name
-    entry: CreateTable
-    names: Positions
+    plan: _Plan
 
 
 def _decode(
-    source: _Source,
+    plan: _Plan,
     store: Store,
-    referenced: set[int],
+    referenced: Optional[set[int]],
     predicates: list[tuple[int, frozenset[Literal]]],
     conditions: list[tuple[int, int]],
     key_in: Optional[tuple[list[int], set[tuple[str, ...]]]],
 ) -> list[list[Value]]:
-    """Each row of the source that passes its filters, decoded where referenced.
+    """Each row of the table that passes its filters, decoded where referenced.
 
     A row holds every position, with None at a column the query does not
-    reference.  Predicates on key fields run inside the store's scan, on
-    the split row key, so a row they drop is never parsed.  key_in, when
-    given, is (key-field positions, allowed text tuples): the scan also
-    drops a row whose key fields at the positions hold none of the tuples.
-    Then every referenced column of a kept row is decoded, and only then
-    do column predicates and same-source conditions drop the row.
-
-    The scan looks its rows up rather than testing every key: each = or
-    IN predicate on a key field, and key_in, is one bound on the key's
-    parts, and the store's index of key parts returns exactly the rows
-    whose key meets every bound.  A key field holds text, so a number
-    never matches it.
+    reference; referenced None means every column.  Predicates on key
+    fields run inside the store's scan, on the split row key, so a row they
+    drop is never parsed.  key_in, when given, is (key-field positions,
+    allowed text tuples): the scan also drops a row whose key fields at the
+    positions hold none of the tuples.  Then every referenced column of a
+    kept row is decoded, in position order, and only then do column
+    predicates and same-source conditions drop the row.
     """
-    entry = source.entry
-    schema = entry.schema
+    schema = plan.entry.schema
     terminator = schema.collection_terminator
     nfields = len(schema.key_fields)
     first = 1 + nfields
+    # Each = or IN predicate on a key field is one bound on the key's parts,
+    # and a key field holds text, so a number never matches it.
     bounds = [
         ((p - 1,), {(v,) for v in values if isinstance(v, str)})
         for p, values in predicates
@@ -250,15 +256,18 @@ def _decode(
         positions, tuples = key_in
         bounds.append((tuple([p - 1 for p in positions]), tuples))
     column_predicates = [(p, values) for p, values in predicates if p >= first]
-    declared, coords = schema.columns, entry.mapping.coords
-    columns = []
-    for p in sorted(referenced | {p for p, _ in column_predicates}):
-        if p >= first:
-            name, ctype = declared[p - first]
-            decode = int if ctype == "int" else float
-            columns.append((p, name, ctype, decode, coords[p - first]))
-    blank = [None] * len(schema.columns)
-    backing = entry.mapping.store_table
+    if referenced is None:
+        wanted: Sequence[int] = range(first, first + len(plan.coords))
+        coords, decoders = plan.coords, plan.decoders
+    else:  # by position, so that a narrow query costs what it references
+        wanted, coords, decoders = [], [], []
+        for p in sorted(referenced):
+            if p >= first:
+                wanted.append(p)
+                coords.append(plan.coords[p - first])
+                decoders.append(plan.decoders[p - first])
+    blank = [None] * len(plan.coords)
+    backing = plan.entry.mapping.store_table
     try:
         rows = store.scan(backing, (terminator, nfields, bounds) if bounds else None)
     except (TableNotFoundError, TableNotEnabledError) as exc:
@@ -271,26 +280,22 @@ def _decode(
     for row in rows:
         parts = row.key.split(terminator, nfields - 1)
         values = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
-        for p, name, ctype, decode, coord in columns:
-            raw = row.cells.get(coord)
-            if raw is not None:
-                try:
+        try:
+            for p, decode, raw in zip(wanted, decoders, map(row.cells.get, coords)):
+                if raw is not None:
                     values[p] = decode(raw)
-                except ValueError:
-                    raise TypeDecodeError(
-                        f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
-                    ) from None
+        except ValueError:
+            name, ctype = schema.columns[p - first]
+            raise TypeDecodeError(
+                f"row {row.key!r} column {name}: cannot decode {raw!r} as {ctype}"
+            ) from None
+        # NULL equals nothing and NaN not even itself; numbers compare across
+        # int/float; a number never equals its decimal text.
         if unfiltered or all(values[p] in allowed for p, allowed in column_predicates) and all(
-            _typed_eq(values[a], values[b]) for a, b in conditions
+            values[a] is not None and values[a] == values[b] for a, b in conditions
         ):
             out.append(values)
     return out
-
-
-def _typed_eq(a: Value, b: Value) -> bool:
-    # NULL equals nothing and NaN not even itself; numbers compare across
-    # int/float; a number never equals its decimal text.
-    return a is not None and a == b
 
 
 def _matchable(key: tuple[Value, ...]) -> bool:
@@ -301,11 +306,6 @@ def _matchable(key: tuple[Value, ...]) -> bool:
     return True
 
 
-def _make_source(source_ast, catalog: Catalog) -> _Source:
-    entry, names = catalog.positions(source_ast.table)
-    return _Source(source_ast.alias or source_ast.table, entry, names)
-
-
 def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
     """Bind a reference to (source index, position in its rows, output header)."""
     is_key = isinstance(ref, KeyFieldRef)
@@ -313,21 +313,19 @@ def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
     kind = "key field" if is_key else "column"
     wanted = (is_key, name.lower())
     if ref.alias:
-        matches = [
-            i for i, s in enumerate(sources) if s.qualifier.lower() == ref.alias.lower()
-        ]
+        matches = [i for i, s in enumerate(sources) if s.qualifier.lower() == ref.alias.lower()]
         if not matches:
             raise SqlError(f"unknown table or alias {ref.alias!r}")
-        if wanted not in sources[matches[0]].names:
-            table = sources[matches[0]].entry.schema.table_name
+        if wanted not in sources[matches[0]].plan.names:
+            table = sources[matches[0]].plan.entry.schema.table_name
             raise SqlError(f"unknown {kind} {name!r} in table {table!r}")
     else:
-        matches = [i for i, s in enumerate(sources) if wanted in s.names]
+        matches = [i for i, s in enumerate(sources) if wanted in s.plan.names]
         if not matches:
             raise SqlError(f"unknown {kind} {name!r}")
         if len(matches) > 1:
             raise SqlError(f"ambiguous {kind} {name!r}; qualify it with an alias")
-    return (matches[0], *sources[matches[0]].names[wanted])
+    return (matches[0], *sources[matches[0]].plan.names[wanted])
 
 
 def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet:
@@ -340,7 +338,8 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     key fields run inside the store's scan, on the split row key, so the
     store parses only the rows whose key passes them.  The scan looks
     their = and IN texts up in the store's index of row-key parts rather
-    than testing every key of the table.
+    than testing every key of the table.  Names bind against each table's
+    plan, built once per catalog entry (Catalog.plan).
 
     The first source is decoded before the second.  An ON condition
     between the sources whose second-source side is a key field also runs
@@ -359,26 +358,16 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     which is deterministic.  A condition value that is NULL or NaN matches
     nothing.
     """
+    first = ast.source.alias or ast.source.table
     if ast.join is not None:
-        first = ast.source.alias or ast.source.table
         second = ast.join.source.alias or ast.join.source.table
         if first.lower() == second.lower():
-            raise SqlError(
-                f"both sources are named {second!r}; give them distinct aliases"
-            )
-    sources = [_make_source(ast.source, catalog)]
+            raise SqlError(f"both sources are named {second!r}; give them distinct aliases")
+    sources = [_Source(first, catalog.plan(ast.source.table))]
     if ast.join is not None:
-        sources.append(_make_source(ast.join.source, catalog))
+        sources.append(_Source(second, catalog.plan(ast.join.source.table)))
 
     # Every reference becomes (source index, position in that source's rows).
-    if ast.select_all:
-        bound = []
-        for idx, src in enumerate(sources):
-            bound.append((idx, 0, "key"))
-            bound.extend((idx, *v) for (is_key, _), v in src.names.items() if not is_key)
-    else:
-        bound = [_resolve(sources, ref) for ref in ast.projections]
-    outputs = [(idx, position) for idx, position, _ in bound]
     conditions = [
         (_resolve(sources, left)[:2], _resolve(sources, right)[:2])
         for left, right in (ast.join.conditions if ast.join is not None else ())
@@ -392,6 +381,20 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
         )
         for p in ast.where
     ]
+    if ast.select_all:
+        referenced: list[Optional[set[int]]] = [None] * len(sources)
+        pickers = [src.plan.picker for src in sources]
+        headers = list(chain.from_iterable(src.plan.headers for src in sources))
+    else:
+        bound = [_resolve(sources, ref) for ref in ast.projections]
+        outputs: list[list[int]] = [[] for _ in sources]
+        for i, p, _ in bound:
+            outputs[i].append(p)
+        pickers = list(map(_picker, outputs))
+        referenced = list(map(set, outputs))
+        for i, p in chain(*conditions, [(i, p) for i, p, _ in predicates]):
+            referenced[i].add(p)
+        headers = [header for _, _, header in bound]
 
     # Each condition between the sources, as (first-source position,
     # second-source position) whichever side it was written on.
@@ -399,30 +402,20 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     rows = []
     key_in = None
     for idx, src in enumerate(sources):
-        referenced = {p for i, p in outputs if i == idx}
-        referenced.update(p for sides in conditions for i, p in sides if i == idx)
-        rows.append(
-            _decode(
-                src,
-                store,
-                referenced,
-                [(p, values) for i, p, values in predicates if i == idx],
-                [(a, b) for (i, a), (j, b) in conditions if i == j == idx],
-                key_in,
-            )
-        )
+        own = [(p, values) for i, p, values in predicates if i == idx]
+        same = [(a, b) for (i, a), (j, b) in conditions if i == j == idx]
+        rows.append(_decode(src.plan, store, referenced[idx], own, same, key_in))
         if idx == 0 and len(sources) == 2:
             key_in = _join_keys(rows[0], pairs, sources[1])
     if len(sources) == 1:
-        out = list(map(_picker([p for _, p in outputs]), rows[0]))
-    else:
-        # The join yields the first source's outputs, then the second's.
-        sides = [_picker([p for i, p in outputs if i == idx]) for idx in (0, 1)]
-        out = _hash_join(rows[0], rows[1], pairs, *sides)
-        joined = sorted(range(len(outputs)), key=lambda k: outputs[k][0])
+        return ResultSet(headers, list(map(pickers[0], rows[0])))
+    # The join yields the first source's outputs, then the second's.
+    out = _hash_join(rows[0], rows[1], pairs, *pickers)
+    if not ast.select_all:
+        joined = sorted(range(len(bound)), key=lambda k: bound[k][0])
         if joined != sorted(joined):  # the projection interleaves the sources
-            out = list(map(_picker([joined.index(k) for k in range(len(outputs))]), out))
-    return ResultSet([header for _, _, header in bound], out)
+            out = list(map(_picker([joined.index(k) for k in range(len(bound))]), out))
+    return ResultSet(headers, out)
 
 
 def _join_keys(
@@ -437,7 +430,7 @@ def _join_keys(
     only the tuples of text are kept: one holding NULL, NaN or a number
     would never match.
     """
-    on_key = [(a, b) for a, b in pairs if b <= len(right.entry.schema.key_fields)]
+    on_key = [(a, b) for a, b in pairs if b <= len(right.plan.entry.schema.key_fields)]
     if not on_key:
         return None
     keys = set(map(_picker([a for a, _ in on_key]), left))
@@ -464,18 +457,18 @@ def _hash_join(
 ) -> list[tuple[Value, ...]]:
     """left_out(l) + right_out(r) for every row pair whose values agree at each pair of positions.
 
-    Pairs come in left order, then right order within a left row.  A key
-    holding NULL or NaN is neither inserted nor probed, since it equals
-    nothing; with no pairs, every key is () and this is a cross product.
-    Each row's outputs are picked once, however many rows it matches.
+    Pairs come in left order, then right order within a left row.  A left
+    key holding NULL or NaN is never probed, since it equals nothing.  A
+    right key holding one is inserted unchecked: it could equal only a key
+    holding the same None or NaN object, which is never probed.  With no
+    pairs, every key is () and this is a cross product.  Each row's
+    outputs are picked once, however many rows it matches.
     """
     left_key = _picker([a for a, _ in pairs])
     right_key = _picker([b for _, b in pairs])
     table: dict[tuple[Value, ...], list[tuple[Value, ...]]] = {}
     for row in right:
-        key = right_key(row)
-        if _matchable(key):
-            table.setdefault(key, []).append(right_out(row))
+        table.setdefault(right_key(row), []).append(right_out(row))
     out: list[tuple[Value, ...]] = []
     for row in left:
         key = left_key(row)

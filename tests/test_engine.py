@@ -2,6 +2,7 @@
 
 import random
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,11 @@ from covidstore.sql import (
     render_result_set,
     render_value,
 )
+from covidstore.cli import import_columns_for_dates
+from covidstore.ingest import generate_schema, write_formatted_files
 from covidstore.store import ROW_KEY, ColumnCoord, ImportSpec, Store, StoreError, open_store
 
+import query_oracle
 from conftest import TABLES
 
 CASES_DDL = """
@@ -616,6 +620,46 @@ def test_referenced_bad_cell_raises_before_any_column_predicate(loaded):
         assert str(err.value) == message, text
 
 
+def test_two_bad_cells_name_the_first_column_in_declaration_order(loaded):
+    # Declared Lat, 01_22_2020, 01_23_2020; stored a:d122 < a:d123 < a:lt.
+    catalog, store = loaded
+    put_cells(store, "cases_backing", "Bad~Row", {"a:lt": "north", "a:d123": "abc"})
+    for text in ("SELECT * FROM cases", "SELECT 01_23_2020, Lat FROM cases"):
+        with pytest.raises(TypeDecodeError) as err:
+            run(text, catalog, store)
+        assert str(err.value) == "row 'Bad~Row' column Lat: cannot decode 'north' as float"
+    with pytest.raises(TypeDecodeError) as err:
+        run("SELECT 01_23_2020, 01_22_2020 FROM cases", catalog, store)
+    assert str(err.value) == "row 'Bad~Row' column 01_23_2020: cannot decode 'abc' as int"
+
+
+_STAR_JOIN = "SELECT * FROM cases t JOIN extra u ON t.key.C = u.key.C WHERE u.key.C = 'Aland'"
+
+
+def test_drop_and_create_under_one_catalog_rebinds_every_query(loaded):
+    catalog, store = loaded
+    assert run("SELECT * FROM cases", *loaded).columns == ["key", "Lat", "01_22_2020", "01_23_2020"]
+    assert run(_STAR_JOIN, *loaded).rows == [("~Aland", 60.1, 5, None, "~Aland", 7)]
+    for statement in (
+        "DROP TABLE cases",
+        "CREATE TABLE cases (key struct<P:string,C:string>, Deaths int, Long float) "
+        "ROW FORMAT DELIMITED COLLECTION ITEMS TERMINATED BY '~' STORED BY 'h' "
+        'WITH SERDEPROPERTIES ("hbase.table.name" = "cases_backing", '
+        '"hbase.columns.mapping" = ":key,z:dt,z:lg")',
+    ):
+        execute_statement(parse_statement(statement), catalog, store)
+    put_cells(store, "cases_backing", "~Aland", {"z:dt": "3", "z:lg": "2.5"})
+    put_cells(store, "cases_backing", "Num~Land", {"z:lg": "-1"})
+    rs = run("SELECT * FROM cases", *loaded)
+    assert rs.columns == ["key", "Deaths", "Long"]
+    assert rs.rows == [("Num~Land", None, -1.0), ("~Aland", 3, 2.5)]
+    rs = run(_STAR_JOIN, *loaded)
+    assert rs.columns == ["key", "Deaths", "Long", "key", "01_22_2020"]
+    assert rs.rows == [("~Aland", 3, 2.5, "~Aland", 7)]
+    with pytest.raises(SqlError, match="unknown column 'Lat'"):
+        run("SELECT Lat FROM cases", *loaded)
+
+
 # ---------------------------------------------------------------- rendering
 
 
@@ -719,6 +763,61 @@ def test_dataset_coordinates_decode_as_floats(dataset):
         *dataset,
     )
     assert rs.rows == [(31.7917, -7.0926)]
+
+
+def _raw_series(path: Path, days: list[date], rng: random.Random) -> None:
+    """A raw JHU-style CSV: a few locations, one count column per day."""
+    locations = ["Ontario,Canada,51.2,-85.3", ",Morocco,31.7917,-7.0926",
+                 ',"Korea, South",35.9078,127.7669', ",Nowhere,,", "Yukon,Canada,64.3,-135.0"]
+    lines = ["Province/State,Country/Region,Lat,Long," + ",".join(
+        f"{d.month}/{d.day}/{d:%y}" for d in days)]
+    for location in locations:
+        counts, total = [], 0
+        for _ in days:
+            total = 0 if rng.random() < 0.2 else total + rng.randint(0, 50)
+            counts.append(str(total))
+        lines.append(location + "," + ",".join(counts))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_full_width_star_queries_match_the_oracle(tmp_path):
+    # 366 dated columns, the width of a year-long mapping, through ingest and load.
+    start = date(2020, 1, 22)
+    end = start + timedelta(days=365)
+    days = [start + timedelta(days=i) for i in range(366)]
+    rng = random.Random(366)
+    spec = ImportSpec(
+        tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c)
+              for c in import_columns_for_dates(start, end)),
+        separator=",", skip_bad_lines=True, skip_empty_columns=True,
+    )
+    oracle = {}
+    with open_store(tmp_path / "store") as store:
+        catalog = Catalog(store)
+        for series, table in TABLES.items():
+            raw = tmp_path / f"time_series_covid19_{series}_global.csv"
+            _raw_series(raw, days, rng)
+            _, sparse, result = write_formatted_files(raw, tmp_path)
+            assert not result.errors
+            ddl = generate_schema(table, f"{table}_backing", "a", start, end)
+            catalog.create_mapped_table(parse_ddl(ddl))
+            assert store.import_tsv(f"{table}_backing", sparse, spec).skipped == 0
+            oracle[table] = query_oracle.OracleTable(raw)
+        confirmed, deaths = TABLES["confirmed"], TABLES["deaths"]
+        for text in (
+            f"SELECT * FROM {confirmed}",
+            f"SELECT * FROM {deaths} WHERE key.Country_Region = 'Morocco'",
+            f"SELECT * FROM {confirmed} WHERE key.Country_Region IN ('Canada', 'Korea-South')",
+            f"SELECT * FROM {confirmed} c JOIN {deaths} d "
+            "ON c.key.Province_State = d.key.Province_State "
+            "AND c.key.Country_Region = d.key.Country_Region "
+            "WHERE c.key.Country_Region = 'Canada'",
+        ):
+            ast = parse_query(text)
+            rs = execute_query(ast, catalog, store)
+            header, rows = query_oracle.evaluate(ast, oracle)
+            assert len(header) in (369, 738) and rows, text
+            assert (rs.columns, rs.rows) == (header, rows), text
 
 
 # ------------------------------------- index-narrowed queries, brute-forced
