@@ -20,8 +20,8 @@ from itertools import repeat
 from typing import NamedTuple
 
 from ..store import COORD_PATTERN, ColumnCoord
-from .errors import SqlError, SqlSyntaxError
-from .lexer import ATOM, DQSTRING, STRING, Cursor, Node
+from .errors import SqlError
+from .lexer import Cursor, Node
 
 COLUMN_TYPES = ("int", "float")
 
@@ -88,7 +88,10 @@ class DescribeTable(Node):
 
 def parse_ddl_statement(text: str) -> CreateTable | DropTable | DescribeTable:
     """Parse one DDL statement: CREATE TABLE, DROP TABLE, or DESCRIBE."""
-    p = Cursor(text)
+    # A CREATE is lexed up to its key's '>', if no string can hide one
+    # before it, and read on from there by pattern.
+    head = text.find(">") + 1
+    p = Cursor(text, head if head and "'" not in text[:head] and '"' not in text[:head] else None)
     if p.take_keyword("CREATE"):
         return _parse_create(p)
     if p.take_keyword("DROP"):
@@ -114,20 +117,17 @@ def parse_ddl(text: str) -> CreateTable:
 def _parse_create(p: Cursor) -> CreateTable:
     p.expect_keyword("TABLE")
     table_name = p.expect_name()
-    p.expect("LPAREN", "'('")
+    p.expect("(", "'('")
 
-    key_tok = p.expect(ATOM, "a column name")
-    key_name = key_tok.text
+    key_name = p.expect_name("a column name")
     if key_name.lower() != "key":
-        raise SqlSyntaxError(
-            f"first column must be the struct key, found {key_name!r}", key_tok.pos
-        )
+        raise p.error(f"first column must be the struct key, found {key_name!r}", p.i - 1)
     p.expect_keyword("STRUCT")
-    p.expect("LT", "'<'")
+    p.expect("<", "'<'")
     key_fields: list[str] = []
     while True:
         fname = p.expect_name()
-        p.expect("COLON", "':'")
+        p.expect(":", "':'")
         ftype = p.expect_name()
         if ftype.lower() != "string":
             raise SqlError(f"unknown key field type {ftype!r}, only string is supported")
@@ -154,25 +154,23 @@ def _parse_create(p: Cursor) -> CreateTable:
         p.expect_name()
 
     p.expect_keyword("ROW FORMAT DELIMITED COLLECTION ITEMS TERMINATED BY")
-    term_tok = p.expect(STRING, "a quoted terminator")
-    if len(term_tok.text) != 1:
-        raise SqlError(
-            f"collection terminator must be one character, got {term_tok.text!r}"
-        )
+    terminator = p.expect_quoted("'", "a quoted terminator")
+    if len(terminator) != 1:
+        raise SqlError(f"collection terminator must be one character, got {terminator!r}")
 
     p.expect_keyword("STORED BY")
-    stored_by = p.expect(STRING, "a quoted storage handler class").text
+    stored_by = p.expect_quoted("'", "a quoted storage handler class")
 
     p.expect_keyword("WITH SERDEPROPERTIES")
-    p.expect("LPAREN", "'('")
+    p.expect("(", "'('")
     properties: dict[str, str] = {}
     while True:
-        key_tok = p.expect(DQSTRING, "a quoted property name")
-        p.expect("EQ", "'='")
-        value_tok = p.expect(DQSTRING, "a quoted property value")
-        if key_tok.text in properties:
-            raise SqlError(f"duplicate property {key_tok.text!r}")
-        properties[key_tok.text] = value_tok.text
+        name = p.expect_quoted('"', "a quoted property name")
+        p.expect("=", "'='")
+        value = p.expect_quoted('"', "a quoted property value")
+        if name in properties:
+            raise SqlError(f"duplicate property {name!r}")
+        properties[name] = value
         if p.list_ends(")"):
             break
     p.finish()
@@ -197,7 +195,7 @@ def _parse_create(p: Cursor) -> CreateTable:
         twice = next(c for i, c in enumerate(coords) if c in coords[:i])
         raise SqlError(f"column mapping names {twice} twice")
 
-    schema = RelationalSchema(table_name, tuple(key_fields), columns, term_tok.text)
+    schema = RelationalSchema(table_name, tuple(key_fields), columns, terminator)
     mapping = ColumnMapping(properties[PROP_TABLE_NAME], coords)
     return CreateTable(schema, mapping, properties, stored_by, p.text.strip())
 

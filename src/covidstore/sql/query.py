@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .errors import SqlSyntaxError, UnsupportedClauseError
-from .lexer import ATOM, STRING, Cursor, Node
+from .errors import UnsupportedClauseError
+from .lexer import NOT_NAME, Cursor, Node, unquote
 
 Literal = Union[str, int, float]
 
@@ -74,48 +74,31 @@ class SelectQuery(Node):
     where: tuple[Predicate, ...]
 
 
-_KEYWORDS = {
-    "SELECT",
-    "FROM",
-    "JOIN",
-    "ON",
-    "WHERE",
-    "AND",
-    "IN",
-}
+_KEYWORDS = {"SELECT", "FROM", "JOIN", "ON", "WHERE", "AND", "IN"}
 
 # Constructs we recognize only to refuse them by name.
 _UNSUPPORTED = {
-    "GROUP": "GROUP BY",
-    "ORDER": "ORDER BY",
-    "HAVING": "HAVING",
-    "LIMIT": "LIMIT",
-    "UNION": "UNION",
-    "DISTINCT": "DISTINCT",
-    "LEFT": "LEFT JOIN",
-    "RIGHT": "RIGHT JOIN",
-    "FULL": "FULL JOIN",
-    "OUTER": "OUTER JOIN",
-    "CROSS": "CROSS JOIN",
-    "INNER": "INNER JOIN",
+    "GROUP": "GROUP BY", "ORDER": "ORDER BY", "HAVING": "HAVING", "LIMIT": "LIMIT",
+    "UNION": "UNION", "DISTINCT": "DISTINCT", "LEFT": "LEFT JOIN", "RIGHT": "RIGHT JOIN",
+    "FULL": "FULL JOIN", "OUTER": "OUTER JOIN", "CROSS": "CROSS JOIN", "INNER": "INNER JOIN",
     "OR": "OR",
 }
+# A name's upper-case text -> the clause it refuses (None for a keyword).
+_RESERVED = {**dict.fromkeys(_KEYWORDS), **_UNSUPPORTED}
 
 
 class _QueryParser(Cursor):
     """The SELECT grammar; names may not be reserved keywords."""
 
     def _check_unsupported(self) -> None:
-        tok = self.peek()
-        if tok is not None and tok.kind == ATOM:
-            clause = _UNSUPPORTED.get(tok.text.upper())
-            if clause is not None:
-                raise UnsupportedClauseError(clause)
+        clause = _UNSUPPORTED.get(self.toks[self.i].upper())
+        if clause is not None:
+            raise UnsupportedClauseError(clause)
 
     def expect_name(self, what: str = "a name") -> str:
-        tok = self.peek()
-        if tok is not None and tok.kind == ATOM and tok.text.upper() in _KEYWORDS:
-            raise SqlSyntaxError(f"expected {what}, found keyword {tok.text!r}", tok.pos)
+        tok = self.toks[self.i]
+        if tok.upper() in _KEYWORDS:
+            raise self.error(f"expected {what}, found keyword {tok!r}", self.i)
         return super().expect_name(what)
 
     # --------------------------------------------------------------- grammar
@@ -125,10 +108,10 @@ class _QueryParser(Cursor):
         self._check_unsupported()
 
         projections: list[Ref] = []
-        select_all = self.take("STAR")
+        select_all = self.take("*")
         if not select_all:
             projections.append(self._ref())
-            while self.take("COMMA"):
+            while self.take(","):
                 projections.append(self._ref())
 
         self.expect_keyword("FROM")
@@ -157,42 +140,50 @@ class _QueryParser(Cursor):
 
     def _table_source(self) -> TableSource:
         table = self.expect_name("a table name")
-        alias = None
-        tok = self.peek()
-        if (
-            tok is not None
-            and tok.kind == ATOM
-            and tok.text.upper() not in _KEYWORDS
-            and tok.text.upper() not in _UNSUPPORTED
-        ):
-            alias = self.next().text
-        return TableSource(table, alias)
+        tok = self.toks[self.i]
+        if tok[:1] in NOT_NAME or tok.upper() in _RESERVED:
+            return TableSource(table, None)
+        self.i += 1
+        return TableSource(table, tok)
 
     def _ref(self) -> Ref:
-        self._check_unsupported()
-        first = self.expect_name("a column reference")
-        if not self.take("DOT"):
+        # Reads ahead by index; on a name it refuses, expect_name raises
+        # the error the token makes.
+        toks, i = self.toks, self.i
+        first = toks[i]
+        if first[:1] in NOT_NAME or first.upper() in _RESERVED:
+            self._check_unsupported()
+            self.expect_name("a column reference")
+        if toks[i + 1] != ".":
+            self.i = i + 1
             return ColumnRef(None, first)
-        second = self.expect_name("a column reference")
-        if second.lower() == "key" and self.take("DOT"):
-            third = self.expect_name("a key field name")
+        self.i = i + 2
+        second = toks[i + 2]
+        if second[:1] in NOT_NAME or second.upper() in _KEYWORDS:
+            self.expect_name("a column reference")
+        if toks[i + 3] == "." and second.lower() == "key":
+            self.i = i + 4
+            third = toks[i + 4]
+            if third[:1] in NOT_NAME or third.upper() in _KEYWORDS:
+                self.expect_name("a key field name")
+            self.i = i + 5
             return KeyFieldRef(first, third)
+        self.i = i + 3
         if first.lower() == "key":
             return KeyFieldRef(None, second)
         return ColumnRef(first, second)
 
     def _join_condition(self) -> tuple[Ref, Ref]:
         left = self._ref()
-        self.expect("EQ", "'='")
-        right = self._ref()
-        return (left, right)
+        self.expect("=", "'='")
+        return (left, self._ref())
 
     def _predicate(self) -> Predicate:
         ref = self._ref()
-        if self.take("EQ"):
+        if self.take("="):
             return Comparison(ref, self._literal())
         if self.take_keyword("IN"):
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             values = [self._literal()]
             while not self.list_ends(")"):
                 values.append(self._literal())
@@ -201,25 +192,22 @@ class _QueryParser(Cursor):
 
     def _literal(self) -> Literal:
         tok = self.next()
-        if tok.kind == STRING:
-            return tok.text
-        negative = False
-        if tok.kind == "MINUS":
-            negative = True
+        if tok[0] == "'":
+            return unquote(tok)
+        negative = tok == "-"
+        if negative:
             tok = self.next()
-        if tok.kind == ATOM and tok.text.isdecimal():
+        if tok.isdecimal():
             # A dotted pair of digit runs is a float literal; anything else
             # after the dot is a malformed reference, not a number.
-            mark = self.pos
-            if self.take("DOT"):
-                frac = self.peek()
-                if frac is not None and frac.kind == ATOM and frac.text.isdecimal():
-                    self.next()
-                    value = float(f"{tok.text}.{frac.text}")
-                    return -value if negative else value
-                self.pos = mark
-            return -int(tok.text) if negative else int(tok.text)
-        raise SqlSyntaxError(f"expected a literal, found {tok.text!r}", tok.pos)
+            toks, i = self.toks, self.i
+            if toks[i] == "." and toks[i + 1].isdecimal():
+                self.i += 2
+                number: Literal = float(f"{tok}.{toks[i + 1]}")
+            else:
+                number = int(tok)
+            return -number if negative else number
+        raise self.error(f"expected a literal, found {unquote(tok)!r}", self.i - 1)
 
 
 def parse_query(text: str) -> SelectQuery:

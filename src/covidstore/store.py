@@ -21,8 +21,9 @@ with one line per row, rows in key order:
     <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
 
 with the pairs in coordinate order.  Flush writes the data files first and
-MANIFEST after them, with each file's byte size and zlib.crc32.  A LOCK
-file keeps a second process out while the store is open.  Keys,
+MANIFEST after them, with each file's byte size and zlib.crc32.  An
+flock on the LOCK file keeps a second process out while the store is open,
+and the kernel drops it when the process ends, however it ends.  Keys,
 coordinates and values are UTF-8 text without tabs or newlines, and a
 family or qualifier holds no colon or comma, which is what keeps the
 on-disk format trivial.
@@ -59,6 +60,7 @@ nothing in the workflows here needs the stricter behavior.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 import zlib
@@ -398,7 +400,7 @@ def open_store(directory: str | Path) -> "Store":
 class Store:
     """A directory-backed collection of wide-column tables.
 
-    One process at a time, kept to that by the LOCK file; there is no
+    One process at a time, kept to that by an flock on LOCK; there is no
     in-process locking, because no thread shares a Store.  Readers get back
     read-only views of the table's own cells, valid until the next write to
     that table; the lists holding them are the caller's.  The other records
@@ -424,21 +426,39 @@ class Store:
     # ------------------------------------------------------------------ setup
 
     def _acquire_lock(self) -> None:
+        while True:
+            fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                holder = os.read(fd, 32).decode("ascii", "replace").strip() or "unknown"
+                os.close(fd)
+                raise StoreLockedError(
+                    f"store {self.directory} is already open "
+                    f"(process {holder} holds {self._lock_path})"
+                ) from None
+            # A closing holder unlinks the file before it lets go of the lock,
+            # so a lock on a file no longer at the path is no lock: try again.
+            try:
+                if os.path.samestat(os.stat(self._lock_path), os.fstat(fd)):
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        self._lock_fd = fd
         try:
-            fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLockedError(
-                f"store {self.directory} is already open (lock file {self._lock_path}; "
-                "remove it if no other process is using the store)"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
+            os.ftruncate(fd, 0)
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        except BaseException:
+            self._release_lock()
+            raise
 
     def _release_lock(self) -> None:
         try:
             self._lock_path.unlink()
         except FileNotFoundError:
             pass
+        os.close(self._lock_fd)
 
     def _load(self) -> None:
         manifest = self.directory / MANIFEST_NAME

@@ -1,6 +1,9 @@
 """Table lifecycle, cell IO, persistence format, locking, and bulk import."""
 
 import os
+import signal
+import subprocess
+import sys
 import zlib
 import tempfile
 from pathlib import Path
@@ -298,6 +301,68 @@ def test_second_open_is_refused_while_open(tmp_path):
     # after close the lock is gone
     with open_store(d):
         pass
+
+
+def _child_opening(d, then: str) -> subprocess.Popen:
+    """A Python process that opens the store at d, prints its pid, then runs `then`."""
+    import covidstore
+
+    code = f"import os, signal, sys\nfrom covidstore.store import open_store\n" \
+        f"s = open_store({str(d)!r})\nprint(os.getpid(), flush=True)\n{then}\n"
+    src = str(Path(covidstore.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_another_process_is_refused_while_one_holds_the_store(tmp_path):
+    d = tmp_path / "kv"
+    with _child_opening(d, "sys.stdin.read()\ns.close()") as child:
+        pid = child.stdout.readline().strip()
+        with pytest.raises(StoreLockedError, match=f"already open \\(process {pid} holds"):
+            open_store(d)
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+    with open_store(d):
+        pass
+    assert not (d / "LOCK").exists()
+
+
+@pytest.mark.parametrize(
+    "then, returncode",
+    [("pass", 0), ("os.kill(os.getpid(), signal.SIGKILL)", -signal.SIGKILL)],
+    ids=["exit-without-close", "sigkill"],
+)
+def test_the_lock_dies_with_its_process(tmp_path, then, returncode):
+    d = tmp_path / "kv"
+    with _child_opening(d, then) as child:
+        pid = child.stdout.readline().strip()
+        assert child.wait(timeout=60) == returncode
+    assert (d / "LOCK").read_text(encoding="ascii") == f"{pid}\n"  # left behind, unlocked
+    with open_store(d) as s:
+        assert (d / "LOCK").read_text(encoding="ascii") == f"{os.getpid()}\n"
+        assert s.table_names() == []
+    assert not (d / "LOCK").exists()
+
+
+def test_a_lock_taken_on_a_file_unlinked_meanwhile_is_taken_again(tmp_path, monkeypatch):
+    # As when the holder closes between this open of LOCK and its flock.
+    d = tmp_path / "kv"
+    real_open, opened = os.open, []
+
+    def open_then_lose(path, flags, *args):
+        fd = real_open(path, flags, *args)
+        if Path(path).name == "LOCK":
+            opened.append(path)
+            if len(opened) == 1:
+                os.unlink(path)
+        return fd
+
+    monkeypatch.setattr(os, "open", open_then_lose)
+    with open_store(d):
+        assert len(opened) == 2
+        assert (d / "LOCK").read_text(encoding="ascii") == f"{os.getpid()}\n"
 
 
 def test_close_is_idempotent(tmp_path):
