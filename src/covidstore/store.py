@@ -5,10 +5,10 @@ family:qualifier coordinate; families are fixed at table creation, qualifiers
 are free-form.  Rows and cells come back in byte order, writes are
 last-write-wins upserts, and there is no cell versioning.
 
-Each row's cells are kept in coordinate order: a data file holds them in
-that order, put and import_tsv build a new row in it, and a row that a
-later write adds to is sorted once, before the next read or flush.  Reads
-hand out read-only views of the table's own rows instead of sorted copies.
+Each row's cells are always in coordinate order: a data file holds them
+in that order, put and import_tsv build a new row in it, and a write that
+adds a coordinate to a row rebuilds that row in order at once.  Reads hand
+out read-only views of the table's own rows instead of sorted copies.
 
 A store is a directory.  MANIFEST lists the tables, one tab-separated line
 each:
@@ -238,8 +238,8 @@ class ImportReport(NamedTuple):
 
 class _Table:
     __slots__ = (
-        "descriptor", "data_file", "checksum", "rows", "lines", "coords", "keys",
-        "parts", "dirty", "unsorted", "view",
+        "descriptor", "data_file", "checksum", "rows", "coords", "keys", "parts",
+        "dirty", "view",
     )
 
     def __init__(self, descriptor: TableDescriptor, data_file: str) -> None:
@@ -249,11 +249,11 @@ class _Table:
         # file on disk was not written by flush, so the next open parses it
         # in full.
         self.checksum: Optional[tuple[int, int]] = (0, 0)
-        self.rows: dict[str, dict[ColumnCoord, str]] = {}
-        # Rows not parsed yet, by row key: lines of a checked data file and
-        # new rows import_tsv added.  Each is exactly the line flush would
-        # write for its row.
-        self.lines: dict[str, str] = {}
+        # Every row by key.  A row nothing has touched yet (a line of a
+        # checked data file, or a new row import_tsv added) is its line,
+        # exactly as flush would write it; a touched row is its cells.
+        # Either way the cells are in coordinate order.
+        self.rows: dict[str, Union[str, dict[ColumnCoord, str]]] = {}
         # Each coordinate text is checked once and maps to one shared object.
         self.coords: dict[str, ColumnCoord] = {}
         # Every row key in order; None once a write may have added one.
@@ -263,8 +263,6 @@ class _Table:
         # order.  Dropped, with keys, whenever a row key may have been added.
         self.parts: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], list[str]]] = {}
         self.dirty = False
-        # Keys of rows whose cells may be out of coordinate order.
-        self.unsorted: set[str] = set()
         # What a full scan hands out, in key order; None once a write may have changed it.
         self.view: Optional[list[Row]] = None
 
@@ -290,12 +288,14 @@ class _Table:
         return key, row
 
     def row(self, key: str) -> Optional[dict[ColumnCoord, str]]:
-        """The row at key, parsed on first touch; None if there is none."""
+        """The row at key, parsed on first touch; None if there is none.
+
+        A line that fails to parse stays a line, so every read of it raises.
+        """
         row = self.rows.get(key)
-        if row is None and key in self.lines:
-            line = self.lines.pop(key)
+        if isinstance(row, str):
             try:
-                row = self.rows[key] = self.parse(line)[1]
+                row = self.rows[key] = self.parse(row)[1]
             except CellValueError as exc:
                 raise CorruptStoreError(
                     f"corrupt data file {self.data_file}: row {key!r}: {exc}"
@@ -304,7 +304,7 @@ class _Table:
 
     def ordered_keys(self) -> list[str]:
         if self.keys is None:
-            self.keys = sorted([*self.rows, *self.lines])
+            self.keys = sorted(self.rows)
         return self.keys
 
     def forget_keys(self) -> None:
@@ -356,7 +356,7 @@ class _Table:
         return found
 
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
-        """Upsert cells, given in coordinate order, into a row."""
+        """Upsert cells, given in coordinate order, into a row, keeping it in that order."""
         self.dirty = True
         self.view = None
         row = self.row(key)
@@ -364,22 +364,15 @@ class _Table:
             self.rows[key] = dict(cells)
             self.forget_keys()
         else:
+            count = len(row)
             row.update(cells)
-            self.unsorted.add(key)
-
-    def sort(self) -> None:
-        """Put the cells of every row a write added to back in coordinate order."""
-        rows = self.rows
-        for key in self.unsorted:
-            cells = rows[key]
-            rows[key] = {c: cells[c] for c in sorted(cells)}
-        self.unsorted.clear()
+            if len(row) != count:  # a coordinate was added, at the end
+                self.rows[key] = {c: row[c] for c in sorted(row)}
 
     def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Rows in key order, only the candidates of key_parts if given."""
         if key_parts is None and self.view is not None:
             return self.view
-        self.sort()
         keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
         row = self.row
         rows = [Row(key, MappingProxyType(row(key))) for key in keys]  # type: ignore[arg-type]
@@ -519,8 +512,8 @@ class Store:
         if (len(data), zlib.crc32(data)) == checksum:
             table.checksum = checksum
             lines.pop()  # the empty text after the last newline
-            table.lines = {line[: line.find("\t")]: line for line in lines}
-            table.keys = list(table.lines)
+            table.rows = {line[: line.find("\t")]: line for line in lines}
+            table.keys = list(table.rows)
             return
         table.checksum = None
         table.forget_keys()
@@ -549,15 +542,13 @@ class Store:
 
     def _write_table(self, table: _Table) -> None:
         """Rewrite the data file; a row nothing touched keeps its line as read."""
-        table.sort()
         text = _CoordTexts().__getitem__
         out = []
         for key in table.ordered_keys():
-            line = table.lines.get(key)
-            if line is None:
-                row = table.rows[key]
-                line = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
-            out.append(line + "\n")
+            row = table.rows[key]
+            if not isinstance(row, str):
+                row = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
+            out.append(row + "\n")
         data = "".join(out).encode("utf-8")
         write_atomic(self.directory / table.data_file, data)
         table.checksum = (len(data), zlib.crc32(data))
@@ -689,8 +680,7 @@ class Store:
         if coord is not None:
             value = row.get(coord)
             return [(coord, value)] if value is not None else []
-        t.sort()
-        return list(t.rows[row_key].items())
+        return list(row.items())
 
     def scan(self, table: str, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Every row of the table, keys ascending, cells in coordinate order.
@@ -775,10 +765,10 @@ class Store:
                     raise StoreError(f"{path}: line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))
                 continue
-            if key in t.rows or key in t.lines:
+            if key in t.rows:
                 t.write(key, list(compress(zip(coords, values), values)))
             else:
-                t.lines[key] = "\t".join(
+                t.rows[key] = "\t".join(
                     [key, *chain.from_iterable(compress(zip(texts, values), values))]
                 )
                 t.forget_keys()

@@ -458,8 +458,11 @@ def test_key_bound_join_parses_only_the_second_table_rows_it_can_match(tmp_path)
             store,
         )
         assert rs.rows == [("Num", 9)]
-        assert sorted(store._table("cases_backing").lines) == ["a~b~c", "solo", "~Aland"]
-        assert sorted(store._table("extra_backing").lines) == ["alone", "~Aland"]
+        # Only the rows still held as their lines were never parsed.
+        for table, unparsed in [("cases_backing", ["a~b~c", "solo", "~Aland"]),
+                                ("extra_backing", ["alone", "~Aland"])]:
+            rows = store._table(table).rows
+            assert sorted(k for k, v in rows.items() if isinstance(v, str)) == unparsed
 
 
 def test_a_join_on_two_key_fields_parses_only_the_tuples_it_can_match(store, catalog):
