@@ -151,6 +151,7 @@ def cmd_fetch(args) -> int:
 
 def cmd_ingest(args) -> int:
     from . import ingest
+    from .dates import FormatError
 
     data_dir = Path(args.data_dir)
     rc = EXIT_OK
@@ -158,7 +159,7 @@ def cmd_ingest(args) -> int:
         source = data_dir / raw_file_name(series)
         try:
             with_names, sparse, result = ingest.write_formatted_files(source)
-        except ingest.FormatError as exc:
+        except FormatError as exc:
             print(f"error: {series}: {exc}", file=sys.stderr)
             rc = EXIT_USER_ERROR
             continue

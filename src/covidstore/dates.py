@@ -1,7 +1,7 @@
 """The feed's daily columns and the three names each one goes by.
 
 A dated load names its store columns with this module alone, without the
-CSV transform in ingest; ingest re-exports every name defined here.
+CSV transform in ingest, which imports the names it uses from here.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from datetime import date, timedelta
 from typing import NamedTuple
 
 _DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
-
-_DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 class FormatError(ValueError):
@@ -35,22 +33,21 @@ class DateColumn(NamedTuple):
 
     @classmethod
     def from_header(cls, raw: str) -> "DateColumn":
+        """Parse a raw header token such as "3/2/20"; a two-digit year is 2000 + yy."""
         m = _DATE_RE.match(raw.strip())
         if not m:
             raise FormatError(f"unrecognized date column {raw!r}")
         month, day, year = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if year < 100:
             year += 2000
-        if not 1 <= month <= 12 or not 1 <= day <= _DAYS_IN_MONTH[month - 1]:
-            raise FormatError(f"unrecognized date column {raw!r}")
-        return cls(year, month, day)
+        try:
+            return cls.from_date(date(year, month, day))
+        except ValueError:
+            raise FormatError(f"unrecognized date column {raw!r}") from None
 
     @classmethod
     def from_date(cls, d: date) -> "DateColumn":
         return cls(d.year, d.month, d.day)
-
-    def as_date(self) -> date:
-        return date(self.year, self.month, self.day)
 
     @property
     def header_form(self) -> str:

@@ -47,21 +47,12 @@ def sanitize_field(raw: str) -> str:
     return cleaned.replace(",", "-")
 
 
-def normalize_date(raw: str) -> DateColumn:
-    """Parse one raw date header token such as "3/2/20".
-
-    Two-digit years are taken as 2000 + yy.  Raises FormatError naming the
-    token when it does not look like a month/day/year date.
-    """
-    return DateColumn.from_header(raw)
-
-
 def generate_schema(table: str, store_table: str, family: str, start: date, end: date) -> str:
     """Emit the CREATE TABLE statement for a time-series table.
 
     One int column per day from start to end inclusive, named MM_DD_YYYY and
     mapped to d<month><two-digit day> qualifiers after the key, latitude and
-    longitude.  It only writes text, which sql.parse_ddl parses unchanged.
+    longitude.  It only writes text, which sql.ddl.parse_ddl parses unchanged.
     """
     dates = date_columns_between(start, end)
     if len({d.qualifier for d in dates}) < len(dates):
@@ -104,15 +95,6 @@ class RowKey(NamedTuple):
 
     def serialized(self) -> str:
         return f"{self.province_state}{KEY_SEPARATOR}{self.country_region}"
-
-    @classmethod
-    def parse(cls, text: str) -> "RowKey":
-        # The inverse splits at the first tilde only; later tildes would
-        # belong to the country part, though sanitized data never has them.
-        province, sep, country = text.partition(KEY_SEPARATOR)
-        if not sep:
-            raise ValueError(f"row key {text!r} has no {KEY_SEPARATOR!r} separator")
-        return cls(province, country)
 
 
 def build_row_key(province_state: str, country_region: str) -> RowKey:
@@ -191,7 +173,7 @@ def format_file(input_path: str | Path) -> FormatResult:
                 f"{input_path}: header has {len(header)} columns, "
                 f"expected at least {FIXED_COLUMNS + 1}"
             )
-        dates = [normalize_date(tok) for tok in header[FIXED_COLUMNS:]]
+        dates = [DateColumn.from_header(tok) for tok in header[FIXED_COLUMNS:]]
         width = len(header)
         commas = len(dates) - 1  # in the joined daily fields when none holds one
 

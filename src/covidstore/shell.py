@@ -93,14 +93,6 @@ def parse_command(line: str) -> ShellCommand:
     return ShellCommand(verb, tuple(args))
 
 
-def render_command(cmd: ShellCommand) -> str:
-    """Format a command back into shell syntax; the inverse of parse_command."""
-    if not cmd.args:
-        return cmd.verb
-    quoted = ", ".join("'" + a.replace("'", "''") + "'" for a in cmd.args)
-    return f"{cmd.verb} {quoted}"
-
-
 def _dispatch(cmd: ShellCommand, store: Store) -> str:
     """Run a command, raising on failure; returns the text to display."""
     if cmd.verb == "create":

@@ -1,28 +1,15 @@
 """SQL layer: DDL, catalog, query parsing, and execution over the store.
 
-Each name below resolves on first use (a module __getattr__), importing
-only the module that defines it, so importing sql.errors for its
-exception types, or generate_schema (defined in ingest, which needs no
-parser to write a CREATE statement), leaves the engine unloaded.
+Import each name from the module that defines it: ddl, engine, errors,
+lexer or query.  The package itself resolves only split_statements and
+SelectQuery, on first use (a module __getattr__), because the benchmark
+imports them from here (bench/harness.py and bench/spans.py); importing
+sql.errors for its exception types leaves the parser unloaded.
 """
 
 import importlib
 
-_HOMES = {
-    ".ddl": ("CreateTable", "DescribeTable", "DropTable", "parse_ddl", "parse_ddl_statement"),
-    ".engine": (
-        "Catalog", "ResultSet", "execute_query", "execute_statement", "parse_statement",
-        "render_result_set", "render_value",
-    ),
-    ".errors": (
-        "CatalogError", "SqlError", "SqlSyntaxError", "TypeDecodeError",
-        "UnsupportedClauseError",
-    ),
-    "..ingest": ("generate_schema",),
-    ".lexer": ("split_statements",),
-    ".query": ("ColumnRef", "Comparison", "InList", "KeyFieldRef", "SelectQuery", "parse_query"),
-}
-_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_HOME = {"SelectQuery": ".query", "split_statements": ".lexer"}
 
 __all__ = sorted(_HOME)
 

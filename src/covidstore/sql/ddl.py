@@ -61,9 +61,6 @@ class ColumnMapping(NamedTuple):
     store_table: str
     coords: tuple[ColumnCoord, ...]
 
-    def entries(self) -> list[str]:
-        return [_KEY_MARKER] + [str(c) for c in self.coords]
-
     def families(self) -> frozenset[str]:
         return frozenset(c.family for c in self.coords)
 

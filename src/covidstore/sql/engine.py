@@ -44,7 +44,7 @@ from .. import write_atomic
 from ..store import CellValueError, ColumnCoord, Store, TableNotEnabledError, TableNotFoundError
 from .ddl import CreateTable, DescribeTable, DropTable, parse_ddl, parse_ddl_statement
 from .errors import CatalogError, SqlError, TypeDecodeError
-from .lexer import split_statements
+from .lexer import TOKEN, split_statements
 from .query import Comparison, KeyFieldRef, Literal, Ref, SelectQuery, parse_query
 
 CATALOG_NAME = "CATALOG"
@@ -57,17 +57,8 @@ class ResultSet(NamedTuple):
     rows: list[tuple[Value, ...]]
 
 
-def render_value(value: Value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, float):
-        # repr gives the shortest text that reads back as the same float.
-        return repr(value)
-    return str(value)
-
-
 def render_result_set(rs: ResultSet) -> str:
-    # render_value inlined: str of a float is its repr on Python 3.10 and later.
+    """Tab-separated, header line first; NULL for None, and str of a float is its repr."""
     lines = ["\t".join(rs.columns)]
     for row in rs.rows:
         lines.append("\t".join(["NULL" if v is None else str(v) for v in row]))
@@ -100,9 +91,6 @@ class Catalog:
                 self._entries[parsed.schema.table_name.lower()] = parsed
 
     # ---------------------------------------------------------------- lookup
-
-    def names(self) -> list[str]:
-        return sorted(e.schema.table_name for e in self._entries.values())
 
     def get(self, name: str) -> CreateTable:
         entry = self._entries.get(name.lower())
@@ -486,10 +474,9 @@ Statement = Union[SelectQuery, CreateTable, DropTable, DescribeTable]
 
 
 def parse_statement(text: str) -> Statement:
-    """Parse one statement, SELECT or DDL, chosen by its first keyword."""
-    stripped = text.lstrip()
-    first = stripped.split(None, 1)[0].upper() if stripped else ""
-    if first == "SELECT":
+    """Parse one statement, SELECT or DDL, chosen by its first token."""
+    first = TOKEN.search(text)
+    if first is not None and first[0].upper() == "SELECT":
         return parse_query(text)
     return parse_ddl_statement(text)
 

@@ -14,29 +14,24 @@ The lexical rules:
 * A ``;`` inside a string does not end a statement.
 
 A Cursor holds one statement's tokens as a flat list of their texts, lexed
-by one findall, and a parser reads them by index; a token's kind is its
-first character.  A first pass over the whole text raises its first lexical
-error, wherever the parser stops.  Positions are found again only for an
-error message (at).  A parser may lex a head of the text only and read on
-by pattern (scan), as the DDL parser reads a CREATE's column list.
+by one findall, and a parser reads them by index; a token's first
+character tells a name from a string or punctuation (NOT_NAME).  A first
+pass over the whole text raises its first lexical error, wherever the
+parser stops.  Positions are found again only for an error message (at).
+A parser may lex a head of the text only and read on by pattern (scan),
+as the DDL parser reads a CREATE's column list.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import SqlSyntaxError
 
-ATOM = "ATOM"
-STRING = "STRING"  # single-quoted
-DQSTRING = "DQSTRING"  # double-quoted
-
-# A token's kind by its first character; any other starts a name (ATOM).
-_KINDS = dict(zip("()<>,;=.:*-", "LPAREN RPAREN LT GT COMMA SEMI EQ DOT COLON STAR MINUS".split()))
-_KINDS.update({"'": STRING, '"': DQSTRING})
-# The first characters of tokens that are not names; "" (the end) is in it too.
-NOT_NAME = "".join(_KINDS)
+# The first characters of tokens that are not names: punctuation and the two
+# quotes.  "" (the end) is in it too.
+NOT_NAME = "()<>,;=.:*-'\""
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
@@ -46,16 +41,10 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 _QUOTED = r"""'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*\""""
 # Whitespace matches no alternative, so findall skips it (Cursor refuses any
 # other such character first).  \w is exactly isalnum() or "_", \s isspace().
-_TOKEN = re.compile(rf"\w+|[()<>,;=.:*\-]|{_QUOTED}", re.DOTALL)
+TOKEN = re.compile(rf"\w+|[()<>,;=.:*\-]|{_QUOTED}", re.DOTALL)
 # Whole tokens and whitespace, as far as they go; ASCII first, as it is cheaper.
 _LEXED = re.compile(rf"(?:[a-zA-Z0-9_ \n()<>,;=.:*\-]+|[\w\s]+|{_QUOTED})*", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
 
 
 class Node:
@@ -115,11 +104,6 @@ def unquote(tok: str) -> str:
     return _ESCAPE.sub(_unescape, tok[1:-1]) if "\\" in tok else tok[1:-1]
 
 
-def tokenize(text: str) -> list[Token]:
-    Cursor(text)  # raises the first lexical error
-    return [Token(_KINDS.get(m[0][0], ATOM), unquote(m[0]), m.start()) for m in _TOKEN.finditer(text)]
-
-
 class Cursor:
     """A parser's place (i) in one statement's tokens, a list of their texts ending in "".
 
@@ -133,7 +117,7 @@ class Cursor:
                 raise SqlSyntaxError("unterminated string literal", bad)
             raise SqlSyntaxError(f"unexpected character {text[bad]!r}", bad)
         self.text = text
-        self.toks = _TOKEN.findall(text, 0, len(text) if end is None else end) + [""]
+        self.toks = TOKEN.findall(text, 0, len(text) if end is None else end) + [""]
         self.i = 0
         self._end = end  # where the lexed head ends
         self._lexed = (0, 0)  # the first token of the last stretch lexed, and its position
@@ -141,7 +125,7 @@ class Cursor:
     def at(self, k: int) -> int:
         """Where token k starts (the end of the text for the end): found again, for an error."""
         first, pos = self._lexed
-        for n, m in enumerate(_TOKEN.finditer(self.text, pos), first):
+        for n, m in enumerate(TOKEN.finditer(self.text, pos), first):
             if n == k:
                 return m.start()
         return len(self.text)
@@ -149,7 +133,7 @@ class Cursor:
     def scan(self, pattern: re.Pattern[str]) -> re.Match[str]:
         """Match pattern (it may match "") where the lexed head ends, all read; lex on past it."""
         m = pattern.match(self.text, self._end)
-        self.toks[self.i :] = _TOKEN.findall(self.text, m.end()) + [""]
+        self.toks[self.i :] = TOKEN.findall(self.text, m.end()) + [""]
         self._lexed = (self.i, m.end())
         return m
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from covidstore.ingest import write_formatted_files
-from covidstore.sql import Catalog, execute_statement, parse_statement, split_statements
+from covidstore.sql.engine import Catalog, execute_statement, parse_statement
+from covidstore.sql.lexer import split_statements
 from covidstore.store import ROW_KEY, ColumnCoord, ImportSpec, Store, open_store
 
 TESTS = Path(__file__).resolve().parent

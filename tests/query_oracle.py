@@ -17,7 +17,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Union
 
-from covidstore.sql import (
+from covidstore.sql.query import (
     ColumnRef,
     Comparison,
     InList,

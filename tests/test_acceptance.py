@@ -19,17 +19,11 @@ import pytest
 
 from covidstore.cli import main, raw_file_name
 from covidstore.shell import execute_command, parse_command, run_script
-from covidstore.sql import (
-    Catalog,
-    SelectQuery,
-    execute_query,
-    generate_schema,
-    parse_ddl,
-    parse_query,
-    parse_statement,
-    render_result_set,
-    split_statements,
-)
+from covidstore.ingest import generate_schema
+from covidstore.sql.ddl import parse_ddl
+from covidstore.sql.engine import Catalog, execute_query, parse_statement, render_result_set
+from covidstore.sql.lexer import split_statements
+from covidstore.sql.query import SelectQuery, parse_query
 from covidstore.store import (
     ColumnCoord,
     TableEnabledError,

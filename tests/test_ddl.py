@@ -6,18 +6,19 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covidstore.sql import (
+from covidstore.ingest import generate_schema
+from covidstore.sql.ddl import (
+    ColumnDef,
+    ColumnMapping,
     CreateTable,
     DescribeTable,
     DropTable,
-    SqlError,
-    SqlSyntaxError,
-    generate_schema,
+    RelationalSchema,
     parse_ddl,
     parse_ddl_statement,
-    split_statements,
 )
-from covidstore.sql.ddl import ColumnDef, ColumnMapping, RelationalSchema
+from covidstore.sql.errors import SqlError, SqlSyntaxError
+from covidstore.sql.lexer import split_statements
 from covidstore.store import ColumnCoord
 
 from conftest import workload_text
@@ -78,7 +79,7 @@ def test_corpus_create_mapping():
     assert coords[:3] == ["a:lt", "a:lg", "a:d122"]
     assert coords[-1] == "a:d331"
     assert ddl.mapping.families() == {"a"}
-    assert ddl.mapping.entries()[0] == ":key"
+    assert ddl.properties["hbase.columns.mapping"].startswith(":key,a:lt,")
     assert ddl.stored_by == "org.apache.hadoop.hive.hbase.HBaseStorageHandler"
     assert (
         ddl.properties["hbase.composite.key.factory"]

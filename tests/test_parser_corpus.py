@@ -19,7 +19,7 @@ import hashlib
 import json
 import re
 
-from covidstore.sql import parse_statement
+from covidstore.sql.engine import parse_statement
 
 from conftest import TESTS
 from test_acceptance import budget

@@ -2,19 +2,10 @@
 
 import pytest
 
-from covidstore.sql import (
-    ColumnRef,
-    Comparison,
-    DescribeTable,
-    DropTable,
-    InList,
-    KeyFieldRef,
-    SqlSyntaxError,
-    UnsupportedClauseError,
-    parse_query,
-    split_statements,
-)
-from covidstore.sql.lexer import tokenize
+from covidstore.sql.ddl import DescribeTable, DropTable
+from covidstore.sql.errors import SqlSyntaxError, UnsupportedClauseError
+from covidstore.sql.lexer import Cursor, split_statements, unquote
+from covidstore.sql.query import ColumnRef, Comparison, InList, KeyFieldRef, parse_query
 
 from conftest import workload_text
 
@@ -198,8 +189,15 @@ def test_syntax_error_position_points_at_offender():
     assert err.value.position == len("SELECT a FROM t WHERE a = ")
 
 
+def lex(text):
+    """Each token of text as (its text, unquote of it, where Cursor.at puts it)."""
+    cursor = Cursor(text)
+    assert cursor.toks[-1] == ""
+    return [(tok, unquote(tok), cursor.at(k)) for k, tok in enumerate(cursor.toks[:-1])]
+
+
 def test_string_token_position_is_its_opening_quote():
-    assert [t.pos for t in tokenize("x 'abc' \"d\" y")] == [0, 2, 8, 12]
+    assert [pos for _, _, pos in lex("x 'abc' \"d\" y")] == [0, 2, 8, 12]
     with pytest.raises(SqlSyntaxError) as err:
         parse_query("SELECT 'abc' FROM t")
     assert err.value.position == len("SELECT ")
@@ -213,18 +211,22 @@ def test_unterminated_string():
 @pytest.mark.parametrize(
     "scan, text, expected",
     [
-        (tokenize, r"'a\nb\tc\rd\~e'", [("STRING", "a\nb\tc\rd~e", 0)]),
-        (tokenize, r"""'it\'s' "say \"hi\"" """, [("STRING", "it's", 0), ("DQSTRING", 'say "hi"', 8)]),
-        (tokenize, 'x "p;q" y', [("ATOM", "x", 0), ("DQSTRING", "p;q", 2), ("ATOM", "y", 8)]),
+        (lex, r"'a\nb\tc\rd\~e'", [(r"'a\nb\tc\rd\~e'", "a\nb\tc\rd~e", 0)]),
         (
-            tokenize,
-            "café 03_31_2020 ٣٤ x²",
-            [("ATOM", "café", 0), ("ATOM", "03_31_2020", 5), ("ATOM", "٣٤", 16), ("ATOM", "x²", 19)],
+            lex,
+            r"""'it\'s' "say \"hi\"" """,
+            [(r"'it\'s'", "it's", 0), (r'"say \"hi\""', 'say "hi"', 8)],
         ),
-        (tokenize, "a　b", [("ATOM", "a", 0), ("ATOM", "b", 2)]),
-        (tokenize, "x 'abc\\", "unterminated string literal (at position 2)"),
-        (tokenize, 'x "abc', "unterminated string literal (at position 2)"),
-        (tokenize, "SELECT a # b", "unexpected character '#' (at position 9)"),
+        (lex, 'x "p;q" y', [("x", "x", 0), ('"p;q"', "p;q", 2), ("y", "y", 8)]),
+        (
+            lex,
+            "café 03_31_2020 ٣٤ x²",
+            [("café", "café", 0), ("03_31_2020", "03_31_2020", 5), ("٣٤", "٣٤", 16), ("x²", "x²", 19)],
+        ),
+        (lex, "a　b", [("a", "a", 0), ("b", "b", 2)]),
+        (lex, "x 'abc\\", "unterminated string literal (at position 2)"),
+        (lex, 'x "abc', "unterminated string literal (at position 2)"),
+        (lex, "SELECT a # b", "unexpected character '#' (at position 9)"),
         (split_statements, 'a; "x;y" ;b', ["a", '"x;y"', "b"]),
         (split_statements, r"x 'it\'s;' ; y", [r"x 'it\'s;'", "y"]),
         (split_statements, "DROP a; 'open; still open", ["DROP a", "'open; still open"]),

@@ -10,7 +10,6 @@ from covidstore.shell import (
     ShellError,
     execute_command,
     parse_command,
-    render_command,
     repl,
     run_script,
 )
@@ -99,8 +98,9 @@ _arg = st.text(
 
 @given(args=st.lists(_arg, min_size=2, max_size=3))
 def test_render_parse_round_trip(args):
-    cmd = ShellCommand("get", tuple(args[:3]))
-    assert parse_command(render_command(cmd)) == cmd
+    # Each argument quoted, with a quote inside it written as two.
+    line = "get " + ", ".join("'" + a.replace("'", "''") + "'" for a in args)
+    assert parse_command(line) == ShellCommand("get", tuple(args))
 
 
 # ------------------------------------------------------------ execution
