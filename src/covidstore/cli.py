@@ -178,12 +178,7 @@ def cmd_load(args) -> int:
         columns = import_columns_for_dates(start, end, args.family)
     else:
         columns = [c.strip() for c in args.columns.split(",")]
-    try:
-        spec = _spec_from_columns(args, columns)
-    except (ValueError, StoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-
+    spec = _spec_from_columns(args, columns)
     with open_store(args.store_dir) as store:
         report = store.import_tsv(args.table, args.file, spec)
         print(f"loaded {report.loaded} row(s), skipped {report.skipped}")

@@ -10,6 +10,7 @@ applied here:
   which drops the overall column count by exactly one
 * rewrites the date headers as zero-padded MM/DD/YYYY
 * blanks daily cells that are empty or "0", leaving the matrix sparse
+* rejects a row whose field holds a line break, which would split it in two
 
 Latitude and longitude are never blanked; a coordinate of 0 is a real
 location while a count of 0 is the absence of data.  Each input file yields
@@ -22,7 +23,7 @@ from __future__ import annotations
 import csv
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from . import write_atomic
 from .dates import DateColumn, FormatError, date_columns_between, series_columns
@@ -82,46 +83,19 @@ def generate_schema(table: str, store_table: str, family: str, start: date, end:
     )
 
 
-class RowKey(NamedTuple):
-    """Composite row key: province and country joined by a tilde.
+def build_row_key(province_state: str, country_region: str) -> str:
+    """Join sanitized province and country fields into a composite row key.
 
     The province may be empty, which puts the tilde first and makes
     country-level rows sort after every province-level row in the byte
     order of the store.
     """
-
-    province_state: str
-    country_region: str
-
-    def serialized(self) -> str:
-        return f"{self.province_state}{KEY_SEPARATOR}{self.country_region}"
-
-
-def build_row_key(province_state: str, country_region: str) -> RowKey:
-    """Combine sanitized province and country fields into a RowKey."""
     if not country_region:
         raise ValueError("record has an empty country field")
     for part in (province_state, country_region):
         if KEY_SEPARATOR in part:
             raise ValueError(f"field {part!r} contains the key separator {KEY_SEPARATOR!r}")
-    return RowKey(province_state, country_region)
-
-
-def sparsify(values: Sequence[str]) -> list[Optional[str]]:
-    """Blank the slots that carry no information.
-
-    A cell is absent (None) exactly when its text is "" or "0"; anything
-    else passes through untouched.
-    """
-    return [None if v in ("", "0") else v for v in values]
-
-
-class FormattedRecord(NamedTuple):
-    """One output row's composite key and coordinates."""
-
-    row_key: RowKey
-    lat: str
-    long: str
+    return f"{province_state}{KEY_SEPARATOR}{country_region}"
 
 
 class RowError(NamedTuple):
@@ -132,15 +106,14 @@ class RowError(NamedTuple):
 class FormatResult(NamedTuple):
     """Outcome of formatting one file.
 
-    text is the finished CSV, header line first, records the parsed rows in
-    input order, and errors the rows that were rejected, by input line
-    number.  A rejected row is reported and skipped; it never aborts the
-    rest of the file.
+    text is the finished CSV, header line first, records the row keys
+    written, in input order, and errors the rows that were rejected, by the
+    input line each starts on.  A rejected row is reported and skipped; it
+    never aborts the rest of the file.
     """
 
     text: str
-    records: list[FormattedRecord]
-    dates: list[DateColumn]
+    records: list[str]
     errors: list[RowError]
 
 
@@ -149,10 +122,12 @@ def format_file(input_path: str | Path) -> FormatResult:
 
     The header must have at least the four fixed columns plus one date.
     Quoted fields are handled by a real CSV parse, not textual substitution,
-    so an embedded quoted comma cannot shift later columns.  A row whose
-    daily fields hold no quote, asterisk or comma is already clean, so its
-    daily fields are joined once and only the "0" fields blanked; any other
-    row goes through sanitize_field and sparsify field by field.
+    so an embedded quoted comma cannot shift later columns.  Every row takes
+    one path: its daily fields are joined once, cleaned field by field with
+    sanitize_field only if the comma count shows that a field holds a comma
+    (else the joined text loses its quotes and asterisks), and then the "0"
+    fields are blanked.  A row whose field holds a line break is rejected,
+    since a loader reads each line as one row.
     """
     input_path = Path(input_path)
     try:
@@ -181,10 +156,12 @@ def format_file(input_path: str | Path) -> FormatResult:
         fixed = [merged] + [sanitize_field(h) for h in header[2:FIXED_COLUMNS]]
         lines = [",".join(fixed + [d.header_form for d in dates])]
 
-        records: list[FormattedRecord] = []
+        records: list[str] = []
         errors: list[RowError] = []
+        end = reader.line_num
         for row in reader:
-            line_no = reader.line_num
+            # A quoted line break makes one record span several lines.
+            line_no, end = end + 1, reader.line_num
             if len(row) != width:
                 errors.append(
                     RowError(line_no, f"expected {width} fields, found {len(row)}")
@@ -197,16 +174,20 @@ def format_file(input_path: str | Path) -> FormatResult:
                 errors.append(RowError(line_no, str(exc)))
                 continue
             daily = ",".join(row[FIXED_COLUMNS:])
-            if '"' in daily or "*" in daily or daily.count(",") != commas:
-                values = sparsify([sanitize_field(f) for f in row[FIXED_COLUMNS:]])
-                daily = ",".join(v or "" for v in values)
-            else:
-                # Each pass blanks every other field of a run of "0" fields.
-                daily = f",{daily},".replace(",0,", ",,").replace(",0,", ",,")[1:-1]
-            records.append(FormattedRecord(key, lat, long))
-            lines.append(f"{key.serialized()},{lat},{long},{daily}")
+            if daily.count(",") != commas:
+                daily = ",".join(map(sanitize_field, row[FIXED_COLUMNS:]))
+            elif '"' in daily or "*" in daily:
+                daily = daily.replace('"', "").replace("*", "")
+            # Each pass blanks every other field of a run of "0" fields.
+            daily = f",{daily},".replace(",0,", ",,").replace(",0,", ",,")[1:-1]
+            line = f"{key},{lat},{long},{daily}"
+            if "\n" in line or "\r" in line:
+                errors.append(RowError(line_no, "field holds a line break"))
+                continue
+            records.append(key)
+            lines.append(line)
 
-    return FormatResult("\n".join(lines) + "\n", records, dates, errors)
+    return FormatResult("\n".join(lines) + "\n", records, errors)
 
 
 def output_paths(input_path: str | Path, output_dir: str | Path | None = None) -> tuple[Path, Path]:

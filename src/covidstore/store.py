@@ -239,7 +239,7 @@ class ImportReport(NamedTuple):
 class _Table:
     __slots__ = (
         "descriptor", "data_file", "checksum", "rows", "coords", "keys", "parts",
-        "dirty", "view",
+        "dirty",
     )
 
     def __init__(self, descriptor: TableDescriptor, data_file: str) -> None:
@@ -263,8 +263,6 @@ class _Table:
         # order.  Dropped, with keys, whenever a row key may have been added.
         self.parts: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], list[str]]] = {}
         self.dirty = False
-        # What a full scan hands out, in key order; None once a write may have changed it.
-        self.view: Optional[list[Row]] = None
 
     def parse(self, line: str) -> tuple[str, dict[ColumnCoord, str]]:
         """Key and cells of one data file line; raises CellValueError."""
@@ -309,7 +307,7 @@ class _Table:
 
     def forget_keys(self) -> None:
         """Drop what was derived from the key set, which a new row changes."""
-        self.keys = self.view = None
+        self.keys = None
         self.parts.clear()
 
     def part_index(
@@ -358,7 +356,6 @@ class _Table:
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
         """Upsert cells, given in coordinate order, into a row, keeping it in that order."""
         self.dirty = True
-        self.view = None
         row = self.row(key)
         if row is None:
             self.rows[key] = dict(cells)
@@ -371,14 +368,9 @@ class _Table:
 
     def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Rows in key order, only the candidates of key_parts if given."""
-        if key_parts is None and self.view is not None:
-            return self.view
         keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
         row = self.row
-        rows = [Row(key, MappingProxyType(row(key))) for key in keys]  # type: ignore[arg-type]
-        if key_parts is None:
-            self.view = rows
-        return rows
+        return [Row(key, MappingProxyType(row(key))) for key in keys]  # type: ignore[arg-type]
 
 
 MANIFEST_NAME: Final = "MANIFEST"
@@ -694,7 +686,7 @@ class Store:
         read-only view, valid until the next write to the table.
         """
         self._ensure_open()
-        return list(self._enabled_table(table).scan(key_parts))
+        return self._enabled_table(table).scan(key_parts)
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
         """Bulk-load a delimited file, one row per line.

@@ -314,6 +314,36 @@ def test_c4_engine_matches_oracle(populated_store_dir):
             assert rows
 
 
+def test_fresh_opens_match_oracle(populated_store_dir):
+    # Criterion 4 opens the store once, so after its first full scan every
+    # row is parsed; here each query opens the store afresh, as a CLI
+    # process does, and so reads rows through their first-touch line path.
+    # The budget holds the engine's runs; the brute-force oracle's joins
+    # take several times as long, so they run before it.
+    oracle_tables = _oracle_tables()
+    confirmed = oracle_tables[TABLES["confirmed"]]
+    countries = sorted({r["country_region"] for r in confirmed.rows})
+    provinces = sorted({r["province_state"] for r in confirmed.rows})
+    date_cols = confirmed.declared_columns[2:]
+
+    import random
+
+    rng = random.Random(20200402)
+    texts = [_random_query(rng, countries, provinces, date_cols) for _ in range(70)]
+    texts += [_join_shape_query(rng, oracle_tables, date_cols) for _ in range(30)]
+    cases = []
+    for text in texts:
+        ast = parse_query(text)
+        cases.append((text, ast, query_oracle.evaluate(ast, oracle_tables)))
+
+    with budget(10.0):
+        for text, ast, (header, rows) in cases:
+            with open_store(populated_store_dir) as store:
+                engine = execute_query(ast, Catalog(store), store)
+            assert engine.columns == header, text
+            assert engine.rows == rows, text
+
+
 # --------------------------------------------------------------- criterion 5
 
 

@@ -313,6 +313,37 @@ def test_ingest_writes_both_layouts(raw_data, capsys):
         assert headerless.read_text(encoding="utf-8") == text.split("\n", 1)[1]
 
 
+def test_ingest_rejects_a_row_whose_field_holds_a_line_break(dirs, capsys):
+    # Written as is, the quoted line break would reach load as two lines,
+    # and load would store a row "bei~China" that is not in the feed.
+    store_dir, data_dir = dirs
+    data_dir.mkdir()
+    (data_dir / raw_file_name("confirmed")).write_text(
+        "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+        ",Morocco,31.79,-7.09,5,6\n"
+        '"Hu\nbei",China,30.9,112.2,1,2\n'
+        ",Spain,40.4,-3.7,7,8\n",
+        encoding="utf-8",
+    )
+    assert run_cli(store_dir, data_dir, "ingest", "confirmed") == 0
+    captured = capsys.readouterr()
+    assert "confirmed: 2 rows, 1 errors" in captured.out
+    assert captured.err == "  line 3: field holds a line break\n"
+
+    table = TABLES["confirmed"]
+    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 23))
+    assert run_cli(store_dir, data_dir, "sql", schema) == 0
+    stem = raw_file_name("confirmed")[: -len(".csv")]
+    rc = run_cli(
+        store_dir, data_dir, "load", table, str(data_dir / f"{stem}-sparse.csv"),
+        "--dates", "2020-01-22:2020-01-23",
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert run_cli(store_dir, data_dir, "sql", f"SELECT key.Country_Region FROM {table}") == 0
+    assert capsys.readouterr().out == "country_region\nMorocco\nSpain\n"
+
+
 def test_ingest_missing_input(dirs, capsys):
     store_dir, data_dir = dirs
     data_dir.mkdir()
@@ -418,6 +449,11 @@ def test_load_rejects_bad_column_spec(raw_data, capsys):
     )
     assert rc == 1
     assert "exactly one" in capsys.readouterr().err
+    rc = run_cli(
+        store_dir, data_dir, "load", "t", str(sparse), "--columns", "HBASE_ROW_KEY,a:b:c"
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: invalid column coordinate 'a:b:c'\n"
 
 
 # ---------------------------------------------------------------------- sql

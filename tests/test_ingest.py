@@ -11,12 +11,10 @@ from hypothesis import given, settings, strategies as st
 from covidstore.dates import DateColumn, FormatError, date_columns_between
 from covidstore.ingest import (
     KEY_SEPARATOR,
-    RowKey,
     build_row_key,
     format_file,
     output_paths,
     sanitize_field,
-    sparsify,
     write_formatted_files,
 )
 
@@ -126,14 +124,11 @@ def test_date_range_rejects_reversed_bounds():
 
 
 def test_row_key_country_only():
-    key = build_row_key("", "Morocco")
-    assert key == RowKey("", "Morocco")
-    assert key.serialized() == "~Morocco"
+    assert build_row_key("", "Morocco") == "~Morocco"
 
 
 def test_row_key_with_province():
-    key = build_row_key("British Columbia", "Canada")
-    assert key.serialized() == "British Columbia~Canada"
+    assert build_row_key("British Columbia", "Canada") == "British Columbia~Canada"
 
 
 def test_row_key_requires_country():
@@ -156,32 +151,7 @@ _key_text = st.text(
 @given(province=_key_text, country=_key_text.filter(bool))
 def test_row_key_round_trip(province, country):
     key = build_row_key(province, country)
-    assert key.serialized().split(KEY_SEPARATOR) == [province, country]
-
-
-# ------------------------------------------------------------ sparsifying
-
-
-def test_sparsify_blanks_only_exact_zero_and_empty():
-    assert sparsify(["0", "", "5", "00", "0.0", "617"]) == [
-        None,
-        None,
-        "5",
-        "00",
-        "0.0",
-        "617",
-    ]
-
-
-@given(st.lists(st.text(max_size=4), max_size=10))
-def test_sparsify_never_invents_or_alters_values(values):
-    out = sparsify(values)
-    assert len(out) == len(values)
-    for raw, kept in zip(values, out):
-        if raw in ("", "0"):
-            assert kept is None
-        else:
-            assert kept == raw
+    assert key.split(KEY_SEPARATOR) == [province, country]
 
 
 # ------------------------------------------------------------ file formatting
@@ -207,7 +177,7 @@ def test_format_small_file(tmp_path):
         "~Korea-South,35.9,127.7,,24\n"
         "Hubei~China,30.9756,112.2707,444,444\n"
     )
-    assert [d.qualifier for d in result.dates] == ["d122", "d123"]
+    assert result.records == ["~Korea-South", "Hubei~China"]
 
 
 def test_format_keeps_zero_coordinates(tmp_path):
@@ -231,8 +201,7 @@ def test_format_skips_bad_rows_and_reports_line_numbers(tmp_path):
         ",Spain,40.4,-3.7,7\n",
     )
     result = format_file(p)
-    assert len(result.records) == 2
-    assert [r.row_key.serialized() for r in result.records] == ["~Morocco", "~Spain"]
+    assert result.records == ["~Morocco", "~Spain"]
     assert [(e.line_number, e.message) for e in result.errors] == [
         (3, "expected 5 fields, found 3"),
         (4, "record has an empty country field"),
@@ -291,7 +260,7 @@ def test_headerless_output_is_headered_minus_first_line(tmp_path):
 def test_fixture_formats_without_row_errors():
     result = format_file(raw_fixture("deaths"))
     assert result.errors == []
-    assert len(result.dates) == 70
+    assert len(result.text.split("\n", 1)[0].split(",")) == 3 + 70
     assert len(result.records) == 215
 
 
@@ -299,7 +268,10 @@ def test_fixture_formats_without_row_errors():
 
 
 def _per_field_reference(path):
-    """format_file's text, keys and errors, built field by field from the helpers."""
+    """format_file's text, keys and errors, built field by field from the helpers.
+
+    Each error is at the line its record starts on.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -308,23 +280,28 @@ def _per_field_reference(path):
         lines = [",".join([fixed[0] + KEY_SEPARATOR + fixed[1], *fixed[2:]]
                           + [d.header_form for d in dates])]
         keys, errors = [], []
+        start = reader.line_num + 1
         for row in reader:
+            line_no, start = start, reader.line_num + 1
             if len(row) != len(header):
-                errors.append((reader.line_num, f"expected {len(header)} fields, found {len(row)}"))
+                errors.append((line_no, f"expected {len(header)} fields, found {len(row)}"))
                 continue
             clean = [sanitize_field(f) for f in row]
             try:
                 key = build_row_key(clean[0], clean[1])
             except ValueError as exc:
-                errors.append((reader.line_num, str(exc)))
+                errors.append((line_no, str(exc)))
+                continue
+            if any("\n" in f or "\r" in f for f in row):
+                errors.append((line_no, "field holds a line break"))
                 continue
             keys.append(key)
-            values = [v if v is not None else "" for v in sparsify(clean[4:])]
-            lines.append(",".join([key.serialized(), clean[2], clean[3], *values]))
+            values = ["" if v == "0" else v for v in clean[4:]]
+            lines.append(",".join([key, clean[2], clean[3], *values]))
     return "\n".join(lines) + "\n", keys, errors
 
 
-_ATOMS = ['"', "*", ",", ", ", "0", "00", " 0", "0.0", "", "7", "12"]
+_ATOMS = ['"', "*", ",", ", ", "0", "00", " 0", "0.0", "", "7", "12", "\n", "\r"]
 _raw_field = st.tuples(st.lists(st.sampled_from(_ATOMS), max_size=3).map("".join), st.booleans())
 
 
@@ -349,7 +326,7 @@ def test_format_file_matches_the_per_field_reference(days, rows):
         result = format_file(path)
         expected_text, keys, errors = _per_field_reference(path)
     assert result.text == expected_text
-    assert [r.row_key for r in result.records] == keys
+    assert result.records == keys
     assert [(e.line_number, e.message) for e in result.errors] == errors
 
 
