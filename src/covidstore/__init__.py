@@ -11,8 +11,11 @@ write_atomic and StoreError live here, so a command that never opens a
 store does not import it.
 """
 
+from __future__ import annotations
+
 import os
 from pathlib import Path
+from typing import Iterable
 
 __version__ = "0.1.0"
 
@@ -21,11 +24,17 @@ class StoreError(Exception):
     """Base class for all store failures."""
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Replace path with data, so a reader finds the old file or the new one."""
+def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Replace path with data, so a reader finds the old file or the new one.
+
+    data is one bytes object or an iterable of byte chunks, written in
+    order.  If anything fails, the iterable included, the temp file is
+    removed and path is left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         try:

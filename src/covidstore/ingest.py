@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import write_atomic
 from .dates import DateColumn, FormatError, date_columns_between, series_columns
@@ -117,6 +117,14 @@ class FormatResult(NamedTuple):
     errors: list[RowError]
 
 
+def _rows(reader, path: Path) -> Iterator[list[str]]:
+    """The reader's rows; a csv.Error becomes a FormatError naming path and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def format_file(input_path: str | Path) -> FormatResult:
     """Format one raw time-series CSV into the sparse representation.
 
@@ -138,8 +146,9 @@ def format_file(input_path: str | Path) -> FormatResult:
 
     with fh:
         reader = csv.reader(fh)
+        rows = _rows(reader, input_path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise FormatError(f"{input_path}: empty file, expected a header row") from None
 
@@ -159,7 +168,7 @@ def format_file(input_path: str | Path) -> FormatResult:
         records: list[str] = []
         errors: list[RowError] = []
         end = reader.line_num
-        for row in reader:
+        for row in rows:
             # A quoted line break makes one record span several lines.
             line_no, end = end + 1, reader.line_num
             if len(row) != width:

@@ -21,17 +21,20 @@ with one line per row, rows in key order:
     <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
 
 with the pairs in coordinate order.  Flush writes the data files first and
-MANIFEST after them, with each file's byte size and zlib.crc32.  An
-flock on the LOCK file keeps a second process out while the store is open,
-and the kernel drops it when the process ends, however it ends.  Keys,
-coordinates and values are UTF-8 text without tabs or newlines, and a
-family or qualifier holds no colon or comma, which is what keeps the
-on-disk format trivial.
+MANIFEST after them, with each file's byte size and zlib.crc32; it streams
+a data file in chunks of whole lines, encoding and summing one chunk at a
+time.  An flock on the LOCK file keeps a second process out while the
+store is open, and the kernel drops it when the process ends, however it
+ends.  Keys, coordinates and values are UTF-8 text without tabs or
+newlines, and a family or qualifier holds no colon or comma, which is
+what keeps the on-disk format trivial.
 
-Open reads every data file in full and checks its size and checksum.  A
-file that matches was written by flush, so open only indexes its lines by
-row key; a row is parsed the first time get, scan, put or import_tsv
-touches it, and a table nothing touches is neither parsed nor rewritten.
+Open reads every data file a chunk at a time, decoding only whole lines,
+and checks its size and checksum.  So open and flush hold a table's data
+once, as its rows, never beside a whole-file copy of it.  A file that
+matches was written by flush, so open only indexes its lines by row key;
+a row is parsed the first time get, scan, put or import_tsv touches it,
+and a table nothing touches is neither parsed nor rewritten.
 import_tsv keeps a new row in the same form, the line flush would write,
 built from the input fields (HBase's bulk load: write the storage format,
 not each cell).  A file that does not match, or whose MANIFEST line has
@@ -68,7 +71,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Final, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import StoreError, write_atomic
 
@@ -375,6 +378,20 @@ class _Table:
 
 MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
+# Open reads a data file, and flush writes one, this many bytes at a time
+# (flush in whole lines, so its chunks run a line over).
+CHUNK_SIZE: Final = 1 << 16
+
+
+def _decode(path: Path, data: bytes, start: int) -> str:
+    """data, whole lines of the data file at path from byte start on, as text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptStoreError(
+            f"corrupt data file {path}: 'utf-8' codec can't decode byte "
+            f"0x{data[exc.start]:02x} at byte {start + exc.start}: {exc.reason}"
+        ) from None
 
 
 def open_store(directory: str | Path) -> "Store":
@@ -486,24 +503,40 @@ class Store:
     def _read_data(self, table: _Table, checksum: Optional[tuple[int, int]]) -> None:
         """Index the data file's lines by row key, or parse it in full.
 
-        Only a file whose size and crc32 match its MANIFEST line is indexed;
-        any other is parsed strictly, line by line, and its table keeps no
+        The file is read CHUNK_SIZE bytes at a time, summing its size and
+        crc32.  Each chunk is cut after its last newline and the rest
+        carried into the next, so only whole lines are decoded: no UTF-8
+        sequence but the newline itself holds byte 0x0A.  Open thus holds
+        the table's lines once, beside a chunk, never the whole file.  Only
+        a file whose size and crc32 match its MANIFEST line is indexed; any
+        other is parsed strictly, line by line, and its table keeps no
         checksum until flush rewrites the file.
         """
         path = self.directory / table.data_file
         try:
-            data = path.read_bytes()
+            f = open(path, "rb")
         except FileNotFoundError:
             # A crash between manifest write and first flush leaves no data
             # file; that is an empty table, not corruption.
             return
-        try:
-            lines = data.decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
-        if (len(data), zlib.crc32(data)) == checksum:
+        lines: list[str] = []
+        size = crc = 0
+        rest = b""  # the start of a line the last chunk cut
+        with f:
+            while block := f.read(CHUNK_SIZE):
+                crc = zlib.crc32(block, crc)
+                cut = block.rfind(b"\n") + 1
+                if cut:
+                    lines += _decode(path, rest + block[:cut], size - len(rest)).split("\n")
+                    lines.pop()  # the empty text after the last newline
+                    rest = block[cut:]
+                else:
+                    rest += block
+                size += len(block)
+        if rest:
+            lines.append(_decode(path, rest, size - len(rest)))
+        if (size, crc) == checksum:
             table.checksum = checksum
-            lines.pop()  # the empty text after the last newline
             table.rows = {line[: line.find("\t")]: line for line in lines}
             table.keys = list(table.rows)
             return
@@ -533,17 +566,38 @@ class Store:
         write_atomic(self.directory / MANIFEST_NAME, "".join(lines).encode("utf-8"))
 
     def _write_table(self, table: _Table) -> None:
-        """Rewrite the data file; a row nothing touched keeps its line as read."""
-        text = _CoordTexts().__getitem__
-        out = []
-        for key in table.ordered_keys():
-            row = table.rows[key]
-            if not isinstance(row, str):
-                row = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
-            out.append(row + "\n")
-        data = "".join(out).encode("utf-8")
-        write_atomic(self.directory / table.data_file, data)
-        table.checksum = (len(data), zlib.crc32(data))
+        """Rewrite the data file; a row nothing touched keeps its line as read.
+
+        Rows go out in key order, in chunks of whole lines about CHUNK_SIZE
+        bytes long, each encoded on its own and summed into the size and
+        crc32 as it is written, so flush holds no copy of the table beside
+        its rows.
+        """
+        size = crc = 0
+
+        def chunks() -> Iterator[bytes]:
+            nonlocal size, crc
+            text = _CoordTexts().__getitem__
+            keys = table.ordered_keys()
+            lines: list[str] = []
+            length = 0
+            for n, key in enumerate(keys, 1):
+                row = table.rows[key]
+                if not isinstance(row, str):
+                    row = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
+                lines.append(row)
+                length += len(row) + 1
+                if length >= CHUNK_SIZE or n == len(keys):
+                    lines.append("")  # the last line's newline
+                    chunk = "\n".join(lines).encode("utf-8")
+                    size += len(chunk)
+                    crc = zlib.crc32(chunk, crc)
+                    yield chunk
+                    del chunk  # before the next one is built
+                    lines, length = [], 0
+
+        write_atomic(self.directory / table.data_file, chunks())
+        table.checksum = (size, crc)
         table.dirty = False
 
     def flush(self) -> None:

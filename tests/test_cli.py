@@ -344,6 +344,26 @@ def test_ingest_rejects_a_row_whose_field_holds_a_line_break(dirs, capsys):
     assert capsys.readouterr().out == "country_region\nMorocco\nSpain\n"
 
 
+def test_ingest_reports_a_field_over_the_csv_limit(dirs, capsys):
+    # csv's field_size_limit is 131,072 characters; the reader raises
+    # csv.Error past it, which ingest reports like any bad input.
+    store_dir, data_dir = dirs
+    data_dir.mkdir()
+    (data_dir / raw_file_name("confirmed")).write_text(
+        "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+        ",Morocco,31.79,-7.09,5,6\n"
+        f',"{"x" * 140_000}",30.9,112.2,1,2\n',
+        encoding="utf-8",
+    )
+    assert run_cli(store_dir, data_dir, "ingest", "confirmed") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: confirmed: ")
+    assert captured.err.endswith(": line 3: field larger than field limit (131072)\n")
+    stem = raw_file_name("confirmed")[: -len(".csv")]
+    assert not (data_dir / f"{stem}-sparse.csv").exists()
+
+
 def test_ingest_missing_input(dirs, capsys):
     store_dir, data_dir = dirs
     data_dir.mkdir()

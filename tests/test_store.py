@@ -6,13 +6,16 @@ import subprocess
 import sys
 import zlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covidstore import write_atomic
 from covidstore.ingest import write_formatted_files
 from covidstore.store import (
+    CHUNK_SIZE,
     ROW_KEY,
     CellValueError,
     ColumnCoord,
@@ -873,6 +876,211 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
             s.get("t", "k2")
         s.put("t", "k1", C("a:q"), "new")
     assert (d / "t.dat").read_bytes() == b"k1\ta:q\tnew\nk2\taq\tK2\nk3\ta:q\tK3\n"
+
+
+# ------------------------------------------------- chunked open and flush
+
+# Where a read boundary falls in the line that reaches it: inside a
+# character, so many bytes into it, or just after the line's newline.
+_CUTS = [("😀", 1), ("€", 2), ("é", 1), ("😀", 3), (None, 0), ("€", 1)]
+
+
+def _chunked_rows() -> list[tuple[str, str]]:
+    """(key, value) rows, in key order, of a:q cells whose data file spans
+    several chunks; each read boundary falls as _CUTS says, and one value,
+    three chunks long, holds a chunk with no newline."""
+    rows: list[tuple[str, str]] = []
+    offset = 0  # where the next line starts in the data file
+
+    def add(value: str) -> None:
+        nonlocal offset
+        key = f"k{len(rows):05d}"
+        rows.append((key, value))
+        offset += len(f"{key}\ta:q\t{value}\n".encode("utf-8"))
+
+    prefix = len("k00000\ta:q\t")
+    for n, (char, into) in enumerate(_CUTS, 1):
+        boundary = n * CHUNK_SIZE
+        while boundary - offset > 400:
+            add("é€😀x" * 40)
+        gap = boundary - offset
+        if char is None:
+            add("x" * (gap - prefix - 1))
+        else:
+            add("x" * (gap - prefix - into) + char + "é€😀")
+        assert offset > boundary or (char is None and offset == boundary)
+    add("€" * CHUNK_SIZE)
+    add("last")
+    return rows
+
+
+def _chunked_store(d: Path) -> tuple[list[tuple[str, str]], bytes]:
+    rows = _chunked_rows()
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        for key, value in rows:
+            s.put("t", key, C("a:q"), value)
+    return rows, (d / "t.dat").read_bytes()
+
+
+def _set_checksum(d: Path, data: bytes) -> None:
+    manifest = d / "MANIFEST"
+    fields = manifest.read_text(encoding="utf-8").rstrip("\n").split("\t")
+    fields[4:] = [str(len(data)), str(zlib.crc32(data))]
+    manifest.write_text("\t".join(fields) + "\n", encoding="utf-8")
+
+
+def test_a_data_file_of_many_chunks_round_trips(tmp_path):
+    d = tmp_path / "kv"
+    rows, data = _chunked_store(d)
+    assert data == "".join(f"{key}\ta:q\t{value}\n" for key, value in rows).encode("utf-8")
+    boundaries = range(CHUNK_SIZE, len(data), CHUNK_SIZE)
+    assert len(boundaries) >= len(_CUTS) + 3
+    # Inside a character: a continuation byte.  After a newline: a line's start.
+    assert [0x80 <= data[b] < 0xC0 for b in boundaries[: len(_CUTS)]] == [
+        char is not None for char, _ in _CUTS
+    ]
+    assert any(b"\n" not in data[b : b + CHUNK_SIZE] for b in boundaries)
+    manifest = (d / "MANIFEST").read_bytes()
+    fields = manifest.decode("utf-8").rstrip("\n").split("\t")
+    assert fields[4:] == [str(len(data)), str(zlib.crc32(data))]
+    expected = [(key, [(C("a:q"), value)]) for key, value in rows]
+    with open_store(d) as s:
+        assert _rows(s, "t") == expected
+        assert s.get("t", rows[-2][0]) == [(C("a:q"), rows[-2][1])]
+    # Nothing was written, so the MANIFEST line keeps its six fields.
+    assert (d / "MANIFEST").read_bytes() == manifest
+    # A flush of rows both touched and still lines writes the same bytes.
+    with open_store(d) as s:
+        for key, value in rows[::50]:
+            s.put("t", key, C("a:q"), value)
+    assert (d / "t.dat").read_bytes() == data
+    assert (d / "MANIFEST").read_bytes() == manifest
+
+
+def test_a_matching_file_of_many_chunks_is_indexed_not_parsed(tmp_path):
+    # A bad line in the last chunk, under a checksum that matches, is found
+    # only when its row is read: open indexed the lines without parsing them.
+    d = tmp_path / "kv"
+    rows, data = _chunked_store(d)
+    data = data.replace(b"\nk00001\ta:q\t", b"\nk00001\taq\t")
+    data = data.replace(f"\n{rows[-1][0]}\ta:q\t".encode(), f"\n{rows[-1][0]}\taq\t".encode())
+    (d / "t.dat").write_bytes(data)
+    _set_checksum(d, data)
+    with open_store(d) as s:
+        assert s.get("t", rows[-2][0]) == [(C("a:q"), rows[-2][1])]
+        with pytest.raises(CorruptStoreError, match=rf"row '{rows[-1][0]}': invalid column"):
+            s.get("t", rows[-1][0])
+
+
+def test_a_mismatched_file_of_many_chunks_names_its_bad_line(tmp_path):
+    # Same size, other bytes: only the crc32 tells, so the file is parsed
+    # strictly, and the line is counted across the chunks before it.
+    d = tmp_path / "kv"
+    rows, data = _chunked_store(d)
+    line = data.count(b"\n", 0, 3 * CHUNK_SIZE) + 1  # the first to start in chunk 4
+    key = rows[line][0]
+    (d / "t.dat").write_bytes(data.replace(f"\n{key}\ta:q\t".encode(), f"\n{key}\ta;q\t".encode()))
+    with pytest.raises(
+        CorruptStoreError, match=rf"t\.dat: line {line + 1}: invalid column coordinate 'a;q'"
+    ):
+        open_store(d)
+
+
+def test_a_data_file_not_utf8_in_a_later_chunk_is_named(tmp_path):
+    d = tmp_path / "kv"
+    _, data = _chunked_store(d)
+    at = data.index(b"x", 2 * CHUNK_SIZE)
+    data = data[:at] + b"\xff" + data[at + 1 :]
+    (d / "t.dat").write_bytes(data)
+    _set_checksum(d, data)
+    with pytest.raises(
+        CorruptStoreError, match=rf"t\.dat: 'utf-8' codec can't decode byte 0xff at byte {at}"
+    ):
+        open_store(d)
+
+
+def test_a_write_that_fails_mid_stream_keeps_the_old_file(tmp_path):
+    path = tmp_path / "f.dat"
+    path.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"new\n" * CHUNK_SIZE
+        raise RuntimeError("no more")
+
+    with pytest.raises(RuntimeError, match="no more"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.dat"]
+
+
+def test_a_flush_that_fails_mid_stream_keeps_the_old_data_file(tmp_path, monkeypatch):
+    # The last row is the one rendered from cells, after several chunks of
+    # lines went out; rendering it fails.
+    d = tmp_path / "kv"
+    rows, data = _chunked_store(d)
+    manifest = (d / "MANIFEST").read_bytes()
+    with open_store(d) as s:
+        s.put("t", rows[-1][0], C("a:z"), "new")
+        with monkeypatch.context() as m:
+            m.setattr(ColumnCoord, "__str__", lambda self: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                s.flush()
+        assert (d / "t.dat").read_bytes() == data
+        assert (d / "MANIFEST").read_bytes() == manifest
+        assert sorted(p.name for p in d.iterdir()) == ["LOCK", "MANIFEST", "t.dat"]
+    with open_store(d) as s:
+        assert s.get("t", rows[-1][0]) == [(C("a:q"), rows[-1][1]), (C("a:z"), "new")]
+
+
+def _wide_table(d: Path, tmp_path: Path) -> "Store":
+    """An open store whose table t, 800 rows of 368 cells, about 4.2 MB on
+    disk, was just imported and not yet flushed."""
+    coords = [f"a:d{n:04d}" for n in range(368)]
+    source = tmp_path / "wide.tsv"
+    source.write_text(
+        "".join(f"k{i:04d}\t" + "\t".join(str(100_000 + i + n) for n in range(368)) + "\n"
+                for i in range(800)),
+        encoding="utf-8",
+    )
+    s = open_store(d)
+    s.create_table("t", {"a"})
+    s.import_tsv("t", source, ImportSpec(columns=(ROW_KEY, *map(C, coords))))
+    return s
+
+
+def _traced(call):
+    """What call returned, and tracemalloc's (current, peak) bytes across it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_flush_holds_no_copy_of_the_table(tmp_path):
+    # The peak counts only what flush allocates: the table was there before.
+    d = tmp_path / "kv"
+    s = _wide_table(d, tmp_path)
+    try:
+        _, (_, peak) = _traced(s.flush)
+    finally:
+        s.close()
+    size = (d / "t.dat").stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 2, f"flush peaked {peak} bytes above the store, file is {size}"
+
+
+def test_open_holds_the_table_once(tmp_path):
+    d = tmp_path / "kv"
+    _wide_table(d, tmp_path).close()
+    s, (current, peak) = _traced(lambda: open_store(d))
+    s.close()
+    size = (d / "t.dat").stat().st_size
+    assert current > size  # the table's lines
+    # About one chunk above what it holds: never the file as bytes or text.
+    assert peak - current < size / 16, f"open peaked {peak - current} bytes above {current}"
 
 
 _KEY_PART = st.text("ab~", max_size=3)
