@@ -103,11 +103,8 @@ def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[
 
 
 def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
-    parsed: list = []
-    for c in columns:
-        parsed.append(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c))
     return ImportSpec(
-        columns=tuple(parsed),
+        columns=tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns),
         separator=args.separator,
         skip_bad_lines=not args.no_skip_bad_lines,
         skip_empty_columns=not args.no_skip_empty_columns,

@@ -66,12 +66,7 @@ def date_columns_between(start: date, end: date) -> list[DateColumn]:
     """All daily columns from start to end inclusive, in order."""
     if start > end:
         raise ValueError(f"start date {start} is after end date {end}")
-    out = []
-    d = start
-    while d <= end:
-        out.append(DateColumn.from_date(d))
-        d += timedelta(days=1)
-    return out
+    return [DateColumn.from_date(start + timedelta(n)) for n in range((end - start).days + 1)]
 
 
 def series_columns(start: date, end: date, family: str) -> list[str]:

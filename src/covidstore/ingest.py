@@ -199,22 +199,19 @@ def format_file(input_path: str | Path) -> FormatResult:
     return FormatResult("\n".join(lines) + "\n", records, errors)
 
 
-def output_paths(input_path: str | Path, output_dir: str | Path | None = None) -> tuple[Path, Path]:
-    """Derive the two output file paths for one input file."""
+def output_paths(input_path: str | Path) -> tuple[Path, Path]:
+    """Derive the two output file paths for one input file, beside it."""
     input_path = Path(input_path)
-    out_dir = Path(output_dir) if output_dir is not None else input_path.parent
     stem = input_path.name
     if stem.endswith(".csv"):
         stem = stem[: -len(".csv")]
-    with_names = out_dir / f"{stem}-sparse-with-formatted-column-names.csv"
-    sparse = out_dir / f"{stem}-sparse.csv"
+    with_names = input_path.parent / f"{stem}-sparse-with-formatted-column-names.csv"
+    sparse = input_path.parent / f"{stem}-sparse.csv"
     return with_names, sparse
 
 
-def write_formatted_files(
-    input_path: str | Path, output_dir: str | Path | None = None
-) -> tuple[Path, Path, FormatResult]:
-    """Write both output variants for one input file.
+def write_formatted_files(input_path: str | Path) -> tuple[Path, Path, FormatResult]:
+    """Write both output variants for one input file, beside it.
 
     The headerless file is byte for byte the headered file minus its first
     line.  Output is UTF-8 with a single trailing newline and no BOM.  Each
@@ -222,7 +219,7 @@ def write_formatted_files(
     for load to import.
     """
     result = format_file(input_path)
-    with_names, sparse = output_paths(input_path, output_dir)
+    with_names, sparse = output_paths(input_path)
     data = result.text.encode("utf-8")
     write_atomic(with_names, data)
     write_atomic(sparse, data[data.index(b"\n") + 1 :])

@@ -13,11 +13,19 @@ import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
-from .store import ColumnCoord, Store, StoreError, _CoordTexts
+from .store import ColumnCoord, LineReader, Store, StoreError, _CoordTexts
 
 
 class ShellError(Exception):
     pass
+
+
+# What a failed command raises; the shell renders each as one ERROR: line.
+_FAILURES = (StoreError, ShellError, OSError)
+
+
+def _error_line(exc: Exception) -> str:
+    return f"ERROR: {exc}"
 
 
 # verb -> (minimum args, maximum args or None for unbounded)
@@ -109,10 +117,8 @@ def _dispatch(cmd: ShellCommand, store: Store) -> str:
         return "\n".join(lines)
     if cmd.verb == "scan":
         rows = store.scan(cmd.args[0])
-        lines = []
-        for row in rows:
-            for c, v in row.cells.items():
-                lines.append(f"{row.key}  column={_coord_text(c)}, value={v}")
+        lines = [f"{row.key}  column={_coord_text(c)}, value={v}"
+                 for row in rows for c, v in row.cells.items()]
         lines.append(f"{len(rows)} row(s)")
         return "\n".join(lines)
     if cmd.verb == "disable":
@@ -134,8 +140,8 @@ def execute_command(cmd: ShellCommand, store: Store) -> str:
     """
     try:
         return _dispatch(cmd, store)
-    except (StoreError, ShellError, OSError) as exc:
-        return f"ERROR: {exc}"
+    except _FAILURES as exc:
+        return _error_line(exc)
 
 
 def _run(store: Store, lines: Iterable[str], out: IO[str]) -> int:
@@ -153,8 +159,8 @@ def _run(store: Store, lines: Iterable[str], out: IO[str]) -> int:
             if cmd.verb == "exit":
                 break
             text = _dispatch(cmd, store)
-        except (StoreError, ShellError, OSError) as exc:
-            text = f"ERROR: {exc}"
+        except _FAILURES as exc:
+            text = _error_line(exc)
             errors += 1
         if text:
             print(text, file=out)
@@ -174,18 +180,18 @@ def _prompted(stdin: IO[str], out: IO[str]) -> Iterator[str]:
 def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) -> int:
     """Execute commands from a file, one per line; returns the error count.
 
-    Execution continues past failures so a partly broken script still does
-    what it can; the caller turns a nonzero count into a nonzero exit status.
+    Every line is read before any command runs, so a script that is not
+    UTF-8 runs nothing.  Execution continues past failures; the caller
+    turns a nonzero count into a nonzero exit status.
     """
     # Resolve at call time so stream redirection is honored.
     out = sys.stdout if out is None else out
     try:
-        # Only \n and \r\n end a line, as in import_tsv, not str.splitlines().
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            lines = list(LineReader(fh))
+    except UnicodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return _run(store, text.replace("\r\n", "\n").split("\n"), out)
+    return _run(store, lines, out)
 
 
 def repl(

@@ -183,10 +183,8 @@ class Catalog:
         return "\n".join(lines)
 
     def _persist(self) -> None:
-        statements = []
-        for key in sorted(self._entries):
-            raw = self._entries[key].raw
-            statements.append(raw if raw.endswith(";") else raw + ";")
+        raws = [self._entries[key].raw for key in sorted(self._entries)]
+        statements = [raw if raw.endswith(";") else raw + ";" for raw in raws]
         text = "\n".join(statements) + ("\n" if statements else "")
         write_atomic(self._path, text.encode("utf-8"))
 

@@ -29,32 +29,29 @@ ends.  Keys, coordinates and values are UTF-8 text without tabs or
 newlines, and a family or qualifier holds no colon or comma, which is
 what keeps the on-disk format trivial.
 
-Open reads every data file a chunk at a time, decoding only whole lines,
-and checks its size and checksum.  So open and flush hold a table's data
-once, as its rows, never beside a whole-file copy of it.  A file that
-matches was written by flush, so open only indexes its lines by row key;
-a row is parsed the first time get, scan, put or import_tsv touches it,
-and a table nothing touches is neither parsed nor rewritten.
-import_tsv keeps a new row in the same form, the line flush would write,
-built from the input fields (HBase's bulk load: write the storage format,
-not each cell).  A file that does not match, or whose MANIFEST line has
-the four fields of an older store, is parsed in full at open and refused
-as corrupt at its first bad line.  One that parses cleanly is accepted
-(a crash between a data file's replace and the MANIFEST rewrite leaves
+Open and import_tsv read MANIFEST, the data files and the load input
+through one LineReader, a chunk of whole lines at a time, so open, flush
+and load hold a table's data once, as its rows, never beside a whole-file
+copy of it or of the input.  A data file whose size and checksum match
+was written by flush, so open only indexes its lines by row key; a row is
+parsed the first time get, scan, put or import_tsv touches it, and a
+table nothing touches is neither parsed nor rewritten.  import_tsv keeps
+a new row in the same form, the line flush would write, built from the
+input fields (HBase's bulk load: write the storage format, not each
+cell).  A file that does not match, or whose MANIFEST line has the four
+fields of an older store, is parsed in full at open and refused as
+corrupt at its first bad line.  One that parses cleanly is accepted (a
+crash between a data file's replace and the MANIFEST rewrite leaves
 exactly that), and its MANIFEST line keeps four fields until flush
 rewrites the file.  A data file in the older one-line-per-cell layout has
 four fields a line, so it is refused as corrupt; rebuild such a store by
 re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
-instead of testing every key.  Each table keeps an in-memory index of its
-row keys' parts: for each terminator, part count and tuple of part
-positions a bound scan asks for, built on the first such scan with one
-split per key, it maps each tuple of part texts at those positions to the
-keys holding it, in key order.  Only keys are indexed, so a write to an
-existing row keeps the index; whatever can add a row key drops it (put or
-import_tsv of a new key, and the full parse at open), and the next bound
-scan builds it again.  The index lives only in memory and is never written.
+in an index of the table's row-key parts instead of testing every key
+(see _Table.parts).  Only keys are indexed, so a write to an existing row
+keeps the index; whatever can add a row key drops it, and the next bound
+scan builds it again.  The index lives only in memory.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -71,7 +68,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import IO, AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import StoreError, write_atomic
 
@@ -378,20 +375,56 @@ class _Table:
 
 MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
-# Open reads a data file, and flush writes one, this many bytes at a time
-# (flush in whole lines, so its chunks run a line over).
+# LineReader reads a line file, and flush writes a data file, this many
+# bytes at a time (flush in whole lines, so its chunks run a line over).
 CHUNK_SIZE: Final = 1 << 16
 
 
-def _decode(path: Path, data: bytes, start: int) -> str:
-    """data, whole lines of the data file at path from byte start on, as text."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptStoreError(
-            f"corrupt data file {path}: 'utf-8' codec can't decode byte "
-            f"0x{data[exc.start]:02x} at byte {start + exc.start}: {exc.reason}"
-        ) from None
+class LineReader:
+    """The lines of a UTF-8 file opened in binary mode, read CHUNK_SIZE bytes at a time.
+
+    LF and CR LF end a line; a lone CR stays in its line, even at the end
+    of the file.  Each chunk is cut after its last LF, so only whole lines
+    are decoded (no UTF-8 sequence but LF holds byte 0x0A) and no CR LF is
+    split.  size and crc sum the bytes read.  A byte that is not UTF-8
+    raises UnicodeError with its offset, after the whole lines before it.
+    """
+
+    def __init__(self, file: IO[bytes]) -> None:
+        self.file = file
+        self.size = self.crc = 0
+
+    def __iter__(self) -> Iterator[str]:
+        data = b""  # read, not yet decoded: the start of a line
+        error = None
+        while True:
+            block = self.file.read(CHUNK_SIZE)
+            self.crc = zlib.crc32(block, self.crc)
+            self.size += len(block)
+            data += block
+            # Up to the block's last newline, or at the end of the file all the rest.
+            cut = data.rfind(b"\n", len(data) - len(block)) + 1 if block else len(data)
+            try:
+                text = str(memoryview(data)[:cut], "utf-8")  # no copy of the bytes
+            except UnicodeDecodeError as exc:
+                error = UnicodeError(
+                    f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x} at byte "
+                    f"{self.size - len(data) + exc.start}: {exc.reason}"
+                )
+                # The whole lines before the bad byte's still come out first.
+                text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+            data = data[cut:]
+            if "\r" in text:  # far cheaper than a replace that finds nothing
+                text = text.replace("\r\n", "\n")
+            lines = text.split("\n")
+            del text  # before the next chunk is decoded
+            if not lines[-1]:
+                lines.pop()  # the empty text after the last newline
+            yield from lines
+            if error is not None:
+                raise error
+            if not block:
+                return
 
 
 def open_store(directory: str | Path) -> "Store":
@@ -464,15 +497,14 @@ class Store:
 
     def _load(self) -> None:
         manifest = self.directory / MANIFEST_NAME
-        if not manifest.exists():
-            return
         try:
-            text = manifest.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
+            with open(manifest, "rb") as f:
+                lines = list(LineReader(f))
+        except FileNotFoundError:
+            return
+        except UnicodeError as exc:
             raise CorruptStoreError(f"corrupt manifest {manifest}: {exc}") from None
-        # Split on newline only: values may hold exotic line separators that
-        # splitlines() would treat as record breaks.
-        for i, line in enumerate(text.split("\n"), 1):
+        for i, line in enumerate(lines, 1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -503,39 +535,23 @@ class Store:
     def _read_data(self, table: _Table, checksum: Optional[tuple[int, int]]) -> None:
         """Index the data file's lines by row key, or parse it in full.
 
-        The file is read CHUNK_SIZE bytes at a time, summing its size and
-        crc32.  Each chunk is cut after its last newline and the rest
-        carried into the next, so only whole lines are decoded: no UTF-8
-        sequence but the newline itself holds byte 0x0A.  Open thus holds
-        the table's lines once, beside a chunk, never the whole file.  Only
-        a file whose size and crc32 match its MANIFEST line is indexed; any
-        other is parsed strictly, line by line, and its table keeps no
-        checksum until flush rewrites the file.
+        The file is read through a LineReader, which sums its size and
+        crc32.  Only a file whose size and crc32 match its MANIFEST line is
+        indexed; any other is parsed strictly, line by line, and its table
+        keeps no checksum until flush rewrites the file.
         """
         path = self.directory / table.data_file
         try:
-            f = open(path, "rb")
+            with open(path, "rb") as f:
+                reader = LineReader(f)
+                lines = list(reader)
         except FileNotFoundError:
             # A crash between manifest write and first flush leaves no data
             # file; that is an empty table, not corruption.
             return
-        lines: list[str] = []
-        size = crc = 0
-        rest = b""  # the start of a line the last chunk cut
-        with f:
-            while block := f.read(CHUNK_SIZE):
-                crc = zlib.crc32(block, crc)
-                cut = block.rfind(b"\n") + 1
-                if cut:
-                    lines += _decode(path, rest + block[:cut], size - len(rest)).split("\n")
-                    lines.pop()  # the empty text after the last newline
-                    rest = block[cut:]
-                else:
-                    rest += block
-                size += len(block)
-        if rest:
-            lines.append(_decode(path, rest, size - len(rest)))
-        if (size, crc) == checksum:
+        except UnicodeError as exc:
+            raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
+        if (reader.size, reader.crc) == checksum:
             table.checksum = checksum
             table.rows = {line[: line.find("\t")]: line for line in lines}
             table.keys = list(table.rows)
@@ -559,9 +575,8 @@ class Store:
         for name in sorted(self._tables):
             t = self._tables[name]
             d = t.descriptor
-            fields = [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0", t.data_file]
-            if t.checksum is not None:
-                fields += map(str, t.checksum)
+            fields = [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0",
+                      t.data_file, *map(str, t.checksum or ())]
             lines.append("\t".join(fields) + "\n")
         write_atomic(self.directory / MANIFEST_NAME, "".join(lines).encode("utf-8"))
 
@@ -756,18 +771,8 @@ class Store:
                 raise UnknownFamilyError(
                     f"unknown column family {col.family!r} for table {table!r}"
                 )
-        path = Path(file)
-        try:
-            # newline="": only \n and \r\n end a line, so a lone \r stays in
-            # its field, where the value check refuses it.
-            with open(path, encoding="utf-8", newline="") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StoreError(f"cannot read {path}: {exc}") from exc
-        if "\r" in text:  # a replace that finds nothing still costs a copy's time
-            text = text.replace("\r\n", "\n")
-
         columns = spec.columns
+        width = len(columns)
         key_index = spec.key_index
         value_indexes = [i for i in range(len(columns)) if i != key_index]
         # Value fields in coordinate order: coordinates (the table's shared
@@ -781,43 +786,45 @@ class Store:
         # refused, can fail a value check.
         forbidden = [ch for ch in _FORBIDDEN if ch != spec.separator]
         check_empty = not spec.skip_empty_columns
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()  # trailing newline, not an empty record
         loaded = 0
         errors: list[tuple[int, str]] = []
-        for line_no, line in enumerate(lines, 1):
-            fields = line.split(spec.separator)
-            try:
-                if len(fields) != len(columns):
-                    raise CellValueError(f"expected {len(columns)} fields, found {len(fields)}")
-                key = fields[key_index]
-                if not key:
-                    raise CellValueError("empty row key")
-                if any(map(line.__contains__, forbidden)) or (check_empty and "" in fields):
-                    for i in value_indexes:
-                        if fields[i]:
-                            _check_text(fields[i], "value")
-                        elif check_empty:
-                            raise CellValueError(f"empty value in column {columns[i]}")
-                values = pick(fields)
-                if not any(values):
-                    # A row with no cells does not exist; refuse the line
-                    # rather than fabricate one.
-                    raise CellValueError("no values to write")
-                _check_text(key, "row key")
-            except CellValueError as exc:
-                if not spec.skip_bad_lines:
-                    raise StoreError(f"{path}: line {line_no}: {exc}") from None
-                errors.append((line_no, str(exc)))
-                continue
-            if key in t.rows:
-                t.write(key, list(compress(zip(coords, values), values)))
-            else:
-                t.rows[key] = "\t".join(
-                    [key, *chain.from_iterable(compress(zip(texts, values), values))]
-                )
-                t.forget_keys()
-                t.dirty = True
-            loaded += 1
+        path = Path(file)
+        try:
+            with open(path, "rb") as f:
+                for line_no, line in enumerate(LineReader(f), 1):
+                    fields = line.split(spec.separator)
+                    try:
+                        if len(fields) != width:
+                            raise CellValueError(f"expected {width} fields, found {len(fields)}")
+                        key = fields[key_index]
+                        if not key:
+                            raise CellValueError("empty row key")
+                        if any(map(line.__contains__, forbidden)) or check_empty and "" in fields:
+                            for i in value_indexes:
+                                if fields[i]:
+                                    _check_text(fields[i], "value")
+                                elif check_empty:
+                                    raise CellValueError(f"empty value in column {columns[i]}")
+                        values = pick(fields)
+                        if not any(values):
+                            # A row with no cells does not exist; refuse the
+                            # line rather than fabricate one.
+                            raise CellValueError("no values to write")
+                        _check_text(key, "row key")
+                    except CellValueError as exc:
+                        if not spec.skip_bad_lines:
+                            raise StoreError(f"{path}: line {line_no}: {exc}") from None
+                        errors.append((line_no, str(exc)))
+                        continue
+                    if key in t.rows:
+                        t.write(key, list(compress(zip(coords, values), values)))
+                    else:
+                        t.rows[key] = "\t".join(
+                            [key, *chain.from_iterable(compress(zip(texts, values), values))]
+                        )
+                        t.forget_keys()
+                        t.dirty = True
+                    loaded += 1
+        except (OSError, UnicodeError) as exc:
+            raise StoreError(f"cannot read {path}: {exc}") from exc
         return ImportReport(loaded, errors)

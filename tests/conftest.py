@@ -80,7 +80,7 @@ def populated_store_dir(tmp_path_factory) -> Path:
     with open_store(store_dir) as store:
         catalog = Catalog(store)
         for series in SERIES:
-            _, sparse, result = write_formatted_files(raw_fixture(series), data)
+            _, sparse, result = write_formatted_files(shutil.copy(raw_fixture(series), data))
             assert not result.errors
             for stmt in split_statements(workload_text(f"ddl_{series}.sql")):
                 execute_statement(parse_statement(stmt), catalog, store)

@@ -161,16 +161,19 @@ class _Tables:
 
     def resolve(self, ref) -> tuple[Callable[[tuple], Value], str]:
         """Map a reference to (row-tuple accessor, output column name)."""
+        idx, field, declared = self.locate(ref)
+        return (lambda env: env[idx][field]), declared
+
+    def locate(self, ref) -> tuple[int, str, str]:
+        """Map a reference to (source index, row field, output column name)."""
         if isinstance(ref, KeyFieldRef):
             field = ref.field.lower()
             assert field in KEY_FIELDS, field
-            idx = self._source_index(ref.alias, lambda t: True)
-            return (lambda env, i=idx: env[i][field]), field
+            return self._source_index(ref.alias, lambda t: True), field, field
         assert isinstance(ref, ColumnRef)
         name = ref.name.lower()
         idx = self._source_index(ref.alias, lambda t: name in t.columns)
-        declared = self.tables[idx].columns[name]
-        return (lambda env, i=idx: env[i][name]), declared
+        return idx, name, self.tables[idx].columns[name]
 
     def _source_index(self, alias, has) -> int:
         if alias is not None:
@@ -189,6 +192,18 @@ def evaluate(
     """Run the query by nested loops over the decoded CSV rows."""
     bound = _Tables(ast, tables)
 
+    # Every WHERE predicate names one source, so it filters that source's
+    # rows before the join; the loops below keep their order.
+    rows = [table.rows for table in bound.tables]
+    for pred in ast.where:
+        if isinstance(pred, Comparison):
+            values: tuple = (pred.value,)
+        else:
+            assert isinstance(pred, InList)
+            values = pred.values
+        idx, field, _ = bound.locate(pred.ref)
+        rows[idx] = [r for r in rows[idx] if any(_typed_eq(r[field], v) for v in values)]
+
     if ast.join:
         eqs = [
             (bound.resolve(left)[0], bound.resolve(right)[0])
@@ -196,23 +211,12 @@ def evaluate(
         ]
         envs = [
             (r1, r2)
-            for r1 in bound.tables[0].rows
-            for r2 in bound.tables[1].rows
+            for r1 in rows[0]
+            for r2 in rows[1]
             if all(_typed_eq(l((r1, r2)), r((r1, r2))) for l, r in eqs)
         ]
     else:
-        envs = [(r,) for r in bound.tables[0].rows]
-
-    for pred in ast.where:
-        if isinstance(pred, Comparison):
-            acc = bound.resolve(pred.ref)[0]
-            envs = [e for e in envs if _typed_eq(acc(e), pred.value)]
-        else:
-            assert isinstance(pred, InList)
-            acc = bound.resolve(pred.ref)[0]
-            envs = [
-                e for e in envs if any(_typed_eq(acc(e), v) for v in pred.values)
-            ]
+        envs = [(r,) for r in rows[0]]
 
     if ast.select_all:
         header: list[str] = []

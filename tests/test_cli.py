@@ -15,6 +15,7 @@ import pytest
 import covidstore
 from covidstore.cli import import_columns_for_dates, main, raw_file_name
 from covidstore.ingest import generate_schema
+from covidstore.store import CHUNK_SIZE, open_store
 
 from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, workload_text
 
@@ -458,6 +459,33 @@ def test_load_strict_flags_skipped_lines(raw_data, capsys):
         "--dates", "2020-01-22:2020-01-23",
     )
     assert rc == 0
+
+
+def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, capsys):
+    # load is not transactional: it stops at the line holding the bad byte,
+    # and closing the store flushes every line before it.
+    store_dir, data_dir = raw_data
+    sparse = data_dir / "tiny.csv"
+    good = b"".join(b"k%05d~c,1,2,3\n" % i for i in range(CHUNK_SIZE // 15 + 1))
+    sparse.write_bytes(good + b"bad~c,1,\xff,3\nend~c,1,2,3\n")
+    assert len(good) > CHUNK_SIZE
+    table = TABLES["confirmed"]
+    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 22))
+    assert run_cli(store_dir, data_dir, "sql", schema) == 0
+    capsys.readouterr()
+    rc = run_cli(
+        store_dir, data_dir, "load", table, str(sparse), "--dates", "2020-01-22:2020-01-22"
+    )
+    assert rc == 1
+    at = len(good) + len(b"bad~c,1,")
+    assert capsys.readouterr().err == (
+        f"error: cannot read {sparse}: 'utf-8' codec can't decode byte 0xff at byte {at}: "
+        "invalid start byte\n"
+    )
+    with open_store(store_dir) as store:
+        assert [row.key for row in store.scan(table)] == [
+            f"k{i:05d}~c" for i in range(CHUNK_SIZE // 15 + 1)
+        ]
 
 
 def test_load_rejects_bad_column_spec(raw_data, capsys):

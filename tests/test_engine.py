@@ -793,7 +793,7 @@ def test_full_width_star_queries_match_the_oracle(tmp_path):
         for series, table in TABLES.items():
             raw = tmp_path / f"time_series_covid19_{series}_global.csv"
             _raw_series(raw, days, rng)
-            _, sparse, result = write_formatted_files(raw, tmp_path)
+            _, sparse, result = write_formatted_files(raw)
             assert not result.errors
             ddl = generate_schema(table, f"{table}_backing", "a", start, end)
             catalog.create_mapped_table(parse_ddl(ddl))

@@ -1,6 +1,7 @@
 """Field cleaning, date naming, key composition, and whole-file formatting."""
 
 import csv
+import shutil
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -250,7 +251,7 @@ def test_output_naming_convention(tmp_path):
 
 def test_headerless_output_is_headered_minus_first_line(tmp_path):
     with_names, sparse, result = write_formatted_files(
-        raw_fixture("confirmed"), tmp_path
+        shutil.copy(raw_fixture("confirmed"), tmp_path)
     )
     headered = with_names.read_bytes()
     assert sparse.read_bytes() == headered.split(b"\n", 1)[1]

@@ -1,6 +1,8 @@
 """Table lifecycle, cell IO, persistence format, locking, and bulk import."""
 
+import io
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from covidstore.store import (
     ColumnCoord,
     CorruptStoreError,
     ImportSpec,
+    LineReader,
     StoreError,
     StoreLockedError,
     TableEnabledError,
@@ -618,6 +621,12 @@ _COLS3 = (ROW_KEY, C("a:lt"), C("a:d122"))
             id="crlf",
         ),
         pytest.param(
+            # A lone CR at the end of the file stays in the last line.
+            _COLS3, True, "k1,1,2\r\nk2,3,4\r", [(2, _NEWLINE)],
+            {"k1": {"a:d122": "2", "a:lt": "1"}},
+            id="lone-cr-at-the-end",
+        ),
+        pytest.param(
             _COLS3, True, "k1,1\t5,2\nk2,3,4\nk\t3,5,6\nk4,\t,\n",
             [(1, _NEWLINE), (3, "row key must not contain tab or newline characters"),
              (4, _NEWLINE)],
@@ -675,7 +684,7 @@ def test_load_writes_the_bytes_that_put_per_cell_writes(tmp_path):
     with open_store(tmp_path / "loaded") as loaded, open_store(tmp_path / "put") as put:
         for series in SERIES:
             table = TABLES[series]
-            _, sparse, _ = write_formatted_files(raw_fixture(series), data)
+            _, sparse, _ = write_formatted_files(shutil.copy(raw_fixture(series), data))
             loaded.create_table(table, {"a"})
             assert loaded.import_tsv(table, sparse, spec).skipped == 0
             # A new row stays the line flush writes: no row was parsed.
@@ -821,6 +830,44 @@ def test_replaced_data_file_with_stale_checksum_opens_with_new_rows(tmp_path):
     with open_store(d) as s:
         assert _rows(s, "t") == [("k9", [(C("a:q"), "nine"), (C("a:z"), "zed")])]
         assert s.get("t", "k1") == []
+
+
+def test_a_crlf_manifest_opens_with_its_sums(tmp_path):
+    # \r\n ends a line in every line file the store reads, also in a
+    # MANIFEST that flush did not write.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    with open_store(d) as s:
+        before = {t: _rows(s, t) for t in ("t", "u")}
+    manifest = d / "MANIFEST"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
+    with open_store(d) as s:
+        assert all(s._tables[t].checksum is not None for t in ("t", "u"))
+        assert {t: _rows(s, t) for t in ("t", "u")} == before
+
+
+def test_a_lone_cr_does_not_end_a_manifest_line(tmp_path):
+    d = tmp_path / "kv"
+    _two_tables(d)
+    manifest = d / "MANIFEST"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r", 1))
+    with pytest.raises(CorruptStoreError, match=r"line 1: expected 6 fields .*found 11"):
+        open_store(d)
+
+
+def test_a_crlf_data_file_opens_through_the_strict_parser(tmp_path):
+    # Its size no longer matches, so it is parsed, and no value keeps a \r.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    with open_store(d) as s:
+        before = _rows(s, "t")
+    data = d / "t.dat"
+    data.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+    with open_store(d) as s:
+        assert s._tables["t"].checksum is None
+        assert _rows(s, "t") == before
+        s.put("t", "k1", C("a:q"), "K1")
+    assert b"\r" not in data.read_bytes()
 
 
 def test_bad_checksum_field_is_a_corrupt_manifest(tmp_path):
@@ -1081,6 +1128,131 @@ def test_open_holds_the_table_once(tmp_path):
     assert current > size  # the table's lines
     # About one chunk above what it holds: never the file as bytes or text.
     assert peak - current < size / 16, f"open peaked {peak - current} bytes above {current}"
+
+
+# ------------------------------------------------------------ chunked load
+
+
+def _load_input(*pieces: tuple[int, bytes]) -> bytes:
+    """A load file for SPEC3 with each piece starting at its byte offset.
+
+    Filler lines, each keyed by its own offset, come before every piece,
+    and one line ends the file.
+    """
+    data = b""
+    for offset, piece in pieces:
+        while offset - len(data) > 40:
+            data += f"f{len(data):07d},1,2\n".encode()
+        head = f"f{len(data):07d},1,"
+        data += (head + "2" * (offset - len(data) - len(head) - 1) + "\n").encode()
+        assert len(data) == offset
+        data += piece
+    return data + b"end,1,2\n"
+
+
+def _line_rule(text: str) -> list[str]:
+    """The lines of a whole file's text: LF and CR LF end a line."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(st.sampled_from("ab\t\r\n\u20ac\U0001f600"), max_size=40),
+    chunk=st.integers(1, 9),
+    bad=st.integers(0, 40),
+)
+def test_line_reader_matches_the_whole_file_rule(text, chunk, bad):
+    # Read in chunks of a few bytes, the lines are those of the whole text;
+    # a byte that is not UTF-8 comes after every whole line before it.
+    data = text.encode("utf-8")
+    head = text[:bad]
+    broken = head.encode("utf-8") + b"\xff" + text[bad:].encode("utf-8")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("covidstore.store.CHUNK_SIZE", chunk)
+        reader = LineReader(io.BytesIO(data))
+        assert list(reader) == _line_rule(text)
+        assert (reader.size, reader.crc) == (len(data), zlib.crc32(data))
+        lines = []
+        with pytest.raises(UnicodeError, match=f"byte 0xff at byte {len(head.encode())}: "):
+            lines.extend(LineReader(io.BytesIO(broken)))
+        assert lines == _line_rule(head[: head.rfind("\n") + 1])
+
+
+def _cells(s, key):
+    return {str(c): v for c, v in s.get("t", key)}
+
+
+def test_a_load_file_is_read_across_chunk_boundaries(store, tmp_path):
+    # A \r\n whose \r ends chunk 1, and a character cut by chunk 2's end.
+    path = tmp_path / "in.csv"
+    data = _load_input(
+        (CHUNK_SIZE - len(b"kcr,1,2\r"), b"kcr,1,2\r\n"),
+        (2 * CHUNK_SIZE - len(b"kmb,1,") - 1, "kmb,1,\u20ac\r\n".encode()),
+    )
+    assert data[CHUNK_SIZE - 1 : CHUNK_SIZE + 1] == b"\r\n"
+    assert data[2 * CHUNK_SIZE - 1 : 2 * CHUNK_SIZE + 2] == "\u20ac".encode()
+    path.write_bytes(data)
+    store.create_table("t", {"a"})
+    assert store.import_tsv("t", path, SPEC3) == (data.count(b"\n"), [])
+    assert _cells(store, "kcr") == {"a:d122": "2", "a:lt": "1"}
+    assert _cells(store, "kmb") == {"a:d122": "\u20ac", "a:lt": "1"}
+    assert _cells(store, "end") == {"a:d122": "2", "a:lt": "1"}
+
+
+def test_a_load_error_in_a_later_chunk_names_its_line(tmp_path):
+    path = tmp_path / "in.csv"
+    data = _load_input((2 * CHUNK_SIZE + 100, b"bad,1\n"))
+    line = data.count(b"\n", 0, 2 * CHUNK_SIZE + 100) + 1
+    path.write_bytes(data)
+    for skip in (True, False):
+        spec = ImportSpec(SPEC3.columns, separator=",", skip_bad_lines=skip)
+        with open_store(tmp_path / f"kv-{skip}") as s:
+            s.create_table("t", {"a"})
+            if skip:
+                report = s.import_tsv("t", path, spec)
+                assert report == (line, [(line, "expected 3 fields, found 2")])
+            else:
+                with pytest.raises(StoreError) as exc:
+                    s.import_tsv("t", path, spec)
+                assert str(exc.value) == f"{path}: line {line}: expected 3 fields, found 2"
+
+
+def test_a_load_file_not_utf8_in_a_later_chunk_is_named(store, tmp_path):
+    # The load is not transactional: it stops at the line holding the bad
+    # byte with every line before it applied, as at a refused line.
+    path = tmp_path / "in.csv"
+    at = 2 * CHUNK_SIZE + 100 + len(b"bad,1,")
+    data = _load_input((2 * CHUNK_SIZE + 100, b"bad,1,\xff\n"))
+    path.write_bytes(data)
+    store.create_table("t", {"a"})
+    with pytest.raises(StoreError) as exc:
+        store.import_tsv("t", path, SPEC3)
+    assert str(exc.value) == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff at byte {at}: "
+        "invalid start byte"
+    )
+    assert len(store.scan("t")) == data.count(b"\n", 0, 2 * CHUNK_SIZE + 100)
+    assert store.get("t", "end") == []
+
+
+def test_load_holds_no_copy_of_its_input(tmp_path):
+    # The peak counts only what import_tsv allocates above what it holds
+    # after: about a chunk of lines, never the whole input as text or lines.
+    source = tmp_path / "wide.tsv"
+    source.write_text(
+        "".join(f"k{i:04d}\t" + "\t".join(str(100_000 + i + n) for n in range(368)) + "\n"
+                for i in range(700)),
+        encoding="utf-8",
+    )
+    size = source.stat().st_size
+    assert 1_700_000 < size < 1_900_000
+    spec = ImportSpec(columns=(ROW_KEY, *(C(f"a:d{n:04d}") for n in range(368))))
+    with open_store(tmp_path / "kv") as s:
+        s.create_table("t", {"a"})
+        report, (current, peak) = _traced(lambda: s.import_tsv("t", source, spec))
+    assert report == (700, [])
+    assert peak - current < size / 2, f"load peaked {peak - current} bytes above {current}"
 
 
 _KEY_PART = st.text("ab~", max_size=3)
