@@ -21,31 +21,31 @@ with one line per row, rows in key order:
     <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
 
 with the pairs in coordinate order.  Flush writes the data files first and
-MANIFEST after them, with each file's byte size and zlib.crc32; it streams
-a data file in chunks of whole lines, encoding and summing one chunk at a
-time.  An flock on the LOCK file keeps a second process out while the
-store is open, and the kernel drops it when the process ends, however it
-ends.  Keys, coordinates and values are UTF-8 text without tabs or
-newlines, and a family or qualifier holds no colon or comma, which is
-what keeps the on-disk format trivial.
+MANIFEST after them, with each file's byte size and zlib.crc32; it writes
+a data file one line at a time, through the file's own buffer, encoding
+and summing each line as it goes.  An flock on the LOCK file keeps a
+second process out while the store is open, and the kernel drops it when
+the process ends, however it ends.  Keys, coordinates and values are
+UTF-8 text without tabs or newlines, and a family or qualifier holds no
+colon or comma, which is what keeps the on-disk format trivial.
 
 Open and import_tsv read MANIFEST, the data files and the load input
-through one LineReader, a chunk of whole lines at a time, so open, flush
-and load hold a table's data once, as its rows, never beside a whole-file
-copy of it or of the input.  A data file whose size and checksum match
-was written by flush, so open only indexes its lines by row key; a row is
-parsed the first time get, scan, put or import_tsv touches it, and a
-table nothing touches is neither parsed nor rewritten.  import_tsv keeps
-a new row in the same form, the line flush would write, built from the
-input fields (HBase's bulk load: write the storage format, not each
-cell).  A file that does not match, or whose MANIFEST line has the four
-fields of an older store, is parsed in full at open and refused as
-corrupt at its first bad line.  One that parses cleanly is accepted (a
-crash between a data file's replace and the MANIFEST rewrite leaves
-exactly that), and its MANIFEST line keeps four fields until flush
-rewrites the file.  A data file in the older one-line-per-cell layout has
-four fields a line, so it is refused as corrupt; rebuild such a store by
-re-running DROP/CREATE and load.
+through one LineReader, one line at a time through the file's own
+buffer, so open, flush and load hold a table's data once, as its rows,
+never beside a whole-file copy of it or of the input.  A data file whose
+size and checksum match was written by flush, so open only indexes its
+lines by row key; a row is parsed the first time get, scan, put or
+import_tsv touches it, and a table nothing touches is neither parsed nor
+rewritten.  import_tsv keeps a new row in the same form, the line flush
+would write, built from the input fields (HBase's bulk load: write the
+storage format, not each cell).  A file that does not match, or whose
+MANIFEST line has the four fields of an older store, is parsed in full at
+open and refused as corrupt at its first bad line.  One that parses
+cleanly is accepted (a crash between a data file's replace and the
+MANIFEST rewrite leaves exactly that), and its MANIFEST line keeps four
+fields until flush rewrites the file.  A data file in the older
+one-line-per-cell layout has four fields a line, so it is refused as
+corrupt; rebuild such a store by re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
 in an index of the table's row-key parts instead of testing every key
@@ -375,19 +375,15 @@ class _Table:
 
 MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
-# LineReader reads a line file, and flush writes a data file, this many
-# bytes at a time (flush in whole lines, so its chunks run a line over).
-CHUNK_SIZE: Final = 1 << 16
 
 
 class LineReader:
-    """The lines of a UTF-8 file opened in binary mode, read CHUNK_SIZE bytes at a time.
+    """The lines of a UTF-8 file opened in binary mode, one line at a time.
 
     LF and CR LF end a line; a lone CR stays in its line, even at the end
-    of the file.  Each chunk is cut after its last LF, so only whole lines
-    are decoded (no UTF-8 sequence but LF holds byte 0x0A) and no CR LF is
-    split.  size and crc sum the bytes read.  A byte that is not UTF-8
-    raises UnicodeError with its offset, after the whole lines before it.
+    of the file.  Each line is read through the file's own buffer, summed
+    into size and crc, and decoded on its own.  A byte that is not UTF-8
+    raises UnicodeError with its offset, after the lines before it.
     """
 
     def __init__(self, file: IO[bytes]) -> None:
@@ -395,36 +391,19 @@ class LineReader:
         self.size = self.crc = 0
 
     def __iter__(self) -> Iterator[str]:
-        data = b""  # read, not yet decoded: the start of a line
-        error = None
-        while True:
-            block = self.file.read(CHUNK_SIZE)
-            self.crc = zlib.crc32(block, self.crc)
-            self.size += len(block)
-            data += block
-            # Up to the block's last newline, or at the end of the file all the rest.
-            cut = data.rfind(b"\n", len(data) - len(block)) + 1 if block else len(data)
+        for raw in self.file:
+            self.size += len(raw)
+            self.crc = zlib.crc32(raw, self.crc)
             try:
-                text = str(memoryview(data)[:cut], "utf-8")  # no copy of the bytes
+                line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                error = UnicodeError(
-                    f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x} at byte "
-                    f"{self.size - len(data) + exc.start}: {exc.reason}"
-                )
-                # The whole lines before the bad byte's still come out first.
-                text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
-            data = data[cut:]
-            if "\r" in text:  # far cheaper than a replace that finds nothing
-                text = text.replace("\r\n", "\n")
-            lines = text.split("\n")
-            del text  # before the next chunk is decoded
-            if not lines[-1]:
-                lines.pop()  # the empty text after the last newline
-            yield from lines
-            if error is not None:
-                raise error
-            if not block:
-                return
+                raise UnicodeError(
+                    f"'utf-8' codec can't decode byte 0x{raw[exc.start]:02x} at byte "
+                    f"{self.size - len(raw) + exc.start}: {exc.reason}"
+                ) from None
+            if line.endswith("\n"):
+                line = line[:-2] if line.endswith("\r\n") else line[:-1]
+            yield line
 
 
 def open_store(directory: str | Path) -> "Store":
@@ -583,35 +562,25 @@ class Store:
     def _write_table(self, table: _Table) -> None:
         """Rewrite the data file; a row nothing touched keeps its line as read.
 
-        Rows go out in key order, in chunks of whole lines about CHUNK_SIZE
-        bytes long, each encoded on its own and summed into the size and
-        crc32 as it is written, so flush holds no copy of the table beside
-        its rows.
+        Rows go out in key order, one line at a time through the file's own
+        buffer, each encoded on its own and summed into the size and crc32
+        as it is written, so flush holds no copy of the table beside its rows.
         """
         size = crc = 0
 
-        def chunks() -> Iterator[bytes]:
+        def lines() -> Iterator[bytes]:
             nonlocal size, crc
             text = _CoordTexts().__getitem__
-            keys = table.ordered_keys()
-            lines: list[str] = []
-            length = 0
-            for n, key in enumerate(keys, 1):
+            for key in table.ordered_keys():
                 row = table.rows[key]
                 if not isinstance(row, str):
                     row = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
-                lines.append(row)
-                length += len(row) + 1
-                if length >= CHUNK_SIZE or n == len(keys):
-                    lines.append("")  # the last line's newline
-                    chunk = "\n".join(lines).encode("utf-8")
-                    size += len(chunk)
-                    crc = zlib.crc32(chunk, crc)
-                    yield chunk
-                    del chunk  # before the next one is built
-                    lines, length = [], 0
+                line = f"{row}\n".encode("utf-8")
+                size += len(line)
+                crc = zlib.crc32(line, crc)
+                yield line
 
-        write_atomic(self.directory / table.data_file, chunks())
+        write_atomic(self.directory / table.data_file, lines())
         table.checksum = (size, crc)
         table.dirty = False
 

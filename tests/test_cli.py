@@ -15,7 +15,7 @@ import pytest
 import covidstore
 from covidstore.cli import import_columns_for_dates, main, raw_file_name
 from covidstore.ingest import generate_schema
-from covidstore.store import CHUNK_SIZE, open_store
+from covidstore.store import open_store
 
 from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, workload_text
 
@@ -466,9 +466,10 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
     # and closing the store flushes every line before it.
     store_dir, data_dir = raw_data
     sparse = data_dir / "tiny.csv"
-    good = b"".join(b"k%05d~c,1,2,3\n" % i for i in range(CHUNK_SIZE // 15 + 1))
+    count = (1 << 16) // 15 + 1  # lines enough to run past several buffer refills
+    good = b"".join(b"k%05d~c,1,2,3\n" % i for i in range(count))
     sparse.write_bytes(good + b"bad~c,1,\xff,3\nend~c,1,2,3\n")
-    assert len(good) > CHUNK_SIZE
+    assert len(good) > 1 << 16
     table = TABLES["confirmed"]
     schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 22))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
@@ -484,7 +485,7 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
     )
     with open_store(store_dir) as store:
         assert [row.key for row in store.scan(table)] == [
-            f"k{i:05d}~c" for i in range(CHUNK_SIZE // 15 + 1)
+            f"k{i:05d}~c" for i in range(count)
         ]
 
 

@@ -13,7 +13,7 @@ from covidstore.shell import (
     repl,
     run_script,
 )
-from covidstore.store import CHUNK_SIZE, ColumnCoord, open_store
+from covidstore.store import ColumnCoord, open_store
 
 from conftest import TABLES, WORKLOAD, workload_text
 
@@ -244,10 +244,10 @@ def test_run_script_breaks_lines_only_at_newlines(tmp_path, sep):
 
 
 def test_run_script_not_utf8_after_the_first_chunk_runs_nothing(tmp_path):
-    # Every line is read before any command runs.
+    # Every line is read before any command runs, past several buffer refills.
     script = tmp_path / "cmds.txt"
-    script.write_bytes(b"create 't', 'f'\n" + b"\n" * CHUNK_SIZE + b"create 'u\xff', 'f'\n")
-    at = len(b"create 't', 'f'\n") + CHUNK_SIZE + len(b"create 'u")
+    script.write_bytes(b"create 't', 'f'\n" + b"\n" * (1 << 16) + b"create 'u\xff', 'f'\n")
+    at = len(b"create 't', 'f'\n") + (1 << 16) + len(b"create 'u")
     with open_store(tmp_path / "kv") as store:
         with pytest.raises(ValueError) as exc:
             run_script(store, script, io.StringIO())
