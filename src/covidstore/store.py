@@ -10,22 +10,23 @@ in that order, put and import_tsv build a new row in it, and a write that
 adds a coordinate to a row rebuilds that row in order at once.  Reads hand
 out read-only views of the table's own rows instead of sorted copies.
 
-A store is a directory.  MANIFEST lists the tables, one tab-separated line
-each:
+A store is a directory of LOCK, MANIFEST and one data file per table.
+MANIFEST lists the tables, one tab-separated line of six fields each:
 
-    <name> TAB <families> TAB <enabled 0|1> TAB <data file> TAB <bytes> TAB <crc32>
+    <name> TAB <families> TAB <enabled 0|1> TAB <name>.dat TAB <bytes> TAB <crc32>
 
-Every table keeps its cells in a <name>.dat file, rewritten on flush
-with one line per row, rows in key order:
+A table keeps its cells in <name>.dat, and in no other file, rewritten on
+flush with one line per row, rows in key order:
 
     <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
 
 with the pairs in coordinate order.  Flush writes the data files first and
 MANIFEST after them, with each file's byte size and zlib.crc32; it writes
 a data file one line at a time, through the file's own buffer, encoding
-and summing each line as it goes.  An flock on the LOCK file keeps a
-second process out while the store is open, and the kernel drops it when
-the process ends, however it ends.  Keys, coordinates and values are
+and summing each line as it goes.  An flock on LOCK keeps a second
+process out while the store is open, and the kernel drops it when the
+process ends, however it ends.  LOCK stays, with its last owner's pid:
+only the flock counts (LevelDB's rule).  Keys, coordinates and values are
 UTF-8 text without tabs or newlines, and a family or qualifier holds no
 colon or comma, which is what keeps the on-disk format trivial.
 
@@ -38,14 +39,13 @@ lines by row key; a row is parsed the first time get, scan, put or
 import_tsv touches it, and a table nothing touches is neither parsed nor
 rewritten.  import_tsv keeps a new row in the same form, the line flush
 would write, built from the input fields (HBase's bulk load: write the
-storage format, not each cell).  A file that does not match, or whose
-MANIFEST line has the four fields of an older store, is parsed in full at
-open and refused as corrupt at its first bad line.  One that parses
-cleanly is accepted (a crash between a data file's replace and the
-MANIFEST rewrite leaves exactly that), and its MANIFEST line keeps four
-fields until flush rewrites the file.  A data file in the older
-one-line-per-cell layout has four fields a line, so it is refused as
-corrupt; rebuild such a store by re-running DROP/CREATE and load.
+storage format, not each cell).  A file that does not match is parsed in
+full at open and refused as corrupt at its first bad line.  One that
+parses cleanly is accepted (a crash between a data file's replace and the
+MANIFEST rewrite leaves exactly that), and the next MANIFEST write records
+the sums open read.  Either reading skips blank lines and sorts the keys.
+An older store, with four-field MANIFEST lines or one line per cell, is
+refused as corrupt; rebuild it by re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
 in an index of the table's row-key parts instead of testing every key
@@ -124,6 +124,13 @@ def _check_text(text: str, what: str) -> None:
     for ch in _FORBIDDEN:
         if ch in text:
             raise CellValueError(f"{what} must not contain tab or newline characters")
+
+
+def _check_table_name(name: str) -> None:
+    """Raise StoreError unless name makes a data file <name>.dat inside the store."""
+    _check_text(name, "table name")
+    if "/" in name or "\\" in name or "\0" in name:
+        raise StoreError(f"table name {name!r} must not contain path separators or NUL")
 
 
 class ColumnCoord(NamedTuple):
@@ -242,13 +249,11 @@ class _Table:
         "dirty",
     )
 
-    def __init__(self, descriptor: TableDescriptor, data_file: str) -> None:
+    def __init__(self, descriptor: TableDescriptor) -> None:
         self.descriptor = descriptor
-        self.data_file = data_file
-        # (bytes, crc32) of the data file as flush wrote it; None when the
-        # file on disk was not written by flush, so the next open parses it
-        # in full.
-        self.checksum: Optional[tuple[int, int]] = (0, 0)
+        self.data_file = f"{descriptor.name}.dat"
+        # (bytes, crc32) of the data file as flush wrote it or open read it.
+        self.checksum = (0, 0)
         # Every row by key.  A row nothing has touched yet (a line of a
         # checked data file, or a new row import_tsv added) is its line,
         # exactly as flush would write it; a touched row is its cells.
@@ -414,8 +419,10 @@ def open_store(directory: str | Path) -> "Store":
 class Store:
     """A directory-backed collection of wide-column tables.
 
-    One process at a time, kept to that by an flock on LOCK; there is no
-    in-process locking, because no thread shares a Store.  Readers get back
+    One process at a time, kept to that by an flock on LOCK, a file that
+    stays after close with the last owner's pid; there is no in-process
+    locking, because no thread shares a Store.  Each table's data file is
+    <name>.dat, and each MANIFEST line has six fields.  Readers get back
     read-only views of the table's own cells, valid until the next write to
     that table; the lists holding them are the caller's.  The other records
     it returns, TableDescriptor and ImportReport, are immutable tuples, and
@@ -429,50 +436,29 @@ class Store:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._closed = False
         self._lock_path = self.directory / LOCK_NAME
-        self._acquire_lock()
+        self._lock_fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
+            self._acquire_lock()
             self._tables: dict[str, _Table] = {}
             self._load()
         except BaseException:
-            self._release_lock()
+            os.close(self._lock_fd)
             raise
 
     # ------------------------------------------------------------------ setup
 
     def _acquire_lock(self) -> None:
-        while True:
-            fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
-                holder = os.read(fd, 32).decode("ascii", "replace").strip() or "unknown"
-                os.close(fd)
-                raise StoreLockedError(
-                    f"store {self.directory} is already open "
-                    f"(process {holder} holds {self._lock_path})"
-                ) from None
-            # A closing holder unlinks the file before it lets go of the lock,
-            # so a lock on a file no longer at the path is no lock: try again.
-            try:
-                if os.path.samestat(os.stat(self._lock_path), os.fstat(fd)):
-                    break
-            except FileNotFoundError:
-                pass
-            os.close(fd)
-        self._lock_fd = fd
+        """Take the flock on LOCK and write this pid into it; LOCK is never removed."""
         try:
-            os.ftruncate(fd, 0)
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        except BaseException:
-            self._release_lock()
-            raise
-
-    def _release_lock(self) -> None:
-        try:
-            self._lock_path.unlink()
-        except FileNotFoundError:
-            pass
-        os.close(self._lock_fd)
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(self._lock_fd, 32).decode("ascii", "replace").strip() or "unknown"
+            raise StoreLockedError(
+                f"store {self.directory} is already open "
+                f"(process {holder} holds {self._lock_path})"
+            ) from None
+        os.ftruncate(self._lock_fd, 0)
+        os.write(self._lock_fd, f"{os.getpid()}\n".encode("ascii"))
 
     def _load(self) -> None:
         manifest = self.directory / MANIFEST_NAME
@@ -486,38 +472,39 @@ class Store:
         for i, line in enumerate(lines, 1):
             if not line:
                 continue
+            where = f"corrupt manifest {manifest}: line {i}"
             parts = line.split("\t")
-            if len(parts) not in (4, 6):
+            if len(parts) != 6:
                 raise CorruptStoreError(
-                    f"corrupt manifest {manifest}: line {i}: "
-                    f"expected 6 fields (4 in an older store), found {len(parts)}"
+                    f"{where}: expected 6 fields (an older store with 4 must be rebuilt: "
+                    f"re-run DROP/CREATE and load), found {len(parts)}"
                 )
-            name, families_text, flag, data_file = parts[:4]
-            if not name or name in self._tables:
-                raise CorruptStoreError(
-                    f"corrupt manifest {manifest}: line {i}: bad table name {name!r}"
-                )
+            name, families_text, flag, data_file, size, crc = parts
+            try:
+                _check_table_name(name)
+            except StoreError as exc:
+                raise CorruptStoreError(f"{where}: {exc}") from None
+            if name in self._tables:
+                raise CorruptStoreError(f"{where}: table {name!r} repeated")
+            if data_file != f"{name}.dat":
+                raise CorruptStoreError(f"{where}: data file {data_file!r} is not {name}.dat")
             families = frozenset(f for f in families_text.split(",") if f)
-            sums = parts[4:]
-            if (
-                not families
-                or flag not in ("0", "1")
-                or not all(n.isascii() and n.isdigit() for n in sums)
+            if not families or flag not in ("0", "1") or not all(
+                n.isascii() and n.isdigit() for n in (size, crc)
             ):
-                raise CorruptStoreError(
-                    f"corrupt manifest {manifest}: line {i}: bad table entry"
-                )
-            table = _Table(TableDescriptor(name, families, flag == "1"), data_file)
-            self._read_data(table, (int(sums[0]), int(sums[1])) if sums else None)
+                raise CorruptStoreError(f"{where}: bad table entry")
+            table = _Table(TableDescriptor(name, families, flag == "1"))
+            self._read_data(table, (int(size), int(crc)))
             self._tables[name] = table
 
-    def _read_data(self, table: _Table, checksum: Optional[tuple[int, int]]) -> None:
+    def _read_data(self, table: _Table, checksum: tuple[int, int]) -> None:
         """Index the data file's lines by row key, or parse it in full.
 
         The file is read through a LineReader, which sums its size and
         crc32.  Only a file whose size and crc32 match its MANIFEST line is
         indexed; any other is parsed strictly, line by line, and its table
-        keeps no checksum until flush rewrites the file.
+        takes the size and crc32 read, which the next MANIFEST write
+        records, so either reading skips blank lines and sorts the keys.
         """
         path = self.directory / table.data_file
         try:
@@ -530,12 +517,11 @@ class Store:
             return
         except UnicodeError as exc:
             raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
-        if (reader.size, reader.crc) == checksum:
-            table.checksum = checksum
-            table.rows = {line[: line.find("\t")]: line for line in lines}
-            table.keys = list(table.rows)
+        table.checksum = (reader.size, reader.crc)
+        if table.checksum == checksum:
+            table.rows = {line[: line.find("\t")]: line for line in lines if line}
+            table.keys = sorted(table.rows)
             return
-        table.checksum = None
         table.forget_keys()
         try:
             for i, line in enumerate(lines, 1):
@@ -555,7 +541,7 @@ class Store:
             t = self._tables[name]
             d = t.descriptor
             fields = [d.name, ",".join(sorted(d.families)), "1" if d.enabled else "0",
-                      t.data_file, *map(str, t.checksum or ())]
+                      t.data_file, *map(str, t.checksum)]
             lines.append("\t".join(fields) + "\n")
         write_atomic(self.directory / MANIFEST_NAME, "".join(lines).encode("utf-8"))
 
@@ -598,7 +584,7 @@ class Store:
         if self._closed:
             return
         self.flush()
-        self._release_lock()
+        os.close(self._lock_fd)
         self._closed = True
 
     def __enter__(self) -> "Store":
@@ -642,9 +628,7 @@ class Store:
     def create_table(self, name: str, families: Sequence[str] | set[str]) -> TableDescriptor:
         """Create an enabled table with the given column families."""
         self._ensure_open()
-        _check_text(name, "table name")
-        if "/" in name or "\\" in name or "\0" in name:
-            raise StoreError(f"table name {name!r} must not contain path separators or NUL")
+        _check_table_name(name)
         if name in self._tables:
             raise TableExistsError(f"table {name!r} already exists")
         family_set = frozenset(families)
@@ -654,7 +638,7 @@ class Store:
             _check_text(fam, "family name")
             if ":" in fam or "," in fam:
                 raise StoreError(f"invalid family name {fam!r}")
-        table = _Table(TableDescriptor(name, family_set, True), f"{name}.dat")
+        table = _Table(TableDescriptor(name, family_set, True))
         self._write_table(table)
         self._tables[name] = table  # only once its data file exists
         self._write_manifest()

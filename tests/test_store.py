@@ -1,5 +1,6 @@
 """Table lifecycle, cell IO, persistence format, locking, and bulk import."""
 
+import fcntl
 import io
 import os
 import shutil
@@ -299,12 +300,27 @@ def test_drop_removes_data_file(tmp_path):
         assert not (d / "t.dat").exists()
 
 
+def _lock_is_free(d: Path) -> bool:
+    """Whether a fresh fd on d/LOCK takes its flock, as the next open would."""
+    fd = os.open(d / "LOCK", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+    return True
+
+
 def test_second_open_is_refused_while_open(tmp_path):
     d = tmp_path / "kv"
     with open_store(d):
+        assert not _lock_is_free(d)
         with pytest.raises(StoreLockedError, match="already open"):
             open_store(d)
-    # after close the lock is gone
+    # After close LOCK stays, with the last owner's pid, and is free.
+    assert (d / "LOCK").read_text(encoding="ascii") == f"{os.getpid()}\n"
+    assert _lock_is_free(d)
     with open_store(d):
         pass
 
@@ -332,7 +348,7 @@ def test_another_process_is_refused_while_one_holds_the_store(tmp_path):
         assert child.wait(timeout=60) == 0
     with open_store(d):
         pass
-    assert not (d / "LOCK").exists()
+    assert _lock_is_free(d)
 
 
 @pytest.mark.parametrize(
@@ -349,26 +365,7 @@ def test_the_lock_dies_with_its_process(tmp_path, then, returncode):
     with open_store(d) as s:
         assert (d / "LOCK").read_text(encoding="ascii") == f"{os.getpid()}\n"
         assert s.table_names() == []
-    assert not (d / "LOCK").exists()
-
-
-def test_a_lock_taken_on_a_file_unlinked_meanwhile_is_taken_again(tmp_path, monkeypatch):
-    # As when the holder closes between this open of LOCK and its flock.
-    d = tmp_path / "kv"
-    real_open, opened = os.open, []
-
-    def open_then_lose(path, flags, *args):
-        fd = real_open(path, flags, *args)
-        if Path(path).name == "LOCK":
-            opened.append(path)
-            if len(opened) == 1:
-                os.unlink(path)
-        return fd
-
-    monkeypatch.setattr(os, "open", open_then_lose)
-    with open_store(d):
-        assert len(opened) == 2
-        assert (d / "LOCK").read_text(encoding="ascii") == f"{os.getpid()}\n"
+    assert _lock_is_free(d)
 
 
 def test_close_is_idempotent(tmp_path):
@@ -385,7 +382,7 @@ def test_corrupt_manifest_reported_with_location(tmp_path):
     (d / "MANIFEST").write_text("only\ttwo\n", encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*line 1"):
         open_store(d)
-    assert not (d / "LOCK").exists()  # failed open must not leave the lock
+    assert _lock_is_free(d)  # a failed open must not keep the lock
 
 
 def test_corrupt_data_file_reported_with_location(tmp_path):
@@ -427,7 +424,7 @@ def test_corrupt_data_line_reported_with_location(tmp_path, line, why):
     data.write_text(data.read_text() + line + "\n", encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=rf"corrupt data file .*t\.dat: line 2: {why}"):
         open_store(d)
-    assert not (d / "LOCK").exists()
+    assert _lock_is_free(d)
 
 
 def test_non_utf8_data_file_is_corrupt_and_named(tmp_path):
@@ -438,7 +435,7 @@ def test_non_utf8_data_file_is_corrupt_and_named(tmp_path):
     (d / "t.dat").write_bytes(b"k\ta:q\t\xff\n")
     with pytest.raises(CorruptStoreError, match=r"corrupt data file .*t\.dat: 'utf-8' codec"):
         open_store(d)
-    assert not (d / "LOCK").exists()
+    assert _lock_is_free(d)
 
 
 def test_non_utf8_manifest_is_corrupt_and_named(tmp_path):
@@ -448,7 +445,7 @@ def test_non_utf8_manifest_is_corrupt_and_named(tmp_path):
     (d / "MANIFEST").write_bytes(b"t\ta\t1\tt\xff.dat\n")
     with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*MANIFEST: 'utf-8' codec"):
         open_store(d)
-    assert not (d / "LOCK").exists()
+    assert _lock_is_free(d)
 
 
 def test_missing_data_file_is_empty_table(tmp_path):
@@ -804,22 +801,44 @@ def test_manifest_records_size_and_checksum(tmp_path):
         assert line.split("\t")[4:] == [str(len(data)), str(zlib.crc32(data))]
 
 
-def test_older_four_field_manifest_opens_through_the_strict_parser(tmp_path):
+def test_an_older_four_field_manifest_is_refused(tmp_path):
+    # A store from before the sums is rebuilt, not read.
     d = tmp_path / "kv"
     _two_tables(d)
-    with open_store(d) as s:
-        before = {t: _rows(s, t) for t in ("t", "u")}
     manifest = d / "MANIFEST"
     lines = manifest.read_text(encoding="utf-8").splitlines()
     manifest.write_text("".join("\t".join(l.split("\t")[:4]) + "\n" for l in lines))
-    with open_store(d) as s:
-        assert {t: _rows(s, t) for t in ("t", "u")} == before
-        s.put("t", "k4", C("a:q"), "K4")
-    # Flush gives the rewritten table a checksum; the other keeps four fields.
-    fields = [l.split("\t") for l in manifest.read_text(encoding="utf-8").splitlines()]
-    assert [len(f) for f in fields] == [6, 4]
-    with open_store(d) as s:
-        assert _rows(s, "t") == before["t"] + [("k4", [(C("a:q"), "K4")])]
+    with pytest.raises(
+        CorruptStoreError, match=r"MANIFEST: line 1: expected 6 fields .*rebuilt.*found 4"
+    ):
+        open_store(d)
+    assert _lock_is_free(d)
+
+
+@pytest.mark.parametrize(
+    "name, data_file, victim",
+    [
+        ("t", "../victim.txt", "victim.txt"),
+        ("t", "t/../t.dat", "victim.txt"),
+        ("../victim", "../victim.dat", "victim.dat"),
+    ],
+    ids=["data-file-outside", "data-file-not-name-dat", "name-with-slash"],
+)
+def test_a_manifest_line_naming_a_file_outside_the_store_is_refused(
+    tmp_path, name, data_file, victim
+):
+    # Were such a line read, a put and close would write over the victim
+    # with store lines, and DROP TABLE would delete it.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    victim = tmp_path / victim
+    victim.write_bytes(b"")
+    (d / "MANIFEST").write_text(f"{name}\ta\t1\t{data_file}\t0\t0\n", encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*MANIFEST: line 1: "):
+        with open_store(d) as s:
+            s.put(name, "k", C("a:q"), "1")
+    assert victim.read_bytes() == b""
+    assert _lock_is_free(d)
 
 
 def test_replaced_data_file_with_stale_checksum_opens_with_new_rows(tmp_path):
@@ -855,6 +874,21 @@ def test_a_lone_cr_does_not_end_a_manifest_line(tmp_path):
         open_store(d)
 
 
+def _reopen_after_a_write_to_u(d: Path, before: list) -> None:
+    """Open with t's data file mismatched, write only u, and reopen: t's
+    sums as open read them are in MANIFEST, so t is indexed, not parsed."""
+    with open_store(d) as s:
+        assert _rows(s, "t") == before
+        s.put("u", "k1", C("a:r"), "2")
+    data = (d / "t.dat").read_bytes()
+    line = (d / "MANIFEST").read_text(encoding="utf-8").splitlines()[0]
+    assert line.split("\t")[4:] == [str(len(data)), str(zlib.crc32(data))]
+    with open_store(d) as s:
+        assert all(isinstance(row, str) for row in s._tables["t"].rows.values())
+        assert _rows(s, "t") == before
+        assert "" not in s._tables["t"].rows
+
+
 def test_a_crlf_data_file_opens_through_the_strict_parser(tmp_path):
     # Its size no longer matches, so it is parsed, and no value keeps a \r.
     d = tmp_path / "kv"
@@ -863,11 +897,41 @@ def test_a_crlf_data_file_opens_through_the_strict_parser(tmp_path):
         before = _rows(s, "t")
     data = d / "t.dat"
     data.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+    _reopen_after_a_write_to_u(d, before)
     with open_store(d) as s:
-        assert s._tables["t"].checksum is None
-        assert _rows(s, "t") == before
         s.put("t", "k1", C("a:q"), "K1")
     assert b"\r" not in data.read_bytes()
+
+
+def test_a_blank_line_in_a_mismatched_data_file_is_no_row(tmp_path):
+    # The strict parse skips it, and so does the index once the sums of
+    # the file as read are in MANIFEST.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    with open_store(d) as s:
+        before = _rows(s, "t")
+    data = d / "t.dat"
+    data.write_bytes(b"\n" + data.read_bytes().replace(b"\nk2", b"\n\nk2") + b"\n")
+    _reopen_after_a_write_to_u(d, before)
+
+
+def test_a_mismatched_data_file_out_of_key_order_scans_in_key_order(tmp_path):
+    # The strict parse sorts the keys, and so does the index once the sums
+    # of the file as read are in MANIFEST; a put to a row already there
+    # then rewrites the file in key order.
+    d = tmp_path / "kv"
+    _two_tables(d)
+    with open_store(d) as s:
+        before = _rows(s, "t")
+    data = d / "t.dat"
+    k1, k2, k3 = data.read_bytes().splitlines(keepends=True)
+    data.write_bytes(k3 + k1 + k2)
+    _reopen_after_a_write_to_u(d, before)
+    with open_store(d) as s:
+        by_part = s.scan("t", key_parts=("k", 2, (((0,), (("",),)),)))
+        assert [r.key for r in by_part] == ["k1", "k2", "k3"]
+        s.put("t", "k3", C("a:q"), "K3")
+    assert data.read_bytes() == k1 + k2 + k3
 
 
 def test_bad_checksum_field_is_a_corrupt_manifest(tmp_path):
@@ -877,7 +941,7 @@ def test_bad_checksum_field_is_a_corrupt_manifest(tmp_path):
     manifest.write_text("t\ta\t1\tt.dat\t12\tabc\n", encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"corrupt manifest .*line 1: bad table entry"):
         open_store(d)
-    assert not (d / "LOCK").exists()
+    assert _lock_is_free(d)
 
 
 def test_writing_one_table_leaves_the_other_data_file_alone(tmp_path):
