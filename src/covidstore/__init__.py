@@ -7,8 +7,9 @@ The package is four layers, usable separately:
 * shell: an HBase-style command shell over the store
 * sql: Hive-style DDL, a catalog, and a small SELECT engine on top
 
-write_atomic and StoreError live here, so a command that never opens a
-store does not import it.
+write_atomic, StoreError and SqlError live here, so a command that never
+opens a store does not import it, and one that runs no SQL does not import
+the sql package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ __version__ = "0.1.0"
 
 class StoreError(Exception):
     """Base class for all store failures."""
+
+
+class SqlError(Exception):
+    """Base class for everything the SQL layer can raise."""
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:

@@ -12,11 +12,12 @@ during a strict load).
 A command imports only the layers it runs: fetch none, ingest and
 schema-gen the ingest module (schema-gen only writes text), load the store
 (and the date naming module, dates, for --dates), sql the store and the
-SQL engine, shell the store and the shell.  The store and engine names
-the commands call stay attributes of this module, bound on first use by
-_bind or __getattr__, and the commands look them up here at call time,
-so a wrapper set on this module (as the benchmark's tracer does) is the
-one that runs.
+SQL engine, shell the store and the shell.  Only sql loads the sql
+package; the other commands catch SqlError from the package root.  The
+names in _LAZY are the ones the benchmark's tracer wraps: they stay
+attributes of this module, bound on first use by _bind or __getattr__,
+and the commands look them up here at call time, so a wrapper set on
+this module is the one that runs.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import StoreError, write_atomic
-from .sql.errors import SqlError
+from . import SqlError, StoreError, write_atomic
 
 if TYPE_CHECKING:
     from datetime import date
     from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
-    from .store import ROW_KEY, ColumnCoord, ImportSpec, open_store
+    from .store import ImportSpec, open_store
 
 # The names each lazily imported layer binds here, by module.
 _LAZY = {
-    ".store": ("ColumnCoord", "ImportSpec", "ROW_KEY", "open_store"),
+    ".store": ("open_store",),
     ".sql.engine": ("Catalog", "parse_statement", "execute_statement", "render_result_set"),
 }
 
@@ -97,12 +97,14 @@ def _parse_date_range(text: str) -> tuple[date, date]:
 def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[str]:
     """The column spec a dated load uses, as literal text entries."""
     from .dates import series_columns
+    from .store import ROW_KEY
 
-    _bind(".store")
     return [ROW_KEY] + series_columns(start, end, family)
 
 
 def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
+    from .store import ROW_KEY, ColumnCoord, ImportSpec
+
     return ImportSpec(
         columns=tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns),
         separator=args.separator,

@@ -25,9 +25,8 @@ from datetime import date
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from . import write_atomic
+from . import SqlError, write_atomic
 from .dates import DateColumn, FormatError, date_columns_between, series_columns
-from .sql.errors import SqlError
 
 KEY_SEPARATOR = "~"
 

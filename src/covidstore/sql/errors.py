@@ -1,10 +1,8 @@
-"""Failure types shared across the SQL layer."""
+"""Failure types shared across the SQL layer, on SqlError from the package root."""
 
 from __future__ import annotations
 
-
-class SqlError(Exception):
-    """Base class for everything the SQL layer can raise."""
+from .. import SqlError
 
 
 class SqlSyntaxError(SqlError):

@@ -27,8 +27,8 @@ and summing each line as it goes.  An flock on LOCK keeps a second
 process out while the store is open, and the kernel drops it when the
 process ends, however it ends.  LOCK stays, with its last owner's pid:
 only the flock counts (LevelDB's rule).  Keys, coordinates and values are
-UTF-8 text without tabs or newlines, and a family or qualifier holds no
-colon or comma, which is what keeps the on-disk format trivial.
+UTF-8 text without tabs, newlines or carriage returns, and a family or
+qualifier holds no colon or comma, which keeps the on-disk format trivial.
 
 Open and import_tsv read MANIFEST, the data files and the load input
 through one LineReader, one line at a time through the file's own
@@ -271,6 +271,8 @@ class _Table:
 
     def parse(self, line: str) -> tuple[str, dict[ColumnCoord, str]]:
         """Key and cells of one data file line; raises CellValueError."""
+        if "\r" in line:
+            raise CellValueError("a line holds a carriage return")
         fields = line.split("\t")
         key, names, values = fields[0], fields[1::2], fields[2::2]
         if not key or len(names) != len(values) or not values or "" in values:
@@ -519,7 +521,7 @@ class Store:
             raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
         table.checksum = (reader.size, reader.crc)
         if table.checksum == checksum:
-            table.rows = {line[: line.find("\t")]: line for line in lines if line}
+            table.rows = {line.partition("\t")[0]: line for line in lines if line}
             table.keys = sorted(table.rows)
             return
         table.forget_keys()

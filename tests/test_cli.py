@@ -151,9 +151,7 @@ def _package_modules(loaded: set[str]) -> set[str]:
 def test_fetch_from_dir_loads_no_network_or_sql_modules(tmp_path):
     loaded = _modules_after_command(tmp_path, "fetch", "--from-dir", str(FIXTURES))
     assert {"urllib.request", "datetime"} & loaded == set()
-    assert _package_modules(loaded) == {
-        "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.errors",
-    }
+    assert _package_modules(loaded) == {"covidstore", "covidstore.cli"}
 
 
 def test_ingest_and_schema_gen_leave_the_store_and_the_parser_unloaded(tmp_path):
@@ -165,19 +163,37 @@ def test_ingest_and_schema_gen_leave_the_store_and_the_parser_unloaded(tmp_path)
     for loaded in (ingest, schema_gen):
         assert _package_modules(loaded) == {
             "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.ingest",
-            "covidstore.sql", "covidstore.sql.errors",
         }
     assert not (tmp_path / "store").exists()
+
+
+_SQL_MODULES = {
+    "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.ddl",
+    "covidstore.sql.engine", "covidstore.sql.errors", "covidstore.sql.lexer",
+    "covidstore.sql.query", "covidstore.store",
+}
 
 
 def test_sql_join_loads_the_engine_and_the_store_only(mapped_store):
     loaded = _modules_after_command(
         mapped_store[0].parent, "sql", workload_text("query_join_morocco.sql")
     )
+    assert _package_modules(loaded) == _SQL_MODULES
+    assert {"urllib.request", "dataclasses", "datetime"} & loaded == set()
+
+
+def test_ddl_only_sql_file_loads_the_same_modules_as_a_query(tmp_path):
+    loaded = _modules_after_command(tmp_path, "sql", "-f", str(WORKLOAD / "ddl_confirmed.sql"))
+    assert _package_modules(loaded) == _SQL_MODULES
+    assert {"urllib.request", "dataclasses", "datetime"} & loaded == set()
+
+
+def test_shell_script_loads_the_store_and_the_shell_only(mapped_store):
+    loaded = _modules_after_command(
+        mapped_store[0].parent, "shell", "--script", str(WORKLOAD / "shell_get_by_region.txt")
+    )
     assert _package_modules(loaded) == {
-        "covidstore", "covidstore.cli", "covidstore.sql", "covidstore.sql.ddl",
-        "covidstore.sql.engine", "covidstore.sql.errors", "covidstore.sql.lexer",
-        "covidstore.sql.query", "covidstore.store",
+        "covidstore", "covidstore.cli", "covidstore.shell", "covidstore.store",
     }
     assert {"urllib.request", "dataclasses", "datetime"} & loaded == set()
 
@@ -204,8 +220,7 @@ def test_load_dates_loads_the_store_and_the_date_naming_only(tmp_path):
         tmp_path, "load", "t", str(sparse), "--dates", "2020-01-22:2020-01-22"
     )
     assert _package_modules(loaded) == {
-        "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.sql",
-        "covidstore.sql.errors", "covidstore.store",
+        "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.store",
     }
     assert {"csv", "urllib.request", "dataclasses"} & loaded == set()
 
@@ -225,15 +240,19 @@ def test_schema_gen_and_load_leave_engine_and_shell_unloaded(tmp_path):
         assert {"covidstore.sql.engine", "covidstore.shell"} & loaded == set(), argv
 
 
-def test_every_sql_export_resolves():
+def test_the_sql_package_imports_its_two_names_plainly():
     import covidstore.sql as sql
+    from covidstore.sql import errors, lexer, query
 
     # Only for the benchmark: bench/harness.py imports split_statements from
     # the package, and bench/spans.py SelectQuery.  Everything else is
     # imported from the module that defines it.
+    assert not hasattr(sql, "__getattr__")
     assert sql.__all__ == ["SelectQuery", "split_statements"]
-    for name in sql.__all__:
-        assert getattr(sql, name).__name__ == name
+    assert sql.split_statements is lexer.split_statements
+    assert sql.SelectQuery is query.SelectQuery
+    # The other commands catch SqlError from the package root.
+    assert errors.SqlError is covidstore.SqlError
 
 
 def test_the_oracle_imports_only_query_syntax_nodes_from_the_package():

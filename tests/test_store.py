@@ -989,6 +989,40 @@ def test_key_filtered_scan_parses_only_the_rows_it_keeps(tmp_path):
     assert (d / "t.dat").read_bytes() == b"k1\ta:q\tnew\nk2\taq\tK2\nk3\ta:q\tK3\n"
 
 
+def test_an_indexed_line_with_no_tab_is_keyed_whole(tmp_path):
+    # Under a matching checksum the line is indexed by the text before its
+    # first tab, which is the whole line, and reading it names that key.
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+    data = b"k1\ta:q\t1\nk2\n"
+    (d / "t.dat").write_bytes(data)
+    _set_checksum(d, data)
+    with open_store(d) as s:
+        assert list(s._tables["t"].rows) == ["k1", "k2"]
+        assert s.get("t", "k1") == [(C("a:q"), "1")]
+        with pytest.raises(CorruptStoreError, match=r"t\.dat: row 'k2': expected a key"):
+            s.get("t", "k2")
+        with pytest.raises(CorruptStoreError, match=r"row 'k2'"):
+            s.scan("t")
+
+
+def test_a_data_file_line_holding_a_cr_is_corrupt(tmp_path):
+    # put and import_tsv refuse a \r, so a line that holds one was not
+    # written by flush: a lone \r at the end of the file stays in its line.
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k1", C("a:q"), "one")
+    data = d / "t.dat"
+    data.write_bytes(data.read_bytes() + b"k9\ta:q\tnine\r")
+    with pytest.raises(
+        CorruptStoreError, match=r"t\.dat: line 2: a line holds a carriage return"
+    ):
+        open_store(d)
+    assert _lock_is_free(d)
+
+
 # ------------------------------------------- open and flush of many blocks
 
 # A block of the line files below: a power of two, so a multiple of any
