@@ -34,7 +34,7 @@ from . import SqlError, StoreError, write_atomic
 if TYPE_CHECKING:
     from datetime import date
     from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
-    from .store import ImportSpec, open_store
+    from .store import open_store
 
 # The names each lazily imported layer binds here, by module.
 _LAZY = {
@@ -102,17 +102,6 @@ def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[
     return [ROW_KEY] + series_columns(start, end, family)
 
 
-def _spec_from_columns(args, columns: list[str]) -> ImportSpec:
-    from .store import ROW_KEY, ColumnCoord, ImportSpec
-
-    return ImportSpec(
-        columns=tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns),
-        separator=args.separator,
-        skip_bad_lines=not args.no_skip_bad_lines,
-        skip_empty_columns=not args.no_skip_empty_columns,
-    )
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -172,12 +161,14 @@ def cmd_ingest(args) -> int:
 
 def cmd_load(args) -> int:
     _bind(".store")
+    from .store import ROW_KEY, ColumnCoord, ImportSpec
+
     if args.dates:
         start, end = _parse_date_range(args.dates)
         columns = import_columns_for_dates(start, end, args.family)
     else:
         columns = [c.strip() for c in args.columns.split(",")]
-    spec = _spec_from_columns(args, columns)
+    spec = ImportSpec(tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns))
     with open_store(args.store_dir) as store:
         report = store.import_tsv(args.table, args.file, spec)
         print(f"loaded {report.loaded} row(s), skipped {report.skipped}")
@@ -310,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="date range, generates the column spec")
     group.add_argument("--columns", help="explicit comma-separated column spec")
     p.add_argument("--family", default="a", help="column family for --dates (default: a)")
-    p.add_argument("--separator", default=",")
-    p.add_argument("--no-skip-bad-lines", action="store_true",
-                   help="abort on a malformed line instead of skipping it")
-    p.add_argument("--no-skip-empty-columns", action="store_true",
-                   help="treat empty fields as malformed instead of omitting cells")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any line was skipped")
     p.set_defaults(func=cmd_load)

@@ -127,7 +127,8 @@ def _rows(reader, path: Path) -> Iterator[list[str]]:
 def format_file(input_path: str | Path) -> FormatResult:
     """Format one raw time-series CSV into the sparse representation.
 
-    The header must have at least the four fixed columns plus one date.
+    The header must have at least the four fixed columns plus one date,
+    and the dates must be consecutive days.
     Quoted fields are handled by a real CSV parse, not textual substitution,
     so an embedded quoted comma cannot shift later columns.  Every row takes
     one path: its daily fields are joined once, cleaned field by field with
@@ -157,6 +158,15 @@ def format_file(input_path: str | Path) -> FormatResult:
                 f"expected at least {FIXED_COLUMNS + 1}"
             )
         dates = [DateColumn.from_header(tok) for tok in header[FIXED_COLUMNS:]]
+        # A load files the n-th daily field under the n-th day of its date
+        # range, so the days must run one apart: no gap, repeat or step back.
+        first = date(*dates[0]).toordinal()
+        for i, d in enumerate(dates):
+            if date(*d).toordinal() != first + i:
+                raw, before = header[FIXED_COLUMNS + i], header[FIXED_COLUMNS + i - 1]
+                raise FormatError(
+                    f"{input_path}: date column {raw!r} is not the day after {before!r}"
+                )
         width = len(header)
         commas = len(dates) - 1  # in the joined daily fields when none holds one
 

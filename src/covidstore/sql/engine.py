@@ -482,7 +482,6 @@ def parse_statement(text: str) -> Statement:
 class StatementOutcome(NamedTuple):
     """What executing one statement produced, if anything printable."""
 
-    statement: Statement
     result: Optional[ResultSet] = None
     text: Optional[str] = None
     warning: Optional[str] = None
@@ -491,16 +490,16 @@ class StatementOutcome(NamedTuple):
 def execute_statement(statement: Statement, catalog: Catalog, store: Store) -> StatementOutcome:
     """Execute any parsed statement against a catalog and its store."""
     if isinstance(statement, SelectQuery):
-        return StatementOutcome(statement, result=execute_query(statement, catalog, store))
+        return StatementOutcome(result=execute_query(statement, catalog, store))
     if isinstance(statement, CreateTable):
         catalog.create_mapped_table(statement)
-        return StatementOutcome(statement)
+        return StatementOutcome()
     if isinstance(statement, DropTable):
         if not catalog.drop_mapped_table(statement.name):
             return StatementOutcome(
-                statement, warning=f"table {statement.name!r} does not exist, nothing dropped"
+                warning=f"table {statement.name!r} does not exist, nothing dropped"
             )
-        return StatementOutcome(statement)
+        return StatementOutcome()
     if isinstance(statement, DescribeTable):
-        return StatementOutcome(statement, text=catalog.describe(statement.name))
+        return StatementOutcome(text=catalog.describe(statement.name))
     raise SqlError(f"unsupported statement {statement!r}")

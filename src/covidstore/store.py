@@ -190,25 +190,16 @@ class Row:
 
 
 class ImportSpec:
-    """Shape of a delimited file for bulk import.
+    """Shape of a sparse CSV line for bulk import.
 
-    columns names every field of the line in order; exactly one entry must
-    be the ROW_KEY marker.  skip_bad_lines turns malformed lines into skips
-    instead of aborting; skip_empty_columns silently omits cells for empty
-    fields rather than treating the line as malformed.
+    columns names every comma-separated field of the line in order;
+    exactly one entry must be the ROW_KEY marker.  An empty field is an
+    absent cell.
     """
 
-    __slots__ = ("columns", "separator", "skip_bad_lines", "skip_empty_columns")
+    __slots__ = ("columns",)
 
-    def __init__(
-        self,
-        columns: tuple[Union[str, ColumnCoord], ...],
-        separator: str = "\t",
-        skip_bad_lines: bool = False,
-        skip_empty_columns: bool = False,
-    ) -> None:
-        if len(separator) != 1:
-            raise ValueError(f"separator must be one character, got {separator!r}")
+    def __init__(self, columns: tuple[Union[str, ColumnCoord], ...]) -> None:
         markers = [c for c in columns if c == ROW_KEY]
         if len(markers) != 1:
             raise ValueError(f"import spec needs exactly one {ROW_KEY} column")
@@ -223,9 +214,6 @@ class ImportSpec:
                 raise ValueError(f"import spec names column {c} twice")
             seen.add(c)
         self.columns = columns
-        self.separator = separator
-        self.skip_bad_lines = skip_bad_lines
-        self.skip_empty_columns = skip_empty_columns
 
     @property
     def key_index(self) -> int:
@@ -713,11 +701,16 @@ class Store:
         return self._enabled_table(table).scan(key_parts)
 
     def import_tsv(self, table: str, file: str | Path, spec: ImportSpec) -> ImportReport:
-        """Bulk-load a delimited file, one row per line.
+        """Bulk-load a sparse CSV file, one row per line.
 
-        Returns a report of rows written and lines skipped; the caller
-        decides what to print.  Re-importing merges cell by cell, newest
-        write winning, same as put.
+        Fields are comma-separated, as spec.columns names them, and an
+        empty field is an absent cell.  A line that cannot be loaded is
+        skipped and reported with its number and why; the lines before
+        and after it are loaded all the same.  A file that cannot be read
+        or decoded raises StoreError, every line before the failure
+        applied.  Returns a report of rows written and lines skipped;
+        the caller decides what to print.  Re-importing merges cell by
+        cell, newest write winning, same as put.
         """
         self._ensure_open()
         t = self._enabled_table(table)
@@ -737,29 +730,24 @@ class Store:
         coords = [t.coords.setdefault(text, c) for text, (c, _) in zip(texts, in_order)]
         order = [i for _, i in in_order]
         pick = itemgetter(*order) if len(order) > 1 else lambda f: tuple(map(f.__getitem__, order))
-        # Only a line holding one of these, or an empty field where that is
-        # refused, can fail a value check.
-        forbidden = [ch for ch in _FORBIDDEN if ch != spec.separator]
-        check_empty = not spec.skip_empty_columns
         loaded = 0
         errors: list[tuple[int, str]] = []
         path = Path(file)
         try:
             with open(path, "rb") as f:
                 for line_no, line in enumerate(LineReader(f), 1):
-                    fields = line.split(spec.separator)
+                    fields = line.split(",")
                     try:
                         if len(fields) != width:
                             raise CellValueError(f"expected {width} fields, found {len(fields)}")
                         key = fields[key_index]
                         if not key:
                             raise CellValueError("empty row key")
-                        if any(map(line.__contains__, forbidden)) or check_empty and "" in fields:
+                        # Only a line holding one of these can fail a value check.
+                        if any(map(line.__contains__, _FORBIDDEN)):
                             for i in value_indexes:
                                 if fields[i]:
                                     _check_text(fields[i], "value")
-                                elif check_empty:
-                                    raise CellValueError(f"empty value in column {columns[i]}")
                         values = pick(fields)
                         if not any(values):
                             # A row with no cells does not exist; refuse the
@@ -767,8 +755,6 @@ class Store:
                             raise CellValueError("no values to write")
                         _check_text(key, "row key")
                     except CellValueError as exc:
-                        if not spec.skip_bad_lines:
-                            raise StoreError(f"{path}: line {line_no}: {exc}") from None
                         errors.append((line_no, str(exc)))
                         continue
                     if key in t.rows:

@@ -42,9 +42,7 @@ def import_spec() -> ImportSpec:
     columns = tuple(
         e if e == ROW_KEY else ColumnCoord.parse(e) for e in entries
     )
-    return ImportSpec(
-        columns=columns, separator=",", skip_bad_lines=True, skip_empty_columns=True
-    )
+    return ImportSpec(columns=columns)
 
 
 @pytest.fixture(autouse=True)

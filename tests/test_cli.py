@@ -459,25 +459,38 @@ def test_load_into_missing_table(raw_data, capsys):
 def test_load_strict_flags_skipped_lines(raw_data, capsys):
     store_dir, data_dir = raw_data
     sparse = data_dir / "tiny.csv"
-    sparse.write_text("k~c,1,2,3,4\nonly,two\n", encoding="utf-8")
+    sparse.write_text("k~c,1,2,3,4\nonly,two\nm~c,1,2,,5\n", encoding="utf-8")
     table = TABLES["confirmed"]
     schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 23))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
-    capsys.readouterr()
-    rc = run_cli(
-        store_dir, data_dir, "load", table, str(sparse),
-        "--dates", "2020-01-22:2020-01-23", "--strict",
+    # In a process of its own, so the store is read back after it ends.
+    proc = subprocess.run(
+        [sys.executable, "-m", "covidstore", "--store-dir", str(store_dir),
+         "--data-dir", str(data_dir), "load", table, str(sparse),
+         "--dates", "2020-01-22:2020-01-23", "--strict"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])},
     )
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == "loaded 1 row(s), skipped 1\n"
-    assert "line 2: expected 5 fields, found 2" in captured.err
+    assert proc.returncode == 2
+    assert proc.stdout == "loaded 2 row(s), skipped 1\n"
+    assert proc.stderr == "  line 2: expected 5 fields, found 2\n"
+    # A load is not transactional: the good lines on both sides of the bad
+    # one stay loaded.
+    with open_store(store_dir) as store:
+        assert [row.key for row in store.scan(table)] == ["k~c", "m~c"]
+        assert {str(c): v for c, v in store.get(table, "m~c")} == {
+            "a:lt": "1", "a:lg": "2", "a:d123": "5",
+        }
     # same load without --strict is only a report, not a failure
+    capsys.readouterr()
     rc = run_cli(
         store_dir, data_dir, "load", table, str(sparse),
         "--dates", "2020-01-22:2020-01-23",
     )
     assert rc == 0
+    assert capsys.readouterr().out == "loaded 2 row(s), skipped 1\n"
 
 
 def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, capsys):

@@ -784,8 +784,7 @@ def test_full_width_star_queries_match_the_oracle(tmp_path):
     rng = random.Random(366)
     spec = ImportSpec(
         tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c)
-              for c in import_columns_for_dates(start, end)),
-        separator=",", skip_bad_lines=True, skip_empty_columns=True,
+              for c in import_columns_for_dates(start, end))
     )
     oracle = {}
     with open_store(tmp_path / "store") as store:
@@ -934,7 +933,7 @@ def test_index_narrowed_queries_match_a_brute_force_filter(seed, size, queries):
 
     def load(store, name, keys, source):
         rows = {key: rng.randint(1, 999) for key in sorted(keys)}
-        source.write_text("".join(f"{k}\t{v}\n" for k, v in rows.items()), encoding="utf-8")
+        source.write_text("".join(f"{k},{v}\n" for k, v in rows.items()), encoding="utf-8")
         assert store.import_tsv(f"{name}_backing", source, specs[name]).skipped == 0
         model[name].update(rows)
 
@@ -946,7 +945,7 @@ def test_index_narrowed_queries_match_a_brute_force_filter(seed, size, queries):
             )
 
     with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "rows.tsv"
+        source = Path(tmp) / "rows.csv"
         with open_store(Path(tmp) / "store") as store:
             catalog = Catalog(store)
             catalog.create_mapped_table(parse_ddl(_mapped_ddl("tt", "v", "a:v")))

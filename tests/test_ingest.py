@@ -230,6 +230,22 @@ def test_format_rejects_header_with_bad_date(tmp_path):
         format_file(p)
 
 
+@pytest.mark.parametrize(
+    "dates, bad, before",
+    [
+        pytest.param("1/22/20,1/24/20", "1/24/20", "1/22/20", id="gap"),
+        pytest.param("1/22/20,1/23/20,1/23/20", "1/23/20", "1/23/20", id="repeat"),
+        pytest.param("1/22/20,1/23/20,1/21/20", "1/21/20", "1/23/20", id="step-back"),
+    ],
+)
+def test_format_rejects_dates_that_are_not_consecutive_days(tmp_path, dates, bad, before):
+    # load --dates files the n-th daily field under the n-th day of its
+    # range, so a gap would file each later count under the day before.
+    p = _write(tmp_path, f"Province/State,Country/Region,Lat,Long,{dates}\n")
+    with pytest.raises(FormatError, match=f"date column '{bad}' is not the day after '{before}'"):
+        format_file(p)
+
+
 def test_format_rejects_missing_file(tmp_path):
     with pytest.raises(FormatError, match="cannot read"):
         format_file(tmp_path / "absent.csv")

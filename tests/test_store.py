@@ -459,12 +459,7 @@ def test_missing_data_file_is_empty_table(tmp_path):
 
 # ------------------------------------------------------------ bulk import
 
-SPEC3 = ImportSpec(
-    columns=(ROW_KEY, C("a:lt"), C("a:d122")),
-    separator=",",
-    skip_bad_lines=True,
-    skip_empty_columns=True,
-)
+SPEC3 = ImportSpec(columns=(ROW_KEY, C("a:lt"), C("a:d122")))
 
 
 def _imported(store, text, spec=SPEC3, tmp_path=None):
@@ -505,31 +500,6 @@ def test_import_refuses_all_empty_values(store, tmp_path):
     assert store.get("t", "onlykey") == []
 
 
-def test_import_strict_mode_aborts_at_first_bad_line(store, tmp_path):
-    spec = ImportSpec(
-        columns=(ROW_KEY, C("a:lt"), C("a:d122")),
-        separator=",",
-        skip_bad_lines=False,
-        skip_empty_columns=True,
-    )
-    path = tmp_path / "in.csv"
-    path.write_text("good,1,2\nbad\n", encoding="utf-8")
-    store.create_table("t", {"a"})
-    with pytest.raises(StoreError, match=r"line 2: expected 3 fields, found 1"):
-        store.import_tsv("t", path, spec)
-    # lines before the failure stay applied; the import is not transactional
-    assert store.get("t", "good", C("a:lt")) == [(C("a:lt"), "1")]
-
-
-def test_import_strict_empty_cell_is_an_error(store, tmp_path):
-    spec = ImportSpec(columns=(ROW_KEY, C("a:lt")), separator=",")
-    path = tmp_path / "in.csv"
-    path.write_text("k,\n", encoding="utf-8")
-    store.create_table("t", {"a"})
-    with pytest.raises(StoreError, match="empty value in column a:lt"):
-        store.import_tsv("t", path, spec)
-
-
 def test_import_merges_duplicate_keys(store, tmp_path):
     report = _imported(store, "k,1,\nk,,7\n", tmp_path=tmp_path)
     assert report.loaded == 2
@@ -553,9 +523,7 @@ def test_scan_after_an_import_of_new_rows_shows_them(store, tmp_path):
 def test_import_across_month_boundary_reads_in_coordinate_order(tmp_path):
     # d930 is written first but sorts last: qualifiers order as text.
     d = tmp_path / "kv"
-    spec = ImportSpec(
-        columns=(ROW_KEY, C("a:d930"), C("a:d1001"), C("a:d1002")), separator=","
-    )
+    spec = ImportSpec(columns=(ROW_KEY, C("a:d930"), C("a:d1001"), C("a:d1002")))
     path = tmp_path / "in.csv"
     path.write_text("~Morocco,1,2,3\n", encoding="utf-8")
     expected = [(C("a:d1001"), "2"), (C("a:d1002"), "3"), (C("a:d930"), "1")]
@@ -570,7 +538,7 @@ def test_import_across_month_boundary_reads_in_coordinate_order(tmp_path):
 
 
 def test_import_rejects_unknown_family_up_front(store, tmp_path):
-    spec = ImportSpec(columns=(ROW_KEY, C("zz:x")), separator=",")
+    spec = ImportSpec(columns=(ROW_KEY, C("zz:x")))
     path = tmp_path / "in.csv"
     path.write_text("k,1\n", encoding="utf-8")
     store.create_table("t", {"a"})
@@ -609,69 +577,50 @@ _COLS3 = (ROW_KEY, C("a:lt"), C("a:d122"))
 
 
 @pytest.mark.parametrize(
-    "columns, skip_empty, text, errors, rows",
+    "columns, text, errors, rows",
     [
         pytest.param(
             # CRLF ends a line as LF does, so no value ever holds the CR.
-            _COLS3, True, "k1,1,2\r\nk2,,4\r\n", [],
+            _COLS3, "k1,1,2\r\nk2,,4\r\n", [],
             {"k1": {"a:d122": "2", "a:lt": "1"}, "k2": {"a:d122": "4"}},
             id="crlf",
         ),
         pytest.param(
             # A lone CR at the end of the file stays in the last line.
-            _COLS3, True, "k1,1,2\r\nk2,3,4\r", [(2, _NEWLINE)],
+            _COLS3, "k1,1,2\r\nk2,3,4\r", [(2, _NEWLINE)],
             {"k1": {"a:d122": "2", "a:lt": "1"}},
             id="lone-cr-at-the-end",
         ),
         pytest.param(
-            _COLS3, True, "k1,1\t5,2\nk2,3,4\nk\t3,5,6\nk4,\t,\n",
+            _COLS3, "k1,1\t5,2\nk2,3,4\nk\t3,5,6\nk4,\t,\n",
             [(1, _NEWLINE), (3, "row key must not contain tab or newline characters"),
              (4, _NEWLINE)],
             {"k2": {"a:d122": "4", "a:lt": "3"}},
             id="tab-in-value-with-comma-separator",
         ),
         pytest.param(
-            _COLS3, False, "k1,1,\nk2,,4\nk3,5,6\nk4,,\r\n",
-            [(1, "empty value in column a:d122"), (2, "empty value in column a:lt"),
-             (4, "empty value in column a:lt")],
-            {"k3": {"a:d122": "6", "a:lt": "5"}},
-            id="empty-field-not-skipped",
-        ),
-        pytest.param(
-            _COLS3, True, ",1,2\nk,3,4\n,,\n\t,5,6\n",
+            _COLS3, ",1,2\nk,3,4\n,,\n\t,5,6\n",
             [(1, "empty row key"), (3, "empty row key"),
              (4, "row key must not contain tab or newline characters")],
             {"k": {"a:d122": "4", "a:lt": "3"}},
             id="empty-key",
         ),
         pytest.param(
-            (C("a:lt"), ROW_KEY), True, "1,k1\n,k2\n3\t,k3\n4,k4\n",
+            (C("a:lt"), ROW_KEY), "1,k1\n,k2\n3\t,k3\n4,k4\n",
             [(2, "no values to write"), (3, _NEWLINE)],
             {"k1": {"a:lt": "1"}, "k4": {"a:lt": "4"}},
             id="one-value-column",
         ),
     ],
 )
-def test_import_errors_match_with_and_without_skipping(
-    tmp_path, columns, skip_empty, text, errors, rows
-):
+def test_import_errors_match_with_and_without_skipping(tmp_path, columns, text, errors, rows):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    for skip in (True, False):
-        spec = ImportSpec(
-            columns, separator=",", skip_bad_lines=skip, skip_empty_columns=skip_empty
-        )
-        with open_store(tmp_path / f"kv-{skip}") as s:
-            s.create_table("t", {"a"})
-            if skip or not errors:
-                report = s.import_tsv("t", path, spec)
-                assert report == (len(text.splitlines()) - len(errors), errors)
-                assert {r.key: {str(c): v for c, v in r.cells.items()} for r in s.scan("t")} == rows
-            else:
-                line_no, message = errors[0]
-                with pytest.raises(StoreError) as exc:
-                    s.import_tsv("t", path, spec)
-                assert str(exc.value) == f"{path}: line {line_no}: {message}"
+    with open_store(tmp_path / "kv") as s:
+        s.create_table("t", {"a"})
+        report = s.import_tsv("t", path, ImportSpec(columns))
+        assert report == (len(text.splitlines()) - len(errors), errors)
+        assert {r.key: {str(c): v for c, v in r.cells.items()} for r in s.scan("t")} == rows
 
 
 def test_load_writes_the_bytes_that_put_per_cell_writes(tmp_path):
@@ -702,8 +651,6 @@ def test_import_spec_validation():
         ImportSpec(columns=(C("a:x"),))
     with pytest.raises(ValueError, match="exactly one"):
         ImportSpec(columns=(ROW_KEY, ROW_KEY))
-    with pytest.raises(ValueError, match="one character"):
-        ImportSpec(columns=(ROW_KEY, C("a:x")), separator=",,")
     with pytest.raises(ValueError, match="not a coordinate"):
         ImportSpec(columns=(ROW_KEY, "a:x"))
     with pytest.raises(ValueError, match="names column a:x twice"):
@@ -740,13 +687,19 @@ def test_scan_order_and_reopen_round_trip(cells):
 
 
 _exotic = st.sampled_from([":", "\x85", "\u2028", "\x0c", "\x0b", "\x1c"])
-_texts = st.text(
-    st.one_of(
-        _exotic, st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
-    ),
-    min_size=1,
-    max_size=12,
-)
+
+
+def _texts_without(chars: str):
+    return st.text(
+        st.one_of(_exotic, st.characters(blacklist_characters=chars, blacklist_categories=("Cs",))),
+        min_size=1,
+        max_size=12,
+    )
+
+
+_texts = _texts_without("\t\n\r")
+# What a load line's field can hold: no comma, which separates the fields.
+_field_texts = _texts_without("\t\n\r,")
 _coord_quals = st.text(
     st.sampled_from(["a", "z", "0", "~", "\x85", "\u2028", "\x0c"]), min_size=1, max_size=6
 )
@@ -949,8 +902,8 @@ def test_writing_one_table_leaves_the_other_data_file_alone(tmp_path):
     _two_tables(d)
     other = d / "u.dat"
     before = other.read_bytes(), other.stat().st_mtime_ns
-    source = tmp_path / "in.tsv"
-    source.write_text("k5\tfive\n", encoding="utf-8")
+    source = tmp_path / "in.csv"
+    source.write_text("k5,five\n", encoding="utf-8")
     with open_store(d) as s:
         report = s.import_tsv("t", source, ImportSpec(columns=(ROW_KEY, C("a:q"))))
         assert report.loaded == 1
@@ -1185,9 +1138,9 @@ def _wide_table(d: Path, tmp_path: Path) -> "Store":
     """An open store whose table t, 800 rows of 368 cells, about 4.2 MB on
     disk, was just imported and not yet flushed."""
     coords = [f"a:d{n:04d}" for n in range(368)]
-    source = tmp_path / "wide.tsv"
+    source = tmp_path / "wide.csv"
     source.write_text(
-        "".join(f"k{i:04d}\t" + "\t".join(str(100_000 + i + n) for n in range(368)) + "\n"
+        "".join(f"k{i:04d}," + ",".join(str(100_000 + i + n) for n in range(368)) + "\n"
                 for i in range(800)),
         encoding="utf-8",
     )
@@ -1332,17 +1285,10 @@ def test_a_load_error_in_a_later_chunk_names_its_line(tmp_path):
     data = _load_input((2 * BLOCK + 100, b"bad,1\n"))
     line = data.count(b"\n", 0, 2 * BLOCK + 100) + 1
     path.write_bytes(data)
-    for skip in (True, False):
-        spec = ImportSpec(SPEC3.columns, separator=",", skip_bad_lines=skip)
-        with open_store(tmp_path / f"kv-{skip}") as s:
-            s.create_table("t", {"a"})
-            if skip:
-                report = s.import_tsv("t", path, spec)
-                assert report == (line, [(line, "expected 3 fields, found 2")])
-            else:
-                with pytest.raises(StoreError) as exc:
-                    s.import_tsv("t", path, spec)
-                assert str(exc.value) == f"{path}: line {line}: expected 3 fields, found 2"
+    with open_store(tmp_path / "kv") as s:
+        s.create_table("t", {"a"})
+        report = s.import_tsv("t", path, SPEC3)
+        assert report == (line, [(line, "expected 3 fields, found 2")])
 
 
 def test_a_load_file_not_utf8_in_a_later_chunk_is_named(store, tmp_path):
@@ -1366,9 +1312,9 @@ def test_a_load_file_not_utf8_in_a_later_chunk_is_named(store, tmp_path):
 def test_load_holds_no_copy_of_its_input(tmp_path):
     # The peak counts only what import_tsv allocates above what it holds
     # after: a line and its fields, never the whole input as text or lines.
-    source = tmp_path / "wide.tsv"
+    source = tmp_path / "wide.csv"
     source.write_text(
-        "".join(f"k{i:04d}\t" + "\t".join(str(100_000 + i + n) for n in range(368)) + "\n"
+        "".join(f"k{i:04d}," + ",".join(str(100_000 + i + n) for n in range(368)) + "\n"
                 for i in range(700)),
         encoding="utf-8",
     )
@@ -1430,8 +1376,8 @@ def test_key_part_scans_match_a_brute_force_filter(keys, count, bounds, added):
             half = len(added) // 2
             for key in added[:half]:
                 s.put("t", key, C("a:q"), "w")
-            source = Path(tmp) / "in.tsv"
-            source.write_text("".join(f"{key}\tw\n" for key in added[half:]), encoding="utf-8")
+            source = Path(tmp) / "in.csv"
+            source.write_text("".join(f"{key},w\n" for key in added[half:]), encoding="utf-8")
             s.import_tsv("t", source, ImportSpec((ROW_KEY, C("a:q"))))
             every = keys | set(added)
             check(s, every)
@@ -1448,10 +1394,8 @@ def test_key_part_scans_match_a_brute_force_filter(keys, count, bounds, added):
 _FAMILY_COORDS = st.builds(ColumnCoord, st.sampled_from("ab"), _coord_quals)
 # Fields out of coordinate order, the key in the middle; a line whose fields
 # are both empty is skipped.
-_IMPORT_SPEC = ImportSpec(
-    columns=(C("b:y"), ROW_KEY, C("a:x")), skip_bad_lines=True, skip_empty_columns=True
-)
-_maybe_texts = st.one_of(st.just(""), _texts)
+_IMPORT_SPEC = ImportSpec(columns=(C("b:y"), ROW_KEY, C("a:x")))
+_maybe_texts = st.one_of(st.just(""), _field_texts)
 _index = st.integers(0, 5)
 _op = st.one_of(
     st.tuples(st.just("get"), _index),
@@ -1484,7 +1428,7 @@ def _eager_bytes(model) -> bytes:
 
 @settings(max_examples=100, deadline=None)
 @given(
-    pool=st.lists(_texts, min_size=1, max_size=6, unique=True),
+    pool=st.lists(_field_texts, min_size=1, max_size=6, unique=True),
     cells=st.dictionaries(st.tuples(_index, _FAMILY_COORDS), _texts, max_size=30),
     ops=st.lists(_op, max_size=20),
 )
@@ -1524,9 +1468,9 @@ def test_lazy_reads_match_an_eager_model(pool, cells, ops):
                     # New keys, keys repeated in the file, and keys whose rows
                     # are still unparsed lines; flushed at once, so the bytes
                     # show how each was written.
-                    source = Path(tmp) / "in.tsv"
+                    source = Path(tmp) / "in.csv"
                     source.write_text(
-                        "".join(f"{y}\t{key_of(i)}\t{x}\n" for i, x, y in op[1]), encoding="utf-8"
+                        "".join(f"{y},{key_of(i)},{x}\n" for i, x, y in op[1]), encoding="utf-8"
                     )
                     written = [(i, x, y) for i, x, y in op[1] if x or y]
                     assert s.import_tsv("t", source, _IMPORT_SPEC).loaded == len(written)
