@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
-from .store import ColumnCoord, LineReader, Store, StoreError, _CoordTexts
+from .store import ColumnCoord, LineReader, Store, StoreError
 
 
 class ShellError(Exception):
@@ -40,8 +40,15 @@ _ARITY: dict[str, tuple[int, Optional[int]]] = {
 }
 
 
-# Each coordinate's family:qualifier text, kept across commands: get and
-# scan render one per cell, and ColumnCoord.__str__ is a Python call.
+class _CoordTexts(dict):
+    """Each coordinate's text, built on first lookup and kept across commands:
+    get and scan render one per cell, and ColumnCoord.__str__ is a Python call."""
+
+    def __missing__(self, coord: ColumnCoord) -> str:
+        text = self[coord] = str(coord)
+        return text
+
+
 _coord_text = _CoordTexts().__getitem__
 
 

@@ -16,14 +16,18 @@ MANIFEST lists the tables, one tab-separated line of six fields each:
     <name> TAB <families> TAB <enabled 0|1> TAB <name>.dat TAB <bytes> TAB <crc32>
 
 A table keeps its cells in <name>.dat, and in no other file, rewritten on
-flush with one line per row, rows in key order:
+flush as a header line, then one line per row, rows in key order:
 
-    <row key> TAB <family>:<qualifier> TAB <value> [TAB <family>:<qualifier> TAB <value> ...]
+    TAB <family>:<qualifier> [TAB <family>:<qualifier> ...]
+    <row key> TAB <value> [TAB <value> ...]
 
-with the pairs in coordinate order.  Flush writes the data files first and
-MANIFEST after them, with each file's byte size and zlib.crc32; it writes
-a data file one line at a time, through the file's own buffer, encoding
-and summing each line as it goes.  An flock on LOCK keeps a second
+The header names once, in order, each coordinate a row holds; its empty key
+sets it apart from every row line.  A row's n-th value is its cell at the
+header's n-th coordinate, empty if absent, up to its last cell: an absent
+cell before that costs a tab, dear only in a very wide, very sparse table.
+Flush writes the data files first and MANIFEST after them, with each
+file's size and zlib.crc32, writing, encoding and summing a data file one
+line at a time through the file's own buffer.  An flock on LOCK keeps a second
 process out while the store is open, and the kernel drops it when the
 process ends, however it ends.  LOCK stays, with its last owner's pid:
 only the flock counts (LevelDB's rule).  Keys, coordinates and values are
@@ -34,18 +38,19 @@ Open and import_tsv read MANIFEST, the data files and the load input
 through one LineReader, one line at a time through the file's own
 buffer, so open, flush and load hold a table's data once, as its rows,
 never beside a whole-file copy of it or of the input.  A data file whose
-size and checksum match was written by flush, so open only indexes its
-lines by row key; a row is parsed the first time get, scan, put or
-import_tsv touches it, and a table nothing touches is neither parsed nor
-rewritten.  import_tsv keeps a new row in the same form, the line flush
-would write, built from the input fields (HBase's bulk load: write the
-storage format, not each cell).  A file that does not match is parsed in
-full at open and refused as corrupt at its first bad line.  One that
-parses cleanly is accepted (a crash between a data file's replace and the
-MANIFEST rewrite leaves exactly that), and the next MANIFEST write records
-the sums open read.  Either reading skips blank lines and sorts the keys.
-An older store, with four-field MANIFEST lines or one line per cell, is
-refused as corrupt; rebuild it by re-running DROP/CREATE and load.
+size and checksum match was written by flush, so open checks its header
+and only indexes its rows by key; a row is parsed the first time get,
+scan, put or import_tsv touches it, and a table nothing touches is neither
+parsed nor rewritten.  import_tsv keeps a new row in the same form, the
+line flush would write, built from the input fields (HBase's bulk load:
+write the storage format, not each cell).  A file that does not match is
+parsed in full at open and refused as corrupt at its first bad line.  One
+that parses cleanly is accepted (a crash between a data file's replace and
+the MANIFEST rewrite leaves exactly that), and the next MANIFEST write
+records the sums open read.  Either reading skips blank lines and sorts
+the keys.  An older store, with four-field MANIFEST lines or coordinate
+and value pairs in its rows, is refused as corrupt; rebuild it by
+re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
 in an index of the table's row-key parts instead of testing every key
@@ -64,8 +69,8 @@ import fcntl
 import os
 import re
 import zlib
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import ge, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -79,6 +84,8 @@ _FORBIDDEN = ("\t", "\n", "\r")
 # family:qualifier, a group each, neither empty nor holding : , \t \n or \r.
 COORD_PATTERN = r"([^:,\t\n\r]+):([^:,\t\n\r]+)"
 _COORD = re.compile(COORD_PATTERN)
+# A data file's header line: a tab before each coordinate.
+_HEADER = re.compile(f"(?:\t{COORD_PATTERN})+")
 
 # A scan's bound on row-key parts: (terminator, part count, bounds), each
 # bound (part positions, allowed tuples of part texts); see Store.scan.
@@ -159,14 +166,6 @@ class ColumnCoord(NamedTuple):
         return cls._make(m.groups())
 
 
-class _CoordTexts(dict):
-    """Each coordinate's family:qualifier text, built on its first lookup."""
-
-    def __missing__(self, coord: ColumnCoord) -> str:
-        text = self[coord] = str(coord)
-        return text
-
-
 class TableDescriptor(NamedTuple):
     name: str
     families: frozenset[str]
@@ -233,8 +232,7 @@ class ImportReport(NamedTuple):
 
 class _Table:
     __slots__ = (
-        "descriptor", "data_file", "checksum", "rows", "coords", "keys", "parts",
-        "dirty",
+        "descriptor", "data_file", "checksum", "rows", "coords", "keys", "parts", "dirty",
     )
 
     def __init__(self, descriptor: TableDescriptor) -> None:
@@ -242,13 +240,15 @@ class _Table:
         self.data_file = f"{descriptor.name}.dat"
         # (bytes, crc32) of the data file as flush wrote it or open read it.
         self.checksum = (0, 0)
-        # Every row by key.  A row nothing has touched yet (a line of a
+        # Every row by key.  A row nothing has touched yet (a row line of a
         # checked data file, or a new row import_tsv added) is its line,
         # exactly as flush would write it; a touched row is its cells.
         # Either way the cells are in coordinate order.
         self.rows: dict[str, Union[str, dict[ColumnCoord, str]]] = {}
-        # Each coordinate text is checked once and maps to one shared object.
-        self.coords: dict[str, ColumnCoord] = {}
+        # The header: each coordinate a row holds, in order, one shared
+        # object each.  A line's n-th value is its cell at coords[n - 1],
+        # so while a row is a line, coords is only appended to (see admit).
+        self.coords: list[ColumnCoord] = []
         # Every row key in order; None once a write may have added one.
         self.keys: Optional[list[str]] = []
         # The row keys by key parts, built on the first scan bound on them:
@@ -257,27 +257,31 @@ class _Table:
         self.parts: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], list[str]]] = {}
         self.dirty = False
 
+    def read_header(self, line: str) -> None:
+        """Take coords from a data file's header line; raises CellValueError."""
+        if not _HEADER.fullmatch(line):
+            raise CellValueError("expected a header: a tab, then tab-separated coordinates "
+                                 "(an older store must be rebuilt: re-run DROP/CREATE and load)")
+        coords = [ColumnCoord._make(m.groups()) for m in _COORD.finditer(line)]
+        if unknown := {coord.family for coord in coords} - self.descriptor.families:
+            raise CellValueError(f"unknown family {min(unknown)!r}")
+        if any(map(ge, coords, islice(coords, 1, None))):
+            raise CellValueError("header coordinates repeat or are out of order")
+        self.coords = coords
+
     def parse(self, line: str) -> tuple[str, dict[ColumnCoord, str]]:
-        """Key and cells of one data file line; raises CellValueError."""
+        """Key and cells of one row line, read against coords; raises CellValueError."""
         if "\r" in line:
             raise CellValueError("a line holds a carriage return")
-        fields = line.split("\t")
-        key, names, values = fields[0], fields[1::2], fields[2::2]
-        if not key or len(names) != len(values) or not values or "" in values:
-            raise CellValueError("expected a key and coordinate/value pairs, none empty")
-        coords = self.coords
-        try:
-            row = dict(zip(map(coords.__getitem__, names), values))
-        except KeyError:
-            for name in names:
-                if name not in coords:
-                    coord = ColumnCoord.parse(name)
-                    if coord.family not in self.descriptor.families:
-                        raise CellValueError(f"unknown family {coord.family!r}") from None
-                    coords[name] = coord
-            row = dict(zip(map(coords.__getitem__, names), values))
-        if len(row) != len(values):
-            raise CellValueError("a coordinate repeats")
+        key, _, rest = line.partition("\t")
+        values = rest.split("\t")
+        if len(values) > len(self.coords):
+            raise CellValueError(f"{len(values)} values for a header of {len(self.coords)}")
+        if not key:
+            raise CellValueError("empty row key")
+        row = dict(compress(zip(self.coords, values), values))
+        if not row:
+            raise CellValueError("a row with no cells")
         return key, row
 
     def row(self, key: str) -> Optional[dict[ColumnCoord, str]]:
@@ -348,8 +352,29 @@ class _Table:
                 found = [key for key in found if key in allowed_keys]
         return found
 
+    def admit(self, coords: Sequence[ColumnCoord]) -> AbstractSet[ColumnCoord]:
+        """Add to coords, in order, each of these it lacks; return those added.
+
+        One sorting before the last would shift the values of the lines, so
+        each row still a line is parsed first (a bad one raises, coords kept).
+        """
+        added = set(coords).difference(self.coords)
+        if added and self.coords and min(added) < self.coords[-1]:
+            for key in self.rows:
+                self.row(key)
+        self.coords = sorted([*self.coords, *added])
+        return added
+
+    def drop(self, unheld: AbstractSet[ColumnCoord]) -> None:
+        """Take coordinates no row holds out of coords, and their empty values out of each line."""
+        keep = [True, *(coord not in unheld for coord in self.coords)]
+        for key, row in self.rows.items():
+            if isinstance(row, str):
+                self.rows[key] = "\t".join(compress(row.split("\t"), keep))
+        self.coords = [coord for coord in self.coords if coord not in unheld]
+
     def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
-        """Upsert cells, given in coordinate order, into a row, keeping it in that order."""
+        """Upsert cells, in coordinate order and all in coords, into a row, keeping that order."""
         self.dirty = True
         row = self.row(key)
         if row is None:
@@ -360,6 +385,13 @@ class _Table:
             row.update(cells)
             if len(row) != count:  # a coordinate was added, at the end
                 self.rows[key] = {c: row[c] for c in sorted(row)}
+
+    def line(self, key: str) -> str:
+        """The row at key as flush writes it: its line, or its cells placed by coords."""
+        row = self.rows[key]
+        if isinstance(row, str):
+            return row
+        return "\t".join([key, *map(row.get, self.coords, repeat(""))]).rstrip("\t")
 
     def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Rows in key order, only the candidates of key_parts if given."""
@@ -488,13 +520,12 @@ class Store:
             self._tables[name] = table
 
     def _read_data(self, table: _Table, checksum: tuple[int, int]) -> None:
-        """Index the data file's lines by row key, or parse it in full.
+        """Check the data file's header, then index its row lines by row key, or parse them.
 
         The file is read through a LineReader, which sums its size and
         crc32.  Only a file whose size and crc32 match its MANIFEST line is
         indexed; any other is parsed strictly, line by line, and its table
-        takes the size and crc32 read, which the next MANIFEST write
-        records, so either reading skips blank lines and sorts the keys.
+        takes the size and crc32 read, which the next MANIFEST write records.
         """
         path = self.directory / table.data_file
         try:
@@ -508,13 +539,18 @@ class Store:
         except UnicodeError as exc:
             raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
         table.checksum = (reader.size, reader.crc)
-        if table.checksum == checksum:
-            table.rows = {line.partition("\t")[0]: line for line in lines if line}
-            table.keys = sorted(table.rows)
+        if not lines:
             return
-        table.forget_keys()
+        i = 1
         try:
-            for i, line in enumerate(lines, 1):
+            table.read_header(lines[0])
+            rows = islice(lines, 1, None)
+            if table.checksum == checksum:
+                table.rows = {line.partition("\t")[0]: line for line in rows if line}
+                table.keys = sorted(table.rows)
+                return
+            table.forget_keys()
+            for i, line in enumerate(rows, 2):
                 if not line:
                     continue
                 key, row = table.parse(line)
@@ -538,20 +574,19 @@ class Store:
     def _write_table(self, table: _Table) -> None:
         """Rewrite the data file; a row nothing touched keeps its line as read.
 
-        Rows go out in key order, one line at a time through the file's own
-        buffer, each encoded on its own and summed into the size and crc32
-        as it is written, so flush holds no copy of the table beside its rows.
+        The header, then the rows in key order, go out one line at a time
+        through the file's own buffer, each encoded on its own and summed
+        into the size and crc32 as it is written, so flush holds no copy of
+        the table beside its rows.
         """
         size = crc = 0
 
         def lines() -> Iterator[bytes]:
             nonlocal size, crc
-            text = _CoordTexts().__getitem__
-            for key in table.ordered_keys():
-                row = table.rows[key]
-                if not isinstance(row, str):
-                    row = "\t".join([key, *chain.from_iterable(zip(map(text, row), row.values()))])
-                line = f"{row}\n".encode("utf-8")
+            keys = table.ordered_keys()
+            header = ["\t".join(["", *map(str, table.coords)])] if keys else []
+            for text in chain(header, map(table.line, keys)):
+                line = f"{text}\n".encode("utf-8")
                 size += len(line)
                 crc = zlib.crc32(line, crc)
                 yield line
@@ -666,6 +701,8 @@ class Store:
             raise UnknownFamilyError(
                 f"unknown column family {coord.family!r} for table {table!r}"
             )
+        t.row(row_key)  # a line that fails to parse raises before coords grows
+        t.admit([coord])
         t.write(row_key, [(coord, value)])
 
     def get(
@@ -722,14 +759,17 @@ class Store:
         columns = spec.columns
         width = len(columns)
         key_index = spec.key_index
-        value_indexes = [i for i in range(len(columns)) if i != key_index]
-        # Value fields in coordinate order: coordinates (the table's shared
-        # objects), texts, and a picker (itemgetter of one index is no tuple).
-        in_order = sorted((columns[i], i) for i in value_indexes)
-        texts = [str(coord) for coord, _ in in_order]
-        coords = [t.coords.setdefault(text, c) for text, (c, _) in zip(texts, in_order)]
-        order = [i for _, i in in_order]
+        value_indexes = [i for i in range(width) if i != key_index]
+        added = t.admit([columns[i] for i in value_indexes])
+        # A line's values in the order of coords: each one's field, or the
+        # empty field appended to every line if the spec does not name it
+        # (itemgetter of one index is no tuple).  Added coordinates no line
+        # fills leave the header again at the end.
+        field = {columns[i]: i for i in value_indexes}
+        coords = t.coords
+        order = [field.get(coord, width) for coord in coords]
         pick = itemgetter(*order) if len(order) > 1 else lambda f: tuple(map(f.__getitem__, order))
+        unfilled = [i for i, coord in enumerate(coords) if coord in added]
         loaded = 0
         errors: list[tuple[int, str]] = []
         path = Path(file)
@@ -748,6 +788,7 @@ class Store:
                             for i in value_indexes:
                                 if fields[i]:
                                     _check_text(fields[i], "value")
+                        fields.append("")
                         values = pick(fields)
                         if not any(values):
                             # A row with no cells does not exist; refuse the
@@ -757,15 +798,17 @@ class Store:
                     except CellValueError as exc:
                         errors.append((line_no, str(exc)))
                         continue
+                    unfilled = [p for p in unfilled if not values[p]]
                     if key in t.rows:
                         t.write(key, list(compress(zip(coords, values), values)))
                     else:
-                        t.rows[key] = "\t".join(
-                            [key, *chain.from_iterable(compress(zip(texts, values), values))]
-                        )
+                        t.rows[key] = key + "\t" + "\t".join(values).rstrip("\t")
                         t.forget_keys()
                         t.dirty = True
                     loaded += 1
         except (OSError, UnicodeError) as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
+        finally:
+            if unfilled:
+                t.drop({coords[p] for p in unfilled})
         return ImportReport(loaded, errors)
