@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .store import ColumnCoord, LineReader, Store, StoreError
 
@@ -40,16 +40,17 @@ _ARITY: dict[str, tuple[int, Optional[int]]] = {
 }
 
 
-class _CoordTexts(dict):
-    """Each coordinate's text, built on first lookup and kept across commands:
-    get and scan render one per cell, and ColumnCoord.__str__ is a Python call."""
-
-    def __missing__(self, coord: ColumnCoord) -> str:
-        text = self[coord] = str(coord)
-        return text
+# Each table's `column=<coord>, value=` prefixes, one per coordinate of its
+# header, with the header they were built for: get and scan render one per
+# cell, and ColumnCoord.__str__ is a Python call.
+_PREFIXES: dict[str, tuple[Sequence[ColumnCoord], list[str]]] = {}
 
 
-_coord_text = _CoordTexts().__getitem__
+def _prefixes(table: str, coords: Sequence[ColumnCoord]) -> list[str]:
+    hit = _PREFIXES.get(table)
+    if hit is None or hit[0] is not coords:
+        hit = _PREFIXES[table] = (coords, [f"column={c}, value=" for c in coords])
+    return hit[1]
 
 
 class ShellCommand(NamedTuple):
@@ -116,16 +117,19 @@ def _dispatch(cmd: ShellCommand, store: Store) -> str:
     if cmd.verb == "put":
         store.put(cmd.args[0], cmd.args[1], ColumnCoord.parse(cmd.args[2]), cmd.args[3])
         return ""
+    if cmd.verb == "get" and len(cmd.args) == 3:
+        cells = store.get(cmd.args[0], cmd.args[1], ColumnCoord.parse(cmd.args[2]))
+        return "\n".join([*[f"column={c}, value={v}" for c, v in cells], f"{len(cells)} row(s)"])
     if cmd.verb == "get":
-        coord = ColumnCoord.parse(cmd.args[2]) if len(cmd.args) == 3 else None
-        cells = store.get(cmd.args[0], cmd.args[1], coord)
-        lines = [f"column={_coord_text(c)}, value={v}" for c, v in cells]
-        lines.append(f"{1 if cells else 0} row(s)")
-        return "\n".join(lines)
+        row = store.get_row(cmd.args[0], cmd.args[1])
+        if row is None:
+            return "0 row(s)"
+        lines = [p + v for p, v in zip(_prefixes(cmd.args[0], row.coords), row.values) if v]
+        return "\n".join(lines) + "\n1 row(s)"
     if cmd.verb == "scan":
         rows = store.scan(cmd.args[0])
-        lines = [f"{row.key}  column={_coord_text(c)}, value={v}"
-                 for row in rows for c, v in row.cells.items()]
+        prefixes = _prefixes(cmd.args[0], rows[0].coords) if rows else []
+        lines = [f"{row.key}  {p}{v}" for row in rows for p, v in zip(prefixes, row.values) if v]
         lines.append(f"{len(rows)} row(s)")
         return "\n".join(lines)
     if cmd.verb == "disable":

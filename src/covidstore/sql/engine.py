@@ -1,11 +1,13 @@
 """Catalog of mapped tables and the SELECT executor over the store.
 
-Rows come out of the store as raw text cells.  The executor splits the row
-key on the schema's collection terminator (first occurrence only, so the
-country part may themselves contain the character), decodes each mapped
-cell by its declared type, and treats an absent cell as NULL.  A stored
-zero was dropped before loading, so it reads back as NULL, never 0; that
-conflation is inherent to the sparse format, not a decoding choice.
+Rows come out of the store as raw text values, one per coordinate of the
+table's header.  The executor splits the row key on the schema's collection
+terminator (first occurrence only, so the country part may themselves
+contain the character), takes each referenced cell by its place in the
+header, decodes it by its declared type, and treats an absent cell as
+NULL.  A stored zero was dropped before loading, so it reads back as NULL,
+never 0; that conflation is inherent to the sparse format, not a decoding
+choice.
 
 A row's positions are the row key, then each key field (None when the key
 has too few parts), then each declared column in declaration order.  Every
@@ -14,7 +16,8 @@ positions.  A source decodes only the columns its query references and
 leaves the others None.  What queries need of a mapped table (each name's
 position, each column's cell and decoder, SELECT *'s outputs and headers)
 is built on its first query and kept with its catalog entry until DROP
-TABLE removes the entry; store writes never change it.
+TABLE removes the entry; store writes never change it.  The pickers that
+take a query's cells from a row are kept there too, once per header.
 
 Decode on read: a cell that does not decode as its declared type raises
 TypeDecodeError only when the query references its column and its row
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .. import write_atomic
 from ..store import CellValueError, ColumnCoord, Store, TableNotEnabledError, TableNotFoundError
@@ -118,6 +121,7 @@ class Catalog:
                 tuple([int if c.ctype == "int" else float for c in columns]),
                 _picker([0, *range(first, first + len(columns))]),
                 ["key", *[c.name for c in columns]],
+                {},
             )
         return plan
 
@@ -201,6 +205,7 @@ class _Plan(NamedTuple):
     decoders: tuple[Callable[[str], Value], ...]  # int or float, likewise
     picker: Callable[[list[Value]], tuple[Value, ...]]  # a row's SELECT * outputs
     headers: list[str]  # and their headers
+    readers: dict[Optional[tuple[int, ...]], tuple]  # see _reader
 
 
 class _Source(NamedTuple):
@@ -224,8 +229,9 @@ def _decode(
     drop is never parsed.  key_in, when given, is (key-field positions,
     allowed text tuples): the scan also drops a row whose key fields at the
     positions hold none of the tuples.  Then every referenced column of a
-    kept row is decoded, in position order, and only then do column
-    predicates and same-source conditions drop the row.
+    kept row is taken from the row's values by its place in the header and
+    decoded, in position order, and only then do column predicates and
+    same-source conditions drop the row.
     """
     schema = plan.entry.schema
     terminator = schema.collection_terminator
@@ -242,17 +248,6 @@ def _decode(
         positions, tuples = key_in
         bounds.append((tuple([p - 1 for p in positions]), tuples))
     column_predicates = [(p, values) for p, values in predicates if p >= first]
-    if referenced is None:
-        wanted: Sequence[int] = range(first, first + len(plan.coords))
-        coords, decoders = plan.coords, plan.decoders
-    else:  # by position, so that a narrow query costs what it references
-        wanted, coords, decoders = [], [], []
-        for p in sorted(referenced):
-            if p >= first:
-                wanted.append(p)
-                coords.append(plan.coords[p - first])
-                decoders.append(plan.decoders[p - first])
-    blank = [None] * len(plan.coords)
     backing = plan.entry.mapping.store_table
     try:
         rows = store.scan(backing, (terminator, nfields, bounds) if bounds else None)
@@ -261,14 +256,19 @@ def _decode(
         raise CatalogError(
             f"mapped table {schema.table_name!r}: its backing table {backing!r} {state}"
         ) from None
+    if not rows:
+        return []
+    columns = None if referenced is None else tuple(sorted(filter(first.__le__, referenced)))
+    wanted, decoders, pick = _reader(plan, rows[0].places, first, columns)
+    blank = [None] * len(plan.coords)
     out: list[list[Value]] = []
     unfiltered = not (column_predicates or conditions)
     for row in rows:
         parts = row.key.split(terminator, nfields - 1)
         values = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
         try:
-            for p, decode, raw in zip(wanted, decoders, map(row.cells.get, coords)):
-                if raw is not None:
+            for p, decode, raw in zip(wanted, decoders, pick(row.values)):
+                if raw:
                     values[p] = decode(raw)
         except ValueError:
             name, ctype = schema.columns[p - first]
@@ -282,6 +282,27 @@ def _decode(
         ):
             out.append(values)
     return out
+
+
+def _reader(
+    plan: _Plan, places: Mapping[ColumnCoord, int], first: int, columns: Optional[tuple[int, ...]]
+) -> tuple[list[int], list[Callable[[str], Value]], Callable[[Sequence[str]], tuple[str, ...]]]:
+    """(positions, decoders, picker of their cells from a row's values) of the
+    referenced column positions, None for all, leaving out each column whose
+    coordinate the header lacks.  Built once per header, by the identity of
+    its places, and kept on the plan."""
+    reader = plan.readers.get(columns)
+    if reader is None or reader[0] is not places:
+        held: list[int] = []
+        decoders, at = [], []
+        for p in range(first, first + len(plan.coords)) if columns is None else columns:
+            place = places.get(plan.coords[p - first])
+            if place is not None:
+                held.append(p)
+                decoders.append(plan.decoders[p - first])
+                at.append(place)
+        reader = plan.readers[columns] = (places, held, decoders, _picker(at))
+    return reader[1:]
 
 
 def _matchable(key: tuple[Value, ...]) -> bool:

@@ -5,10 +5,12 @@ family:qualifier coordinate; families are fixed at table creation, qualifiers
 are free-form.  Rows and cells come back in byte order, writes are
 last-write-wins upserts, and there is no cell versioning.
 
-Each row's cells are always in coordinate order: a data file holds them
-in that order, put and import_tsv build a new row in it, and a write that
-adds a coordinate to a row rebuilds that row in order at once.  Reads hand
-out read-only views of the table's own rows instead of sorted copies.
+Rows are positional, as Hive's hbase.columns.mapping reads HBase's rows:
+a table's header names once, in order, each coordinate a row holds, and a
+row's n-th value is its cell at the header's n-th coordinate, empty if
+absent, up to its last cell.  A read finds a cell by its place in the
+header, never by hashing its coordinate, and hands out the table's own
+immutable values instead of copies.
 
 A store is a directory of LOCK, MANIFEST and one data file per table.
 MANIFEST lists the tables, one tab-separated line of six fields each:
@@ -21,36 +23,35 @@ flush as a header line, then one line per row, rows in key order:
     TAB <family>:<qualifier> [TAB <family>:<qualifier> ...]
     <row key> TAB <value> [TAB <value> ...]
 
-The header names once, in order, each coordinate a row holds; its empty key
-sets it apart from every row line.  A row's n-th value is its cell at the
-header's n-th coordinate, empty if absent, up to its last cell: an absent
-cell before that costs a tab, dear only in a very wide, very sparse table.
-Flush writes the data files first and MANIFEST after them, with each
-file's size and zlib.crc32, writing, encoding and summing a data file one
-line at a time through the file's own buffer.  An flock on LOCK keeps a second
-process out while the store is open, and the kernel drops it when the
-process ends, however it ends.  LOCK stays, with its last owner's pid:
-only the flock counts (LevelDB's rule).  Keys, coordinates and values are
-UTF-8 text without tabs, newlines or carriage returns, and a family or
-qualifier holds no colon or comma, which keeps the on-disk format trivial.
+The header's empty key sets it apart from every row line.  An absent cell
+before a row's last costs a tab, dear only in a very wide, very sparse
+table.  Flush writes the data files first and MANIFEST after them, with
+each file's size and zlib.crc32, writing, encoding and summing a data file
+one line at a time through the file's own buffer.  An flock on LOCK keeps
+a second process out while the store is open, and the kernel drops it
+when the process ends, however it ends.  LOCK stays, with its last
+owner's pid: only the flock counts (LevelDB's rule).  Keys, coordinates
+and values are UTF-8 text without tabs, newlines or carriage returns, and
+a family or qualifier holds no colon or comma, which keeps the on-disk
+format trivial.
 
 Open and import_tsv read MANIFEST, the data files and the load input
 through one LineReader, one line at a time through the file's own
 buffer, so open, flush and load hold a table's data once, as its rows,
 never beside a whole-file copy of it or of the input.  A data file whose
 size and checksum match was written by flush, so open checks its header
-and only indexes its rows by key; a row is parsed the first time get,
-scan, put or import_tsv touches it, and a table nothing touches is neither
-parsed nor rewritten.  import_tsv keeps a new row in the same form, the
-line flush would write, built from the input fields (HBase's bulk load:
-write the storage format, not each cell).  A file that does not match is
-parsed in full at open and refused as corrupt at its first bad line.  One
-that parses cleanly is accepted (a crash between a data file's replace and
-the MANIFEST rewrite leaves exactly that), and the next MANIFEST write
-records the sums open read.  Either reading skips blank lines and sorts
-the keys.  An older store, with four-field MANIFEST lines or coordinate
-and value pairs in its rows, is refused as corrupt; rebuild it by
-re-running DROP/CREATE and load.
+and only indexes its rows by key; a row is split into its values the
+first time get, scan, put or import_tsv touches it, and a table nothing
+touches is neither parsed nor rewritten.  import_tsv keeps a new row in
+the same form, the line flush would write, built from the input fields
+(HBase's bulk load: write the storage format, not each cell).  A file
+that does not match is parsed in full at open and refused as corrupt at
+its first bad line.  One that parses cleanly is accepted (a crash between
+a data file's replace and the MANIFEST rewrite leaves exactly that), and
+the next MANIFEST write records the sums open read.  Either reading skips
+blank lines and sorts the keys.  An older store, with four-field MANIFEST
+lines or coordinate and value pairs in its rows, is refused as corrupt;
+rebuild it by re-running DROP/CREATE and load.
 
 A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
 in an index of the table's row-key parts instead of testing every key
@@ -173,19 +174,32 @@ class TableDescriptor(NamedTuple):
 
 
 class Row:
-    """One scanned row; cells are keyed by coordinate, in coordinate order.
+    """One row read: values[i] is its cell at coords[i], "" if absent.
 
-    cells is a read-only view of the table's own row, valid until the next
-    write to that table.  A slots class rather than a NamedTuple: queries
-    read both fields of every row, and CPython reads a slot about twice as
-    fast as a NamedTuple field.
+    values, coords (the header) and places (each coordinate's index in
+    coords, read-only by contract) are the table's own objects, which a
+    write replaces but never changes, so a Row stays as it was read.  The
+    header and its places are one object each until the header changes, so
+    a reader may key what it derives from them on their identity.  A slots
+    class rather than a NamedTuple: queries read several fields of every
+    row, and CPython reads a slot about twice as fast as a NamedTuple field.
     """
 
-    __slots__ = ("key", "cells")
+    __slots__ = ("key", "values", "coords", "places")
 
-    def __init__(self, key: str, cells: Mapping[ColumnCoord, str]) -> None:
+    def __init__(
+        self, key: str, values: tuple[str, ...], coords: tuple[ColumnCoord, ...],
+        places: Mapping[ColumnCoord, int],
+    ) -> None:
         self.key = key
-        self.cells = cells
+        self.values = values
+        self.coords = coords
+        self.places = places
+
+    @property
+    def cells(self) -> Mapping[ColumnCoord, str]:
+        """The cells by coordinate, in coordinate order: a read-only mapping built on access."""
+        return MappingProxyType(dict(compress(zip(self.coords, self.values), self.values)))
 
 
 class ImportSpec:
@@ -232,7 +246,8 @@ class ImportReport(NamedTuple):
 
 class _Table:
     __slots__ = (
-        "descriptor", "data_file", "checksum", "rows", "coords", "keys", "parts", "dirty",
+        "descriptor", "data_file", "checksum", "rows", "coords", "places", "ragged", "keys",
+        "parts", "dirty",
     )
 
     def __init__(self, descriptor: TableDescriptor) -> None:
@@ -242,13 +257,19 @@ class _Table:
         self.checksum = (0, 0)
         # Every row by key.  A row nothing has touched yet (a row line of a
         # checked data file, or a new row import_tsv added) is its line,
-        # exactly as flush would write it; a touched row is its cells.
-        # Either way the cells are in coordinate order.
-        self.rows: dict[str, Union[str, dict[ColumnCoord, str]]] = {}
+        # exactly as flush would write it; a touched row is its values, one
+        # per coordinate of coords.  Either way the n-th value is the cell at
+        # coords[n - 1].
+        self.rows: dict[str, Union[str, tuple[str, ...]]] = {}
         # The header: each coordinate a row holds, in order, one shared
-        # object each.  A line's n-th value is its cell at coords[n - 1],
-        # so while a row is a line, coords is only appended to (see admit).
-        self.coords: list[ColumnCoord] = []
+        # object each, and its places, each coordinate's index in it.  Both
+        # are replaced, never changed in place (see Row).
+        self.coords: tuple[ColumnCoord, ...] = ()
+        self.places: dict[ColumnCoord, int] = {}
+        # Whether a touched row may end before coords does, as a line may:
+        # admit appends to coords without laying rows out again, and row()
+        # pads such a row when it is next read.
+        self.ragged = False
         # Every row key in order; None once a write may have added one.
         self.keys: Optional[list[str]] = []
         # The row keys by key parts, built on the first scan bound on them:
@@ -262,15 +283,15 @@ class _Table:
         if not _HEADER.fullmatch(line):
             raise CellValueError("expected a header: a tab, then tab-separated coordinates "
                                  "(an older store must be rebuilt: re-run DROP/CREATE and load)")
-        coords = [ColumnCoord._make(m.groups()) for m in _COORD.finditer(line)]
+        coords = tuple([ColumnCoord._make(m.groups()) for m in _COORD.finditer(line)])
         if unknown := {coord.family for coord in coords} - self.descriptor.families:
             raise CellValueError(f"unknown family {min(unknown)!r}")
         if any(map(ge, coords, islice(coords, 1, None))):
             raise CellValueError("header coordinates repeat or are out of order")
-        self.coords = coords
+        self.set_header(coords)
 
-    def parse(self, line: str) -> tuple[str, dict[ColumnCoord, str]]:
-        """Key and cells of one row line, read against coords; raises CellValueError."""
+    def parse(self, line: str) -> tuple[str, tuple[str, ...]]:
+        """Key and values of one row line, read against coords; raises CellValueError."""
         if "\r" in line:
             raise CellValueError("a line holds a carriage return")
         key, _, rest = line.partition("\t")
@@ -279,15 +300,16 @@ class _Table:
             raise CellValueError(f"{len(values)} values for a header of {len(self.coords)}")
         if not key:
             raise CellValueError("empty row key")
-        row = dict(compress(zip(self.coords, values), values))
-        if not row:
+        if not any(values):
             raise CellValueError("a row with no cells")
-        return key, row
+        return key, (*values, *repeat("", len(self.coords) - len(values)))
 
-    def row(self, key: str) -> Optional[dict[ColumnCoord, str]]:
-        """The row at key, parsed on first touch; None if there is none.
+    def row(self, key: str) -> Optional[tuple[str, ...]]:
+        """The values of the row at key, one per coordinate of coords; None if there is none.
 
-        A line that fails to parse stays a line, so every read of it raises.
+        A line is split on first touch, and a touched row that ends before
+        coords does is padded with "".  A line that fails to parse stays a
+        line, so every read of it raises.
         """
         row = self.rows.get(key)
         if isinstance(row, str):
@@ -297,6 +319,8 @@ class _Table:
                 raise CorruptStoreError(
                     f"corrupt data file {self.data_file}: row {key!r}: {exc}"
                 ) from None
+        elif self.ragged and row is not None and len(row) < len(self.coords):
+            row = self.rows[key] = (*row, *repeat("", len(self.coords) - len(row)))
         return row
 
     def ordered_keys(self) -> list[str]:
@@ -355,49 +379,64 @@ class _Table:
     def admit(self, coords: Sequence[ColumnCoord]) -> AbstractSet[ColumnCoord]:
         """Add to coords, in order, each of these it lacks; return those added.
 
-        One sorting before the last would shift the values of the lines, so
-        each row still a line is parsed first (a bad one raises, coords kept).
+        Added after the last, they leave every row as it is, ending before
+        coords does.  One sorting before the last shifts the places after
+        it, so every row is split first (a bad line raises, coords kept),
+        then laid out again onto the new header.
         """
         added = set(coords).difference(self.coords)
         if added and self.coords and min(added) < self.coords[-1]:
             for key in self.rows:
                 self.row(key)
-        self.coords = sorted([*self.coords, *added])
+            header = tuple(sorted([*self.coords, *added]))
+            pick = itemgetter(*map(self.places.get, header, repeat(len(self.coords))))
+            for key, row in self.rows.items():
+                self.rows[key] = pick((*row, ""))
+            self.set_header(header)
+            self.ragged = False
+        elif added:
+            self.set_header((*self.coords, *sorted(added)))
+            self.ragged = True
         return added
 
     def drop(self, unheld: AbstractSet[ColumnCoord]) -> None:
-        """Take coordinates no row holds out of coords, and their empty values out of each line."""
-        keep = [True, *(coord not in unheld for coord in self.coords)]
+        """Take coordinates no row holds out of coords, and their empty values out of each row."""
+        keep = [coord not in unheld for coord in self.coords]
         for key, row in self.rows.items():
             if isinstance(row, str):
-                self.rows[key] = "\t".join(compress(row.split("\t"), keep))
-        self.coords = [coord for coord in self.coords if coord not in unheld]
+                self.rows[key] = "\t".join(compress(row.split("\t"), [True, *keep]))
+            else:
+                self.rows[key] = tuple(compress(row, keep))
+        self.set_header(tuple(compress(self.coords, keep)))
 
-    def write(self, key: str, cells: list[tuple[ColumnCoord, str]]) -> None:
-        """Upsert cells, in coordinate order and all in coords, into a row, keeping that order."""
+    def set_header(self, coords: tuple[ColumnCoord, ...]) -> None:
+        self.coords = coords
+        self.places = dict(zip(coords, range(len(coords))))
+
+    def write(self, key: str, values: Sequence[str]) -> None:
+        """Merge values, one per coordinate of coords, "" where none, into the row at key.
+
+        Merging into a row ignores values past the last coordinate."""
         self.dirty = True
         row = self.row(key)
         if row is None:
-            self.rows[key] = dict(cells)
+            self.rows[key] = tuple(values)
             self.forget_keys()
         else:
-            count = len(row)
-            row.update(cells)
-            if len(row) != count:  # a coordinate was added, at the end
-                self.rows[key] = {c: row[c] for c in sorted(row)}
+            self.rows[key] = tuple([new or old for new, old in zip(values, row)])
 
     def line(self, key: str) -> str:
-        """The row at key as flush writes it: its line, or its cells placed by coords."""
+        """The row at key as flush writes it: its line, or its values joined."""
         row = self.rows[key]
         if isinstance(row, str):
             return row
-        return "\t".join([key, *map(row.get, self.coords, repeat(""))]).rstrip("\t")
+        return "\t".join([key, *row]).rstrip("\t")
 
     def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Rows in key order, only the candidates of key_parts if given."""
         keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
-        row = self.row
-        return [Row(key, MappingProxyType(row(key))) for key in keys]  # type: ignore[arg-type]
+        row, coords, places = self.row, self.coords, self.places
+        return [Row(key, row(key), coords, places) for key in keys]  # type: ignore[arg-type]
 
 
 MANIFEST_NAME: Final = "MANIFEST"
@@ -445,12 +484,12 @@ class Store:
     stays after close with the last owner's pid; there is no in-process
     locking, because no thread shares a Store.  Each table's data file is
     <name>.dat, and each MANIFEST line has six fields.  Readers get back
-    read-only views of the table's own cells, valid until the next write to
-    that table; the lists holding them are the caller's.  The other records
-    it returns, TableDescriptor and ImportReport, are immutable tuples, and
-    a failed write to the store directory raises OSError.  Mutations become
-    durable on flush (close flushes too), except that table creation,
-    disabling, and dropping persist immediately.
+    Rows holding the table's own immutable values, or fresh pairs, in lists
+    that are the caller's.  The other records it returns, TableDescriptor
+    and ImportReport, are immutable tuples, and a failed write to the store
+    directory raises OSError.  Mutations become durable on flush (close
+    flushes too), except that table creation, disabling, and dropping
+    persist immediately.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -703,7 +742,9 @@ class Store:
             )
         t.row(row_key)  # a line that fails to parse raises before coords grows
         t.admit([coord])
-        t.write(row_key, [(coord, value)])
+        values = [""] * len(t.coords)
+        values[t.places[coord]] = value
+        t.write(row_key, values)
 
     def get(
         self, table: str, row_key: str, coord: Optional[ColumnCoord] = None
@@ -713,26 +754,30 @@ class Store:
         A missing row or cell is an empty result, not an error.  Without a
         coordinate, every cell of the row comes back in coordinate order.
         """
+        row = self.get_row(table, row_key)
+        if row is None:
+            return []
+        if coord is None:
+            return list(compress(zip(row.coords, row.values), row.values))
+        i = row.places.get(coord)
+        return [(coord, row.values[i])] if i is not None and row.values[i] else []
+
+    def get_row(self, table: str, row_key: str) -> Optional[Row]:
+        """Read one row as a Row, or None if there is none."""
         self._ensure_open()
         t = self._enabled_table(table)
-        row = t.row(row_key)
-        if not row:
-            return []
-        if coord is not None:
-            value = row.get(coord)
-            return [(coord, value)] if value is not None else []
-        return list(row.items())
+        values = t.row(row_key)
+        return None if values is None else Row(row_key, values, t.coords, t.places)
 
     def scan(self, table: str, key_parts: Optional[KeyParts] = None) -> list[Row]:
-        """Every row of the table, keys ascending, cells in coordinate order.
+        """Every row of the table, keys ascending, each with one value per header coordinate.
 
         With key_parts, (terminator, count, bounds), only the rows whose
         key, split at its first count - 1 terminators, holds one allowed
         tuple for every bound: each bound is (part positions, allowed
         tuples of the part texts at them).  The table's index of key parts
         finds them without testing every key, and only the rows returned
-        are parsed.  The list is the caller's; each row's cells are a
-        read-only view, valid until the next write to the table.
+        are split.  The list is the caller's; see Row for its rows.
         """
         self._ensure_open()
         return self._enabled_table(table).scan(key_parts)
@@ -761,14 +806,13 @@ class Store:
         key_index = spec.key_index
         value_indexes = [i for i in range(width) if i != key_index]
         added = t.admit([columns[i] for i in value_indexes])
-        # A line's values in the order of coords: each one's field, or the
-        # empty field appended to every line if the spec does not name it
-        # (itemgetter of one index is no tuple).  Added coordinates no line
-        # fills leave the header again at the end.
-        field = {columns[i]: i for i in value_indexes}
+        # A line's values in the order of coords, then one "" more (so that
+        # itemgetter always makes a tuple): each one's field, or the "" that
+        # is appended to every line.  Added coordinates no line fills leave
+        # the header again at the end.
+        field = dict(zip(columns, range(width)))
         coords = t.coords
-        order = [field.get(coord, width) for coord in coords]
-        pick = itemgetter(*order) if len(order) > 1 else lambda f: tuple(map(f.__getitem__, order))
+        pick = itemgetter(*map(field.get, coords, repeat(width)), width)
         unfilled = [i for i, coord in enumerate(coords) if coord in added]
         loaded = 0
         errors: list[tuple[int, str]] = []
@@ -800,7 +844,7 @@ class Store:
                         continue
                     unfilled = [p for p in unfilled if not values[p]]
                     if key in t.rows:
-                        t.write(key, list(compress(zip(coords, values), values)))
+                        t.write(key, values)
                     else:
                         t.rows[key] = key + "\t" + "\t".join(values).rstrip("\t")
                         t.forget_keys()

@@ -6,6 +6,8 @@ per-criterion pass/fail summary is printed by the conftest hook at the end
 of the run.
 """
 
+import csv
+import random
 import re
 import shutil
 import subprocess
@@ -342,6 +344,82 @@ def test_fresh_opens_match_oracle(populated_store_dir):
                 engine = execute_query(ast, Catalog(store), store)
             assert engine.columns == header, text
             assert engine.rows == rows, text
+
+
+def _write_bench_scale_feed(directory, days, seed, rows=289):
+    """A seeded raw feed in the JHU layout: the fixture's 215 locations, then
+    synthetic provinces of one more country, each counting up from its own
+    first day, and about one day in twenty reading 0."""
+    rng = random.Random(seed)
+    with open(raw_fixture("confirmed"), newline="", encoding="utf-8") as f:
+        places = [row[:4] for row in list(csv.reader(f))[1:]]
+    places += [[f"Region {i}", "Multiland", f"{i}.5", ""] for i in range(rows - len(places))]
+    dates = [START + timedelta(days=i) for i in range(days)]
+    header = ["Province/State", "Country/Region", "Lat", "Long"]
+    header += [f"{d.month}/{d.day}/{d.year % 100}" for d in dates]
+    for series in SERIES:
+        counts = []
+        for _ in places:
+            first, total, row = rng.randrange(days), 0, []
+            for day in range(days):
+                total += rng.randrange(40) if day >= first else 0
+                row.append(total if rng.random() > 0.05 else 0)
+            counts.append(row)
+        with open(directory / raw_file_name(series), "w", newline="", encoding="utf-8") as f:
+            csv.writer(f, lineterminator="\n").writerows([header, *map(list.__add__, places, counts)])
+
+
+def test_bench_scale_queries_match_oracle(tmp_path, capsys):
+    # The bench's global shape, 289 rows x 366 days, and four query shapes
+    # that read whole rows or every row: SELECT * of one key and of a
+    # 16-row country, a join with no WHERE, and a one-table column
+    # predicate.  Each runs on a fresh open, as a CLI process does, then
+    # again warm in the same process; the oracle reads the raw CSVs.
+    days = 366
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    _write_bench_scale_feed(raw, days, seed=20200403)
+    base = ["--store-dir", str(tmp_path / "store"), "--data-dir", str(tmp_path / "data")]
+    end = START + timedelta(days=days - 1)
+    assert main([*base, "fetch", "--from-dir", str(raw)]) == 0
+    assert main([*base, "ingest"]) == 0
+    for series in SERIES:
+        table = TABLES[series]
+        assert main([*base, "sql", generate_schema(table, table, "a", START, end)]) == 0
+        sparse = tmp_path / "data" / f"time_series_covid19_{series}_global-sparse.csv"
+        load = ["load", table, str(sparse), "--dates", f"{START}:{end}", "--strict"]
+        assert main([*base, *load]) == 0
+    capsys.readouterr()
+
+    oracle_tables = {TABLES[s]: query_oracle.OracleTable(raw / raw_file_name(s)) for s in SERIES}
+    confirmed = oracle_tables[TABLES["confirmed"]]
+    late, early = confirmed.declared_columns[-30], confirmed.declared_columns[40]
+    value = next(r[late.lower()] for r in confirmed.rows[100:] if r[late.lower()] is not None)
+    texts = [
+        f"SELECT * FROM {TABLES['confirmed']} "
+        "WHERE key.Province_State = '' AND key.Country_Region = 'Morocco'",
+        f"SELECT * FROM {TABLES['deaths']} WHERE key.Country_Region = 'China'",
+        f"SELECT c.key.Province_State, d.key.Country_Region, c.Lat, c.{late}, d.{early} "
+        f"FROM {TABLES['confirmed']} c JOIN {TABLES['deaths']} d "
+        "ON c.key.Province_State = d.key.Province_State "
+        "AND c.key.Country_Region = d.key.Country_Region",
+        f"SELECT key.Country_Region, Long, {late} FROM {TABLES['confirmed']} WHERE {late} = {value}",
+    ]
+    cases = []
+    for text in texts:
+        ast = parse_query(text)
+        header, rows = query_oracle.evaluate(ast, oracle_tables)
+        assert rows, text
+        cases.append((text, ast, header, rows))
+
+    with budget(2.0):
+        for text, ast, header, rows in cases:
+            with open_store(tmp_path / "store") as store:
+                catalog = Catalog(store)
+                for _ in ("fresh", "warm"):
+                    engine = execute_query(ast, catalog, store)
+                    assert engine.columns == header, text
+                    assert engine.rows == rows, text
 
 
 # --------------------------------------------------------------- criterion 5

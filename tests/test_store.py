@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from covidstore import write_atomic
 from covidstore.dates import series_columns
 from covidstore.ingest import write_formatted_files
+from covidstore.shell import execute_command, parse_command
 from covidstore.store import (
     ROW_KEY,
     CellValueError,
@@ -205,6 +206,38 @@ def test_scanned_cells_are_read_only(store):
     with pytest.raises(TypeError):
         row.cells[C("a:d122")] = "4"
     assert store.get("t", "k") == [(C("a:lt"), "31.79")]
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["written", "line"])
+def test_nothing_a_read_returns_changes_with_the_table(tmp_path, reopen):
+    store = open_store(tmp_path / "kv")
+    store.create_table("t", {"a"})
+    store.put("t", "k", C("a:lt"), "31.79")
+    store.put("t", "k", C("a:d122"), "4")
+    if reopen:  # the row is read from its line
+        store.close()
+        store = open_store(tmp_path / "kv")
+    with store:
+        cells = [(C("a:d122"), "4"), (C("a:lt"), "31.79")]
+        pairs, row, (scanned,) = store.get("t", "k"), store.get_row("t", "k"), store.scan("t")
+        # What a read returns is the caller's to change, or cannot be changed ...
+        pairs[0] = (C("a:d122"), "0")
+        with pytest.raises(TypeError):
+            row.values[0] = "0"  # type: ignore[index]
+        with pytest.raises(TypeError):
+            scanned.cells[C("a:lt")] = "0"  # type: ignore[index]
+        scanned.values = row.coords = ()
+        assert store.get("t", "k") == cells
+        assert [(r.key, r.values, r.coords) for r in store.scan("t")] == [
+            ("k", ("4", "31.79"), (C("a:d122"), C("a:lt")))
+        ]
+        # ... and a later write leaves it as it was read.
+        (row,) = store.scan("t")
+        view = row.cells
+        store.put("t", "k", C("a:lt"), "0.5")
+        store.put("t", "k", C("a:d0"), "1")
+        assert row.values == ("4", "31.79")
+        assert dict(view) == dict(row.cells) == dict(cells)
 
 
 # ------------------------------------------------------------ lifecycle
@@ -651,14 +684,37 @@ def test_load_writes_the_bytes_that_put_per_cell_writes(tmp_path):
             # A new row stays the line flush writes: no row was parsed.
             assert all(isinstance(row, str) for row in loaded._tables[table].rows.values())
             put.create_table(table, {"a"})
-            for line in sparse.read_text(encoding="utf-8").splitlines():
-                fields = line.split(",")
-                key = fields[spec.key_index]
-                for coord, value in zip(spec.columns, fields):
-                    if coord != ROW_KEY and value:
-                        put.put(table, key, coord, value)
+            lines = sparse.read_text(encoding="utf-8").splitlines()
+            _put_each_cell(put, table, spec, lines)
+            # A second load onto the loaded table, still lines: it changes
+            # cells, adds a row, adds coordinates sorting before the header's
+            # last (a:lt) and after it, and names one that no line fills.
+            again = ImportSpec((C("a:d1"), ROW_KEY, C("a:zz"), C("a:d331"), C("a:d0")))
+            lines = [
+                *(f",{line.split(',')[0]},z{n},{n * 7 + 1},{'x' if n % 2 else ''}"
+                  for n, line in enumerate(lines[::9])),
+                ",New~Row,,5,y",
+            ]
+            source = data / f"again-{series}.csv"
+            source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            assert loaded.import_tsv(table, source, again).skipped == 0
+            _put_each_cell(put, table, again, lines)
     for name in [*(f"{TABLES[series]}.dat" for series in SERIES), "MANIFEST"]:
         assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "put" / name).read_bytes()
+    with open_store(tmp_path / "loaded") as loaded:
+        for n, line in enumerate(lines[:-1]):
+            key = line.split(",")[1]
+            assert loaded.get(table, key, C("a:d331")) == [(C("a:d331"), str(n * 7 + 1))]
+        assert loaded.get(table, "New~Row") == [(C("a:d0"), "y"), (C("a:d331"), "5")]
+
+
+def _put_each_cell(store, table, spec, lines):
+    for line in lines:
+        fields = line.split(",")
+        key = fields[spec.key_index]
+        for coord, value in zip(spec.columns, fields):
+            if coord != ROW_KEY and value:
+                store.put(table, key, coord, value)
 
 
 def test_a_global_scale_table_round_trips_through_its_header(tmp_path):
@@ -1507,9 +1563,6 @@ _FAMILY_COORDS = st.builds(ColumnCoord, st.sampled_from("ab"), _coord_quals)
 _maybe_texts = st.one_of(st.just(""), _value_fields)
 _index = st.integers(0, 5)
 _op = st.one_of(
-    st.tuples(st.just("get"), _index),
-    st.tuples(st.just("cell"), _index, _FAMILY_COORDS),
-    st.tuples(st.just("bound"), st.frozensets(_index)),
     st.tuples(st.just("scan")),
     st.tuples(st.just("put"), _index, _FAMILY_COORDS, _values_texts),
     # The spec's coordinates (y, x, and one no line fills), and its lines.
@@ -1520,6 +1573,10 @@ _op = st.one_of(
     ),
     st.tuples(st.just("flush")),
 )
+# What is read after a step, if anything: one row, whole and at one
+# coordinate, and a scan bound on a set of keys.  A step that reads nothing
+# leaves its rows as they were, lines or values, for the steps after it.
+_probe = st.one_of(st.none(), st.tuples(_index, _FAMILY_COORDS, st.frozensets(_index)))
 
 
 def _model_rows(model, keys=None):
@@ -1542,31 +1599,98 @@ def _eager_bytes(model) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def _shell(s, line):
+    return execute_command(parse_command(line), s)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     pool=st.lists(_field_texts, min_size=1, max_size=6, unique=True),
     cells=st.dictionaries(st.tuples(_index, _FAMILY_COORDS), _values_texts, max_size=30),
-    ops=st.lists(_op, max_size=20),
+    steps=st.lists(st.tuples(_op, _probe), max_size=20),
 )
-# An import that appends to the header, with columns no line fills; then,
-# while k3 is still a line, a put and an import whose coordinates sort
-# before the header's last.
+# Reads of a line (k2), of a row a re-import merged into a value list (k1),
+# and of a line laid out again by a put whose coordinate sorts before the
+# header's last (k3); the first import appends to the header, with columns
+# no line fills.
 @example(
     ["k1", "k2", "k3"],
     {(0, C("a:a")): "1", (0, C("a:z")): "2", (1, C("a:m")): "a:z"},
     [
-        ("import", [C("b:y"), C("b:z"), C("b:x")], [(0, "", "7"), (1, "", ""), (2, "", "0")]),
-        ("put", 1, C("a:0"), "b:0"),
-        ("get", 2),
-        ("import", [C("b:a"), C("a:b"), C("a:n")], [(2, "17", ""), (0, "", "a:~")]),
-        ("flush",),
-        ("bound", frozenset({0, 2})),
-        ("scan",),
+        (("flush",), (1, C("a:m"), frozenset({1}))),
+        (
+            ("import", [C("b:y"), C("b:z"), C("b:x")], [(0, "", "7"), (1, "", ""), (2, "", "0")]),
+            (0, C("a:z"), frozenset({0})),
+        ),
+        (("put", 1, C("a:0"), "b:0"), (2, C("b:y"), frozenset({2}))),
+        (
+            ("import", [C("b:a"), C("a:b"), C("a:n")], [(2, "17", ""), (0, "", "a:~")]),
+            (1, C("a:0"), frozenset({0, 1, 2})),
+        ),
+        (("flush",), (0, C("b:a"), frozenset({0, 2}))),
+        (("scan",), (2, C("a:z"), frozenset({1}))),
     ],
 )
-def test_lazy_reads_match_an_eager_model(pool, cells, ops):
+# Values that equal coordinate texts, so a read that searched a line for a
+# coordinate's text instead of counting its place would find the wrong cell.
+@example(
+    ["k1", "k2", "k3"],
+    {(0, C("a:d1")): "a:d2", (0, C("a:d3")): "a:d1", (1, C("a:d2")): "a:d3"},
+    [
+        (("flush",), (1, C("a:d2"), frozenset({0}))),
+        (("put", 1, C("a:d0"), "a:d1"), (0, C("a:d1"), frozenset({0, 1}))),
+        (
+            ("import", [C("a:d4"), C("a:d1"), C("b:d1")], [(0, "a:d4", "a:d1"), (2, "b:d1", "")]),
+            (2, C("a:d4"), frozenset({0, 2})),
+        ),
+        (("scan",), (0, C("a:d3"), frozenset({0, 1, 2}))),
+    ],
+)
+# Rows that end before the header does: a put appends b:z after every row
+# was split, and a flush writes k1 and k2 so.  An import then adds a:0
+# before the header's last, laying every row out again, and a last import
+# appends again, dropping the coordinates its line leaves unfilled from rows
+# that still end early.
+@example(
+    ["k1", "k2", "k3"],
+    {(0, C("a:a")): "1", (1, C("a:b")): "2"},
+    [
+        (("scan",), None),
+        (("put", 2, C("b:z"), "9"), None),
+        (("flush",), (1, C("a:b"), frozenset({1}))),
+        (
+            ("import", [C("b:y"), C("a:0"), C("a:c")], [(0, "5", "")]),
+            (0, C("a:0"), frozenset({0, 1, 2})),
+        ),
+        (("import", [C("b:zz"), C("b:zy"), C("b:zzz")], [(1, "", "6")]), None),
+        (("scan",), (0, C("b:zz"), frozenset({0, 2}))),
+    ],
+)
+def test_lazy_reads_match_an_eager_model(pool, cells, steps):
     def key_of(i):
         return pool[i % len(pool)]
+
+    def check(s, i, coord, indexes):
+        key = key_of(i)
+        want = sorted(model.get(key, {}).items())
+        value = model.get(key, {}).get(coord)
+        assert s.get("t", key) == want
+        assert s.get("t", key, coord) == ([] if value is None else [(coord, value)])
+        quoted = key.replace("'", "''")
+        lines = [f"column={c}, value={v}" for c, v in want]
+        lines.append(f"{1 if want else 0} row(s)")
+        assert _shell(s, f"get 't', '{quoted}'") == "\n".join(lines)
+        lines = [] if value is None else [f"column={coord}, value={value}"]
+        lines.append(f"{len(lines)} row(s)")
+        assert _shell(s, f"get 't', '{quoted}', '{coord}'") == "\n".join(lines)
+        keys = {key_of(j) for j in indexes}
+        rows = s.scan("t", ("~", 1, [((0,), {(key,) for key in keys})]))
+        assert [(r.key, list(r.cells.items())) for r in rows] == _model_rows(model, keys)
+        # The one coordinate's cell of each row, read as a query reads it:
+        # by its place in the row's header.
+        assert [r.values[r.coords.index(coord)] if coord in r.coords else "" for r in rows] == [
+            model[r.key].get(coord, "") for r in rows
+        ]
 
     model: dict[str, dict[ColumnCoord, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -1577,20 +1701,9 @@ def test_lazy_reads_match_an_eager_model(pool, cells, ops):
                 s.put("t", key_of(i), coord, value)
                 model.setdefault(key_of(i), {})[coord] = value
         with open_store(d) as s:
-            for op in ops:
+            for op, probe in steps:
                 kind = op[0]
-                if kind == "get":
-                    key = key_of(op[1])
-                    assert s.get("t", key) == sorted(model.get(key, {}).items())
-                elif kind == "cell":
-                    key, coord = key_of(op[1]), op[2]
-                    value = model.get(key, {}).get(coord)
-                    assert s.get("t", key, coord) == ([] if value is None else [(coord, value)])
-                elif kind == "bound":
-                    keys = {key_of(i) for i in op[1]}
-                    rows = s.scan("t", ("~", 1, [((0,), {(key,) for key in keys})]))
-                    assert [(r.key, list(r.cells.items())) for r in rows] == _model_rows(model, keys)
-                elif kind == "scan":
+                if kind == "scan":
                     assert _rows(s, "t") == _model_rows(model)
                 elif kind == "put":
                     key, coord, value = key_of(op[1]), op[2], op[3]
@@ -1619,6 +1732,8 @@ def test_lazy_reads_match_an_eager_model(pool, cells, ops):
                 else:
                     s.flush()
                     assert (d / "t.dat").read_bytes() == _eager_bytes(model)
+                if probe is not None:
+                    check(s, *probe)
         assert (d / "t.dat").read_bytes() == _eager_bytes(model)
         with open_store(d) as s:
             assert _rows(s, "t") == _model_rows(model)
