@@ -5,9 +5,14 @@ the sparse format, load the result into the store, then query with sql or
 poke at cells with the shell.  schema-gen prints the CREATE statement for a
 date range so the DDL never has to be written by hand.
 
-Exit codes: 0 on success, 1 for user errors (bad arguments, missing files,
-failed statements, file-system errors), 2 for data errors (lines skipped
-during a strict load).
+Exit codes: 0 on success; 2 for a usage error (a malformed command line)
+or for lines skipped during a strict load; 1 for any other user error,
+such as a bad --dates value, a missing file, a failed statement or a
+file-system error.
+
+The command line is read from one table, _COMMANDS, by a short loop over
+the words: each command is a short-lived process, and argparse, with the
+gettext it loads, would cost every one of them about 5 ms.
 
 A command imports only the layers it runs: fetch none, ingest and
 schema-gen the ingest module (schema-gen only writes text), load the store
@@ -22,11 +27,11 @@ this module is the one that runs.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import SqlError, StoreError, write_atomic
@@ -163,7 +168,7 @@ def cmd_load(args) -> int:
     _bind(".store")
     from .store import ROW_KEY, ColumnCoord, ImportSpec
 
-    if args.dates:
+    if args.dates is not None:
         start, end = _parse_date_range(args.dates)
         columns = import_columns_for_dates(start, end, args.family)
     else:
@@ -244,94 +249,184 @@ def cmd_schema_gen(args) -> int:
 
 
 def _series_name(text: str) -> str:
-    # choices= would also validate the *default* list under nargs="*" and
-    # reject it, so the per-item check lives here instead.
     if text not in SERIES_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"invalid series {text!r} (choose from {', '.join(SERIES_NAMES)})"
-        )
+        raise ValueError(f"invalid series {text!r} (choose from {', '.join(SERIES_NAMES)})")
     return text
 
 
 def _url_pair(text: str) -> tuple[str, str]:
     series, sep, url = text.partition("=")
     if not sep or series not in SERIES_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"expected series=URL with series one of {', '.join(SERIES_NAMES)}"
-        )
+        raise ValueError(f"expected series=URL with series one of {', '.join(SERIES_NAMES)}")
     return series, url
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covidstore",
-        description="Sparse wide-column store and SQL layer for JHU COVID-19 time series.",
-    )
-    parser.add_argument(
-        "--store-dir",
-        default=os.environ.get("STORE_DIR", "store"),
-        help="store directory (default: $STORE_DIR or ./store)",
-    )
-    parser.add_argument(
-        "--data-dir",
-        default=os.environ.get("DATA_DIR", "data"),
-        help="raw and formatted CSV directory (default: $DATA_DIR or ./data)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _seconds(text: str) -> float:
+    # A socket timeout of 0 makes the socket non-blocking; inf and nan fail in it.
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"invalid value {text!r} (expected a positive finite number of seconds)")
 
-    p = sub.add_parser("fetch", help="download the raw CSVs")
-    p.add_argument("series", nargs="*", default=list(DEFAULT_SERIES),
-                   type=_series_name, metavar="SERIES")
-    p.add_argument("--from-dir", help="copy from a local directory instead of the network")
-    p.add_argument("--url", action="append", type=_url_pair, metavar="SERIES=URL",
-                   help="override the download URL for one series")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("ingest", help="format raw CSVs into the sparse layout")
-    p.add_argument("series", nargs="*", default=list(DEFAULT_SERIES),
-                   type=_series_name, metavar="SERIES")
-    p.set_defaults(func=cmd_ingest)
+# The check a value must pass, by attribute name; a check raises ValueError.
+_CHECKS = {"series": _series_name, "url": _url_pair, "timeout": _seconds}
 
-    p = sub.add_parser("load", help="bulk-load a sparse CSV into a table")
-    p.add_argument("table")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dates", metavar="START:END",
-                       help="date range, generates the column spec")
-    group.add_argument("--columns", help="explicit comma-separated column spec")
-    p.add_argument("--family", default="a", help="column family for --dates (default: a)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 if any line was skipped")
-    p.set_defaults(func=cmd_load)
+# Marker defaults: the option must be given; exactly one of the options so
+# marked must be given; each use of the option adds its value to a list.
+_REQUIRED, _ONE_OF, _APPEND = object(), object(), object()
 
-    p = sub.add_parser("sql", help="run SQL statements")
-    p.add_argument("statement", nargs="?", help="statement text (or use -f)")
-    p.add_argument("-f", "--file", help="read statements from a file")
-    p.add_argument("--keep-going", action="store_true",
-                   help="continue past failed statements")
-    p.set_defaults(func=cmd_sql)
+# The command line, as (help, usage, positionals, options) for the options
+# before the command and for each command.  A positional is (attribute,
+# arity): "" takes one word, "?" at most one, "*" any number (the default
+# series if none), "..." the command and every word after it.  An option is
+# ("-s/--long", METAVAR, default, help) and sets the attribute its last flag
+# names; no METAVAR makes a switch, a (variable, fallback) default reads the
+# environment.
+_GLOBAL = ("Sparse wide-column store and SQL layer for JHU COVID-19 time series.",
+           "[--store-dir STORE_DIR] [--data-dir DATA_DIR] "
+           "{fetch,ingest,load,sql,shell,schema-gen} ...",
+           [("command", "...")], [
+    ("--store-dir", "STORE_DIR", ("STORE_DIR", "store"),
+     "store directory (default: $STORE_DIR or ./store)"),
+    ("--data-dir", "DATA_DIR", ("DATA_DIR", "data"),
+     "raw and formatted CSV directory (default: $DATA_DIR or ./data)")])
+_COMMANDS = {
+    "fetch": ("download the raw CSVs",
+              "[--from-dir FROM_DIR] [--url SERIES=URL] [--timeout TIMEOUT] [SERIES ...]",
+              [("series", "*")], [
+        ("--from-dir", "FROM_DIR", None, "copy from a local directory instead of the network"),
+        ("--url", "SERIES=URL", _APPEND, "override the download URL for one series"),
+        ("--timeout", "TIMEOUT", 30.0, "seconds to wait for each download (default: 30)")]),
+    "ingest": ("format raw CSVs into the sparse layout", "[SERIES ...]", [("series", "*")], []),
+    "load": ("bulk-load a sparse CSV into a table",
+             "(--dates START:END | --columns COLUMNS) [--family FAMILY] [--strict] table file",
+             [("table", ""), ("file", "")], [
+        ("--dates", "START:END", _ONE_OF, "date range, generates the column spec"),
+        ("--columns", "COLUMNS", _ONE_OF, "explicit comma-separated column spec"),
+        ("--family", "FAMILY", "a", "column family for --dates (default: a)"),
+        ("--strict", None, False, "exit 2 if any line was skipped")]),
+    "sql": ("run SQL statements", "[-f FILE] [--keep-going] [statement]",
+            [("statement", "?")], [
+        ("-f/--file", "FILE", None, "read statements from a file"),
+        ("--keep-going", None, False, "continue past failed statements")]),
+    "shell": ("interactive store shell", "[--script SCRIPT]", [], [
+        ("--script", "SCRIPT", None, "run commands from a file instead of stdin")]),
+    "schema-gen": ("print the CREATE TABLE for a date range",
+                   "--table TABLE [--store-table STORE_TABLE] [--family FAMILY] --dates START:END",
+                   [], [
+        ("--table", "TABLE", _REQUIRED, "table name"),
+        ("--store-table", "STORE_TABLE", None, "backing table name (default: same as --table)"),
+        ("--family", "FAMILY", "a", "column family (default: a)"),
+        ("--dates", "START:END", _REQUIRED, "date range of the day columns")]),
+}
 
-    p = sub.add_parser("shell", help="interactive store shell")
-    p.add_argument("--script", help="run commands from a file instead of stdin")
-    p.set_defaults(func=cmd_shell)
 
-    p = sub.add_parser("schema-gen", help="print the CREATE TABLE for a date range")
-    p.add_argument("--table", required=True)
-    p.add_argument("--store-table", help="backing table name (default: same as --table)")
-    p.add_argument("--family", default="a")
-    p.add_argument("--dates", required=True, metavar="START:END")
-    p.set_defaults(func=cmd_schema_gen)
+def _usage(command: str) -> str:
+    prog = f"covidstore {command}".rstrip()
+    return f"usage: {prog} [-h] {_COMMANDS.get(command, _GLOBAL)[1]}"
 
-    return parser
+
+def _help(command: str) -> str:
+    text, _, _, options = _COMMANDS.get(command, _GLOBAL)
+    rows = [(name, _COMMANDS[name][0]) for name in _COMMANDS if not command]
+    rows += [("-h, --help", "show this help message and exit")]
+    rows += [(f"{flags.replace('/', ', ')} {metavar or ''}", line)
+             for flags, metavar, _, line in options]
+    return "\n".join([_usage(command), "", text, ""] + [f"  {a:<21} {b}" for a, b in rows])
+
+
+def _fail(command: str, message: str):
+    prog = f"covidstore {command}".rstrip()
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _checked(command: str, label: str, name: str, text: str):
+    try:
+        return _CHECKS[name](text) if name in _CHECKS else text
+    except ValueError as exc:
+        _fail(command, f"argument {label}: {exc}")
+
+
+def _is_option(word: str) -> bool:
+    # As argparse reads a word: a negative number, or one holding a space
+    # (such as a statement), is a value even when it starts with a dash.
+    negative = word[1:].replace(".", "", 1).isdecimal()
+    return word[:1] == "-" and len(word) > 1 and " " not in word and not negative
+
+
+def _parse(command: str, argv: list[str], args) -> list[str]:
+    """Set on args the values and defaults that a command's words give.
+
+    command "" reads the options before the command, and returns the command
+    and the words after it.  An option is named in full, its value given as
+    the next word or after "=", and "--" makes every later word a positional.
+    """
+    _, _, positionals, options = _COMMANDS.get(command, _GLOBAL)
+    specs = [(flags.split("/")[-1].lstrip("-").replace("-", "_"), flags, *rest)
+             for flags, *rest in options]
+    by_flag = {flag: spec for spec in specs for flag in spec[1].split("/")}
+    for name, _, _, default, _ in specs:
+        default = os.environ.get(*default) if isinstance(default, tuple) else default
+        setattr(args, name, None if default in (_REQUIRED, _ONE_OF, _APPEND) else default)
+    words, rest = [], iter(argv)
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if flag not in by_flag and word[:2] in by_flag and word[1] != "-":
+            flag, eq, value = word[:2], "=", word[2:]  # -fFILE
+        if word in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        elif word == "--":
+            words.extend(rest)
+        elif flag in by_flag:
+            name, flags, metavar, default, _ = by_flag[flag]
+            if eq and not metavar:
+                _fail(command, f"argument {flags}: ignored explicit argument {value!r}")
+            if metavar and not eq:
+                value = next(rest, "--")  # at the end, as if another option followed
+                if _is_option(value):
+                    _fail(command, f"argument {flags}: expected one argument")
+            value = _checked(command, flags, name, value) if metavar else True
+            old = getattr(args, name) or []
+            setattr(args, name, old + [value] if default is _APPEND else value)
+        elif _is_option(word):
+            _fail(command, f"unrecognized arguments: {word}")
+        else:
+            words += [word] if command else [word, *rest]
+    missing = [flags for name, flags, _, default, _ in specs
+               if default is _REQUIRED and getattr(args, name) is None]
+    for name, arity in positionals:
+        if arity == "*":
+            values, words = [_checked(command, name, name, word) for word in words], []
+            setattr(args, name, values or list(DEFAULT_SERIES))
+            continue
+        setattr(args, name, words.pop(0) if words else None)
+        if getattr(args, name) is None and arity != "?":
+            missing.append(name)
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if words and command:
+        _fail(command, "unrecognized arguments: " + " ".join(words))
+    pair = {flags: getattr(args, name) for name, flags, _, default, _ in specs
+            if default is _ONE_OF}
+    if pair and sum(value is not None for value in pair.values()) != 1:
+        _fail(command, f"exactly one of the arguments {' '.join(pair)} is required")
+    return words
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = SimpleNamespace()
+    rest = _parse("", sys.argv[1:] if argv is None else argv, args)
+    if args.command not in _COMMANDS:
+        _fail("", f"argument command: invalid choice: {args.command!r} "
+                  f"(choose from {', '.join(_COMMANDS)})")
+    _parse(args.command, rest, args)
     if args.command == "sql" and bool(args.statement) == bool(args.file):
-        parser.error("sql needs exactly one of a statement argument or -f FILE")
+        _fail("sql", "sql needs exactly one of a statement argument or -f FILE")
 
     store_dir = Path(args.store_dir).resolve()
     data_dir = Path(args.data_dir).resolve()
@@ -340,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USER_ERROR
 
     try:
-        return args.func(args)
+        # Looked up at call time, as the _LAZY names are.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BrokenPipeError:
         # Reader went away (e.g. piped into head); suppress the shutdown noise.
         # This handler comes first: BrokenPipeError is an OSError.

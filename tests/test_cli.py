@@ -134,10 +134,13 @@ def _modules_after(code: str) -> set[str]:
 
 def _modules_after_command(tmp_path, *argv) -> set[str]:
     base = ["--store-dir", str(tmp_path / "store"), "--data-dir", str(tmp_path / "data")]
-    return _modules_after(
+    loaded = _modules_after(
         "from covidstore.cli import main\n"
         f"assert main({base + list(argv)!r}) == 0"
     )
+    # No command loads a parser library: argparse and getopt both load gettext.
+    assert {"argparse", "gettext"} & loaded == set(), argv
+    return loaded
 
 
 def test_cli_import_leaves_every_layer_unloaded():
@@ -313,6 +316,18 @@ def test_fetch_rejects_malformed_url_override(dirs, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(store_dir, data_dir, "fetch", "--url", "nope")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
+def test_fetch_timeout_must_be_a_positive_finite_number(dirs, capsys, value):
+    # The socket takes 0 as non-blocking, and inf, nan and -1 fail in it.
+    with pytest.raises(SystemExit) as err:
+        run_cli(*dirs, "fetch", "confirmed", "--url", "confirmed=http://127.0.0.1:1/x",
+                "--timeout", value)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: covidstore fetch ")
+    assert f"error: argument --timeout: invalid value {value!r}" in stderr
 
 
 # ------------------------------------------------------------------- ingest
@@ -519,6 +534,15 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
         assert [row.key for row in store.scan(table)] == [
             f"k{i:05d}~c" for i in range(count)
         ]
+
+
+def test_load_with_empty_dates_reports_a_bad_date_range(raw_data, capsys):
+    # The empty range is the one given, not a missing one: no fall back to --columns.
+    rc = run_cli(*raw_data, "load", "t", "f.csv", "--dates", "")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: date range '' must look like YYYY-MM-DD:YYYY-MM-DD\n"
+    )
 
 
 def test_load_rejects_bad_column_spec(raw_data, capsys):
@@ -743,6 +767,138 @@ def test_one_mapping_spans_at_most_a_year(dirs, tmp_path, capsys):
     assert run_cli(store_dir, data_dir, "load", "t", str(sparse),
                    "--dates", "2020-01-22:2021-01-22") == 1
     assert "names column a:d122 twice" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- command line
+
+_GLOBALS = {"store_dir": "store", "data_dir": "data"}
+_FETCH = {"command": "fetch", "series": ["confirmed", "deaths"], "from_dir": None,
+          "url": None, "timeout": 30.0}
+_LOAD = {"command": "load", "table": "t", "file": "f.csv", "dates": None, "columns": None,
+         "family": "a", "strict": False}
+_SQL = {"command": "sql", "statement": None, "file": None, "keep_going": False}
+_SCHEMA_GEN = {"command": "schema-gen", "table": "t", "store_table": None, "family": "a",
+               "dates": "2020-01-22:2020-01-24"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fetch"], _FETCH),
+        (["ingest"], {"command": "ingest", "series": ["confirmed", "deaths"]}),
+        (["--store-dir=s", "--data-dir", "d", "fetch", "--url", "confirmed=http://a/x",
+          "recovered", "deaths", "--url=deaths=http://b/=y", "--timeout=2.5", "--from-dir",
+          "raw"],
+         {**_FETCH, "store_dir": "s", "data_dir": "d", "series": ["recovered", "deaths"],
+          "from_dir": "raw", "url": [("confirmed", "http://a/x"), ("deaths", "http://b/=y")],
+          "timeout": 2.5}),
+        (["load", "t", "f.csv", "--dates", "2020-01-22:2020-01-23"],
+         {**_LOAD, "dates": "2020-01-22:2020-01-23"}),
+        (["load", "t", "--columns=HBASE_ROW_KEY,a:lt", "f.csv", "--family", "b", "--strict"],
+         {**_LOAD, "columns": "HBASE_ROW_KEY,a:lt", "family": "b", "strict": True}),
+        (["sql", "SELECT 1"], {**_SQL, "statement": "SELECT 1"}),
+        (["sql", "--keep-going", "-f", "q.sql"], {**_SQL, "file": "q.sql", "keep_going": True}),
+        (["sql", "--file=q.sql"], {**_SQL, "file": "q.sql"}),
+        (["sql", "-fq.sql"], {**_SQL, "file": "q.sql"}),
+        (["sql", "--", "-x"], {**_SQL, "statement": "-x"}),
+        (["sql", "-1"], {**_SQL, "statement": "-1"}),
+        (["sql", "-x y"], {**_SQL, "statement": "-x y"}),
+        (["shell"], {"command": "shell", "script": None}),
+        (["shell", "--script", "s.txt"], {"command": "shell", "script": "s.txt"}),
+        (["schema-gen", "--table", "t", "--dates", "2020-01-22:2020-01-24"], _SCHEMA_GEN),
+        (["schema-gen", "--dates=2020-01-22:2020-01-24", "--table=t", "--store-table", "b",
+          "--family", "c"], {**_SCHEMA_GEN, "store_table": "b", "family": "c"}),
+    ],
+)
+def test_command_line_values_and_defaults(monkeypatch, tmp_path, argv, expected):
+    import covidstore.cli as cli
+
+    monkeypatch.chdir(tmp_path)  # where the default store would be
+    monkeypatch.delenv("STORE_DIR", raising=False)
+    monkeypatch.delenv("DATA_DIR", raising=False)
+    seen = {}
+    for name in ("fetch", "ingest", "load", "sql", "shell", "schema_gen"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.update(vars(args)) or 0)
+    assert main(argv) == 0
+    seen.pop("func", None)
+    assert seen == {**_GLOBALS, **expected}
+
+
+def test_store_and_data_dirs_default_to_the_environment(monkeypatch):
+    import covidstore.cli as cli
+
+    monkeypatch.setenv("STORE_DIR", "env-store")
+    monkeypatch.setenv("DATA_DIR", "env-data")
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_ingest", lambda args: seen.update(vars(args)) or 0)
+    assert main(["ingest"]) == 0
+    assert (seen["store_dir"], seen["data_dir"]) == ("env-store", "env-data")
+    assert main(["--data-dir", "d", "ingest"]) == 0
+    assert (seen["store_dir"], seen["data_dir"]) == ("env-store", "d")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["nope"], "'nope'"),
+        (["ingest", "--bogus"], "--bogus"),
+        (["load", "t", "f.csv", "--dates"], "--dates"),
+        (["load", "t", "f.csv", "--dates", "--strict"], "--dates"),
+        (["load", "t", "--dates", "2020-01-22:2020-01-22"], "file"),
+        (["load", "t", "f.csv", "--dates", "2020-01-22:2020-01-22", "extra"], "extra"),
+        (["load", "t", "f.csv"], "--dates"),
+        (["load", "t", "f.csv", "--dates", "2020-01-22:2020-01-22", "--columns", "c"],
+         "--columns"),
+        (["load", "t", "f.csv", "--columns", "c", "--strict=yes"], "--strict"),
+        (["schema-gen", "--dates", "2020-01-22:2020-01-22"], "--table"),
+        (["schema-gen", "--table", "t"], "--dates"),
+        (["ingest", "nope"], "'nope'"),
+        (["fetch", "--url", "nope"], "--url"),
+        (["fetch", "--url", "cases=http://a/x"], "--url"),
+        (["fetch", "--timeout", "soon"], "--timeout"),
+        (["shell", "--store-dir", "s"], "--store-dir"),
+        (["sql", "SELECT 1", "--data-dir", "d"], "--data-dir"),
+        (["sql"], "-f"),
+        (["sql", "SELECT 1", "-f", "q.sql"], "-f"),
+        # Option names must be given in full; argparse took a prefix.
+        (["--store", "s", "ingest"], "--store"),
+        (["load", "t", "f.csv", "--date", "2020-01-22:2020-01-22"], "--date"),
+    ],
+)
+def test_usage_errors_exit_2_with_a_usage_line(monkeypatch, tmp_path, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)  # where the default store would be
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, message = captured.err.splitlines()[0], captured.err.splitlines()[-1]
+    assert usage.startswith("usage: covidstore")
+    assert message.startswith("covidstore") and ": error: " in message and named in message
+
+
+_OPTIONS = {
+    None: ["--store-dir", "--data-dir", "fetch", "ingest", "load", "sql", "shell", "schema-gen"],
+    "fetch": ["--from-dir", "--url", "--timeout"],
+    "ingest": [],
+    "load": ["--dates", "--columns", "--family", "--strict"],
+    "sql": ["-f", "--file", "--keep-going"],
+    "shell": ["--script"],
+    "schema-gen": ["--table", "--store-table", "--family", "--dates"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_option(capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, flag] if command else [flag])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: covidstore {command or ''}".rstrip() + " [-h]")
+    for name in ["-h", "--help", *_OPTIONS[command]]:
+        assert f" {name}" in out, name
 
 
 # ------------------------------------------------------------------ plumbing
