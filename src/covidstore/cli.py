@@ -7,8 +7,8 @@ date range so the DDL never has to be written by hand.
 
 Exit codes: 0 on success; 2 for a usage error (a malformed command line)
 or for lines skipped during a strict load; 1 for any other user error,
-such as a bad --dates value, a missing file, a failed statement or a
-file-system error.
+such as a bad --dates or --table value, a missing file, a failed
+statement or a file-system error.
 
 The command line is read from one table, _COMMANDS, by a short loop over
 the words: each command is a short-lived process, and argparse, with the
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 from . import SqlError, StoreError, write_atomic
 
 if TYPE_CHECKING:
-    from datetime import date
     from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
     from .store import open_store
 
@@ -84,36 +83,15 @@ def default_url(series: str) -> str:
     return f"{_RAW_BASE}/{raw_file_name(series)}"
 
 
-def _parse_date_range(text: str) -> tuple[date, date]:
-    from datetime import date  # here, so that sql, fetch and shell never import it
-    start_text, sep, end_text = text.partition(":")
-    if not sep:
-        raise ValueError(f"date range {text!r} must look like YYYY-MM-DD:YYYY-MM-DD")
-    try:
-        start = date.fromisoformat(start_text)
-        end = date.fromisoformat(end_text)
-    except ValueError as exc:
-        raise ValueError(f"bad date range {text!r}: {exc}") from None
-    if start > end:
-        raise ValueError(f"date range {text!r} runs backwards")
-    return start, end
-
-
-def import_columns_for_dates(start: date, end: date, family: str = "a") -> list[str]:
-    """The column spec a dated load uses, as literal text entries."""
-    from .dates import series_columns
-    from .store import ROW_KEY
-
-    return [ROW_KEY] + series_columns(start, end, family)
-
-
 # ------------------------------------------------------------------ commands
 
 
 def cmd_fetch(args) -> int:
+    urls = dict(args.url or [])
+    if urls.keys() - set([] if args.from_dir else args.series):
+        _fail("fetch", "argument --url: names a series this run does not download")
     data_dir = Path(args.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    urls = dict(args.url or [])
     rc = EXIT_OK
     for series in args.series:
         name = raw_file_name(series)
@@ -169,8 +147,9 @@ def cmd_load(args) -> int:
     from .store import ROW_KEY, ColumnCoord, ImportSpec
 
     if args.dates is not None:
-        start, end = _parse_date_range(args.dates)
-        columns = import_columns_for_dates(start, end, args.family)
+        from .dates import parse_range, series_columns
+
+        columns = [ROW_KEY, *series_columns(*parse_range(args.dates))]
     else:
         columns = [c.strip() for c in args.columns.split(",")]
     spec = ImportSpec(tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns))
@@ -237,11 +216,13 @@ def cmd_shell(args) -> int:
 
 
 def cmd_schema_gen(args) -> int:
+    from .dates import parse_range
     from .ingest import generate_schema
 
-    start, end = _parse_date_range(args.dates)
-    store_table = args.store_table or args.table
-    print(generate_schema(args.table, store_table, args.family, start, end))
+    # The lexer's name rule: \w+, and \w is isalnum() or "_".
+    if not args.table.replace("_", "0").isalnum():
+        raise ValueError(f"table name {args.table!r} is not a run of letters, digits and _")
+    print(generate_schema(args.table, *parse_range(args.dates)))
     return EXIT_OK
 
 
@@ -302,11 +283,10 @@ _COMMANDS = {
         ("--timeout", "TIMEOUT", 30.0, "seconds to wait for each download (default: 30)")]),
     "ingest": ("format raw CSVs into the sparse layout", "[SERIES ...]", [("series", "*")], []),
     "load": ("bulk-load a sparse CSV into a table",
-             "(--dates START:END | --columns COLUMNS) [--family FAMILY] [--strict] table file",
+             "(--dates START:END | --columns COLUMNS) [--strict] table file",
              [("table", ""), ("file", "")], [
         ("--dates", "START:END", _ONE_OF, "date range, generates the column spec"),
         ("--columns", "COLUMNS", _ONE_OF, "explicit comma-separated column spec"),
-        ("--family", "FAMILY", "a", "column family for --dates (default: a)"),
         ("--strict", None, False, "exit 2 if any line was skipped")]),
     "sql": ("run SQL statements", "[-f FILE] [--keep-going] [statement]",
             [("statement", "?")], [
@@ -315,11 +295,8 @@ _COMMANDS = {
     "shell": ("interactive store shell", "[--script SCRIPT]", [], [
         ("--script", "SCRIPT", None, "run commands from a file instead of stdin")]),
     "schema-gen": ("print the CREATE TABLE for a date range",
-                   "--table TABLE [--store-table STORE_TABLE] [--family FAMILY] --dates START:END",
-                   [], [
-        ("--table", "TABLE", _REQUIRED, "table name"),
-        ("--store-table", "STORE_TABLE", None, "backing table name (default: same as --table)"),
-        ("--family", "FAMILY", "a", "column family (default: a)"),
+                   "--table TABLE --dates START:END", [], [
+        ("--table", "TABLE", _REQUIRED, "mapped and store table name"),
         ("--dates", "START:END", _REQUIRED, "date range of the day columns")]),
 }
 

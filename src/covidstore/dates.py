@@ -1,7 +1,7 @@
-"""The feed's daily columns and the three names each one goes by.
+"""The feed's daily columns, the names each one goes by, and date ranges.
 
-A dated load names its store columns with this module alone, without the
-CSV transform in ingest, which imports the names it uses from here.
+Generated names follow one convention, owned here: family a, qualifiers
+lt, lg and d<month><day>.  A dated load needs this module, not ingest.
 """
 
 from __future__ import annotations
@@ -62,18 +62,30 @@ class DateColumn(NamedTuple):
         return f"d{self.month}{self.day:02d}"
 
 
+def parse_range(text: str) -> tuple[date, date]:
+    """START:END as two dates, each YYYY-MM-DD; date_columns_between checks the range."""
+    start_text, sep, end_text = text.partition(":")
+    if not sep:
+        raise ValueError(f"date range {text!r} must look like YYYY-MM-DD:YYYY-MM-DD")
+    try:
+        return date.fromisoformat(start_text), date.fromisoformat(end_text)
+    except ValueError as exc:
+        raise ValueError(f"bad date range {text!r}: {exc}") from None
+
+
 def date_columns_between(start: date, end: date) -> list[DateColumn]:
-    """All daily columns from start to end inclusive, in order."""
+    """All daily columns from start to end inclusive, in order: a year of them at most."""
     if start > end:
-        raise ValueError(f"start date {start} is after end date {end}")
-    return [DateColumn.from_date(start + timedelta(n)) for n in range((end - start).days + 1)]
+        raise ValueError(f"date range {start}:{end} runs backwards")
+    dates = [DateColumn.from_date(start + timedelta(n)) for n in range((end - start).days + 1)]
+    if len({d.qualifier for d in dates}) < len(dates):
+        raise ValueError(
+            f"date range {start}:{end} covers a month and day twice, "
+            "and date qualifiers carry no year; one mapping spans at most a year"
+        )
+    return dates
 
 
-def series_columns(start: date, end: date, family: str) -> list[str]:
-    """The store columns of a time-series table, as family:qualifier text.
-
-    Latitude (lt) and longitude (lg) come first, then one d<month><day>
-    qualifier per date from start to end inclusive.
-    """
-    dates = date_columns_between(start, end)
-    return [f"{family}:lt", f"{family}:lg"] + [f"{family}:{d.qualifier}" for d in dates]
+def series_columns(start: date, end: date) -> list[str]:
+    """The store columns of a time-series table: a:lt, a:lg, then a:d<month><day> per date."""
+    return ["a:lt", "a:lg"] + [f"a:{d.qualifier}" for d in date_columns_between(start, end)]

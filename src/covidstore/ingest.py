@@ -25,7 +25,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from . import SqlError, write_atomic
+from . import write_atomic
 from .dates import DateColumn, FormatError, date_columns_between, series_columns
 
 KEY_SEPARATOR = "~"
@@ -47,22 +47,17 @@ def sanitize_field(raw: str) -> str:
     return cleaned.replace(",", "-")
 
 
-def generate_schema(table: str, store_table: str, family: str, start: date, end: date) -> str:
+def generate_schema(table: str, start: date, end: date) -> str:
     """Emit the CREATE TABLE statement for a time-series table.
 
     One int column per day from start to end inclusive, named MM_DD_YYYY and
-    mapped to d<month><two-digit day> qualifiers after the key, latitude and
-    longitude.  It only writes text, which sql.ddl.parse_ddl parses unchanged.
+    mapped to d<month><two-digit day> qualifiers in family a after the key,
+    latitude and longitude, onto the store table of the same name.  It only
+    writes text, which sql.ddl.parse_ddl parses unchanged.
     """
-    dates = date_columns_between(start, end)
-    if len({d.qualifier for d in dates}) < len(dates):
-        raise SqlError(
-            f"date range {start}:{end} covers a month and day twice, "
-            "and date qualifiers carry no year; one mapping spans at most a year"
-        )
-    decls = [f"{d.column_name} int" for d in dates]
+    mapping = ",".join([":key"] + series_columns(start, end))
+    decls = [f"{d.column_name} int" for d in date_columns_between(start, end)]
     date_block = ",\n".join(", ".join(decls[i : i + 3]) for i in range(0, len(decls), 3))
-    mapping = ",".join([":key"] + series_columns(start, end, family))
     return (
         f"CREATE TABLE {table} (\n"
         "key struct<Province_State : string,Country_Region : string>,\n"
@@ -74,8 +69,8 @@ def generate_schema(table: str, store_table: str, family: str, start: date, end:
         "COLLECTION ITEMS TERMINATED BY '~'\n"
         "STORED BY 'org.apache.hadoop.hive.hbase.HBaseStorageHandler'\n"
         "WITH SERDEPROPERTIES (\n"
-        f'"hbase.table.name" = "{store_table}",\n'
-        f'"hbase.mapred.output.outputtable" = "{store_table}",\n'
+        f'"hbase.table.name" = "{table}",\n'
+        f'"hbase.mapred.output.outputtable" = "{table}",\n'
         f'"hbase.columns.mapping" = "{mapping}",\n'
         '"hbase.composite.key.factory" = '
         '"org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2");'

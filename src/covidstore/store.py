@@ -246,7 +246,7 @@ class ImportReport(NamedTuple):
 
 class _Table:
     __slots__ = (
-        "descriptor", "data_file", "checksum", "rows", "coords", "places", "ragged", "keys",
+        "descriptor", "data_file", "checksum", "rows", "coords", "places", "keys",
         "parts", "dirty",
     )
 
@@ -258,18 +258,15 @@ class _Table:
         # Every row by key.  A row nothing has touched yet (a row line of a
         # checked data file, or a new row import_tsv added) is its line,
         # exactly as flush would write it; a touched row is its values, one
-        # per coordinate of coords.  Either way the n-th value is the cell at
-        # coords[n - 1].
+        # per coordinate of coords, and may end before coords does, as a
+        # line may, once admit appends to coords (row() pads it).  Either
+        # way the n-th value is the cell at coords[n - 1].
         self.rows: dict[str, Union[str, tuple[str, ...]]] = {}
         # The header: each coordinate a row holds, in order, one shared
         # object each, and its places, each coordinate's index in it.  Both
         # are replaced, never changed in place (see Row).
         self.coords: tuple[ColumnCoord, ...] = ()
         self.places: dict[ColumnCoord, int] = {}
-        # Whether a touched row may end before coords does, as a line may:
-        # admit appends to coords without laying rows out again, and row()
-        # pads such a row when it is next read.
-        self.ragged = False
         # Every row key in order; None once a write may have added one.
         self.keys: Optional[list[str]] = []
         # The row keys by key parts, built on the first scan bound on them:
@@ -319,7 +316,7 @@ class _Table:
                 raise CorruptStoreError(
                     f"corrupt data file {self.data_file}: row {key!r}: {exc}"
                 ) from None
-        elif self.ragged and row is not None and len(row) < len(self.coords):
+        elif row is not None and len(row) < len(self.coords):
             row = self.rows[key] = (*row, *repeat("", len(self.coords) - len(row)))
         return row
 
@@ -393,10 +390,8 @@ class _Table:
             for key, row in self.rows.items():
                 self.rows[key] = pick((*row, ""))
             self.set_header(header)
-            self.ragged = False
         elif added:
             self.set_header((*self.coords, *sorted(added)))
-            self.ragged = True
         return added
 
     def drop(self, unheld: AbstractSet[ColumnCoord]) -> None:

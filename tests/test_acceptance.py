@@ -80,7 +80,7 @@ def budget(seconds: float):
 
 def test_c1_schema_generation_exactness():
     with budget(1.0):
-        text = generate_schema(TABLES["confirmed"], TABLES["confirmed"], "a", START, END)
+        text = generate_schema(TABLES["confirmed"], START, END)
         ddl = parse_ddl(text)
 
         names = [c.name for c in ddl.schema.columns]
@@ -385,7 +385,7 @@ def test_bench_scale_queries_match_oracle(tmp_path, capsys):
     assert main([*base, "ingest"]) == 0
     for series in SERIES:
         table = TABLES[series]
-        assert main([*base, "sql", generate_schema(table, table, "a", START, end)]) == 0
+        assert main([*base, "sql", generate_schema(table, START, end)]) == 0
         sparse = tmp_path / "data" / f"time_series_covid19_{series}_global-sparse.csv"
         load = ["load", table, str(sparse), "--dates", f"{START}:{end}", "--strict"]
         assert main([*base, *load]) == 0

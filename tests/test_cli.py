@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import covidstore
-from covidstore.cli import import_columns_for_dates, main, raw_file_name
+from covidstore.cli import main, raw_file_name
+from covidstore.dates import series_columns
 from covidstore.ingest import generate_schema
-from covidstore.store import open_store
+from covidstore.store import ROW_KEY, open_store
 
 from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, workload_text
 
@@ -217,7 +218,7 @@ def test_load_dates_loads_the_store_and_the_date_naming_only(tmp_path):
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("~Morocco,31.79,-7.09,5\n", encoding="utf-8")
     day = date(2020, 1, 22)
-    schema = generate_schema("t", "t", "a", day, day)
+    schema = generate_schema("t", day, day)
     assert run_cli(tmp_path / "store", tmp_path / "data", "sql", schema) == 0
     loaded = _modules_after_command(
         tmp_path, "load", "t", str(sparse), "--dates", "2020-01-22:2020-01-22"
@@ -236,7 +237,7 @@ def test_schema_gen_and_load_leave_engine_and_shell_unloaded(tmp_path):
         ("load", "t", str(sparse), "--dates", "2020-01-22:2020-01-22"),
     ]
     day = date(2020, 1, 22)
-    schema = generate_schema("t", "t", "a", day, day)
+    schema = generate_schema("t", day, day)
     assert run_cli(tmp_path / "store", tmp_path / "data", "sql", schema) == 0
     for argv in runs:
         loaded = _modules_after_command(tmp_path, *argv)
@@ -366,7 +367,7 @@ def test_ingest_rejects_a_row_whose_field_holds_a_line_break(dirs, capsys):
     assert captured.err == "  line 3: field holds a line break\n"
 
     table = TABLES["confirmed"]
-    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 23))
+    schema = generate_schema(table, date(2020, 1, 22), date(2020, 1, 23))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
     stem = raw_file_name("confirmed")[: -len(".csv")]
     rc = run_cli(
@@ -421,7 +422,7 @@ def test_failed_write_leaves_no_temp_file(raw_data, capsys):
 
 
 def test_dated_column_spec_matches_literal_list():
-    generated = import_columns_for_dates(date(2020, 1, 22), date(2020, 3, 31))
+    generated = [ROW_KEY, *series_columns(date(2020, 1, 22), date(2020, 3, 31))]
     literal = workload_text("import_columns.txt").strip().split(",")
     assert generated == literal
 
@@ -431,7 +432,7 @@ def test_full_pipeline_via_cli(raw_data, capsys):
     assert run_cli(store_dir, data_dir, "ingest") == 0
 
     table = TABLES["confirmed"]
-    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 3, 31))
+    schema = generate_schema(table, date(2020, 1, 22), date(2020, 3, 31))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
 
     stem = raw_file_name("confirmed")[: -len(".csv")]
@@ -476,7 +477,7 @@ def test_load_strict_flags_skipped_lines(raw_data, capsys):
     sparse = data_dir / "tiny.csv"
     sparse.write_text("k~c,1,2,3,4\nonly,two\nm~c,1,2,,5\n", encoding="utf-8")
     table = TABLES["confirmed"]
-    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 23))
+    schema = generate_schema(table, date(2020, 1, 22), date(2020, 1, 23))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
     # In a process of its own, so the store is read back after it ends.
     proc = subprocess.run(
@@ -518,7 +519,7 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
     sparse.write_bytes(good + b"bad~c,1,\xff,3\nend~c,1,2,3\n")
     assert len(good) > 1 << 16
     table = TABLES["confirmed"]
-    schema = generate_schema(table, table, "a", date(2020, 1, 22), date(2020, 1, 22))
+    schema = generate_schema(table, date(2020, 1, 22), date(2020, 1, 22))
     assert run_cli(store_dir, data_dir, "sql", schema) == 0
     capsys.readouterr()
     rc = run_cli(
@@ -691,6 +692,27 @@ def test_shell_script_exit_codes(mapped_store, tmp_path, capsys):
     assert "ERROR: table 'nothing_here' not found" in capsys.readouterr().out
 
 
+def test_shell_without_a_script_reads_stdin(mapped_store):
+    # The README's kv> step, in a process of its own; stdin is a pipe, not a tty.
+    store_dir, data_dir = mapped_store
+    src = str(Path(covidstore.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "covidstore", "--store-dir", str(store_dir),
+         "--data-dir", str(data_dir), "shell"],
+        input="get 'confirmed_covid19_cases', '~Morocco', 'a:d331'\nexit\nscan 'nothing_here'\n",
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # No prompt, and exit stops before the scan, which would print an error.
+    assert proc.stdout == "column=a:d331, value=617\n1 row(s)\n"
+    assert (store_dir / "LOCK").exists()
+    with open_store(store_dir):  # the next open takes the lock
+        pass
+
+
 def test_non_utf8_input_file_is_named(dirs, tmp_path, capsys):
     path = tmp_path / "input.txt"
     path.write_bytes(b"SELECT 1\xff;\n")
@@ -707,11 +729,11 @@ def test_schema_gen_prints_library_output(dirs, capsys):
     store_dir, data_dir = dirs
     rc = run_cli(
         store_dir, data_dir, "schema-gen",
-        "--table", "t", "--store-table", "backing",
+        "--table", "t",
         "--dates", "2020-01-22:2020-01-24",
     )
     assert rc == 0
-    expected = generate_schema("t", "backing", "a", date(2020, 1, 22), date(2020, 1, 24))
+    expected = generate_schema("t", date(2020, 1, 22), date(2020, 1, 24))
     assert capsys.readouterr().out == expected + "\n"
 
 
@@ -721,6 +743,15 @@ def test_schema_gen_defaults_store_table_to_table(dirs, capsys):
                  "--dates", "2020-01-22:2020-01-22")
     assert rc == 0
     assert '"hbase.table.name" = "t"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("table", ["bad name", "t;", "a-b", "a.b", ""])
+def test_schema_gen_refuses_a_table_name_the_lexer_would_split(dirs, capsys, table):
+    rc = run_cli(*dirs, "schema-gen", "--table", table, "--dates", "2020-01-22:2020-01-22")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(table) in captured.err
 
 
 @pytest.mark.parametrize(
@@ -766,7 +797,7 @@ def test_one_mapping_spans_at_most_a_year(dirs, tmp_path, capsys):
     assert "column mapping names a:d122 twice" in capsys.readouterr().err
     assert run_cli(store_dir, data_dir, "load", "t", str(sparse),
                    "--dates", "2020-01-22:2021-01-22") == 1
-    assert "names column a:d122 twice" in capsys.readouterr().err
+    assert "covers a month and day twice" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- command line
@@ -775,10 +806,9 @@ _GLOBALS = {"store_dir": "store", "data_dir": "data"}
 _FETCH = {"command": "fetch", "series": ["confirmed", "deaths"], "from_dir": None,
           "url": None, "timeout": 30.0}
 _LOAD = {"command": "load", "table": "t", "file": "f.csv", "dates": None, "columns": None,
-         "family": "a", "strict": False}
+         "strict": False}
 _SQL = {"command": "sql", "statement": None, "file": None, "keep_going": False}
-_SCHEMA_GEN = {"command": "schema-gen", "table": "t", "store_table": None, "family": "a",
-               "dates": "2020-01-22:2020-01-24"}
+_SCHEMA_GEN = {"command": "schema-gen", "table": "t", "dates": "2020-01-22:2020-01-24"}
 
 
 @pytest.mark.parametrize(
@@ -794,8 +824,8 @@ _SCHEMA_GEN = {"command": "schema-gen", "table": "t", "store_table": None, "fami
           "timeout": 2.5}),
         (["load", "t", "f.csv", "--dates", "2020-01-22:2020-01-23"],
          {**_LOAD, "dates": "2020-01-22:2020-01-23"}),
-        (["load", "t", "--columns=HBASE_ROW_KEY,a:lt", "f.csv", "--family", "b", "--strict"],
-         {**_LOAD, "columns": "HBASE_ROW_KEY,a:lt", "family": "b", "strict": True}),
+        (["load", "t", "--columns=HBASE_ROW_KEY,a:lt", "f.csv", "--strict"],
+         {**_LOAD, "columns": "HBASE_ROW_KEY,a:lt", "strict": True}),
         (["sql", "SELECT 1"], {**_SQL, "statement": "SELECT 1"}),
         (["sql", "--keep-going", "-f", "q.sql"], {**_SQL, "file": "q.sql", "keep_going": True}),
         (["sql", "--file=q.sql"], {**_SQL, "file": "q.sql"}),
@@ -806,8 +836,7 @@ _SCHEMA_GEN = {"command": "schema-gen", "table": "t", "store_table": None, "fami
         (["shell"], {"command": "shell", "script": None}),
         (["shell", "--script", "s.txt"], {"command": "shell", "script": "s.txt"}),
         (["schema-gen", "--table", "t", "--dates", "2020-01-22:2020-01-24"], _SCHEMA_GEN),
-        (["schema-gen", "--dates=2020-01-22:2020-01-24", "--table=t", "--store-table", "b",
-          "--family", "c"], {**_SCHEMA_GEN, "store_table": "b", "family": "c"}),
+        (["schema-gen", "--dates=2020-01-22:2020-01-24", "--table=t"], _SCHEMA_GEN),
     ],
 )
 def test_command_line_values_and_defaults(monkeypatch, tmp_path, argv, expected):
@@ -864,6 +893,12 @@ def test_store_and_data_dirs_default_to_the_environment(monkeypatch):
         # Option names must be given in full; argparse took a prefix.
         (["--store", "s", "ingest"], "--store"),
         (["load", "t", "f.csv", "--date", "2020-01-22:2020-01-22"], "--date"),
+        # --url for a series this run does not download; --from-dir downloads none.
+        (["fetch", "confirmed", "--url", "confirmed=http://127.0.0.1:1/x", "--from-dir", "raw"],
+         "--url"),
+        # Each series fetched has a URL of its own, so no default URL is tried.
+        (["fetch", "confirmed", "--url", "confirmed=http://127.0.0.1:1/x",
+          "--url", "deaths=http://127.0.0.1:1/y"], "--url"),
     ],
 )
 def test_usage_errors_exit_2_with_a_usage_line(monkeypatch, tmp_path, capsys, argv, named):
@@ -882,10 +917,10 @@ _OPTIONS = {
     None: ["--store-dir", "--data-dir", "fetch", "ingest", "load", "sql", "shell", "schema-gen"],
     "fetch": ["--from-dir", "--url", "--timeout"],
     "ingest": [],
-    "load": ["--dates", "--columns", "--family", "--strict"],
+    "load": ["--dates", "--columns", "--strict"],
     "sql": ["-f", "--file", "--keep-going"],
     "shell": ["--script"],
-    "schema-gen": ["--table", "--store-table", "--family", "--dates"],
+    "schema-gen": ["--table", "--dates"],
 }
 
 

@@ -157,8 +157,6 @@ def test_statement_splitting_respects_quotes():
 def test_generated_schema_round_trips():
     text = generate_schema(
         "confirmed_covid19_cases",
-        "confirmed_covid19_cases",
-        "a",
         date(2020, 1, 22),
         date(2020, 3, 31),
     )
@@ -173,8 +171,6 @@ def test_generated_schema_matches_corpus_modulo_whitespace():
     generated = parse_ddl(
         generate_schema(
             "confirmed_covid19_cases",
-            "confirmed_covid19_cases",
-            "a",
             date(2020, 1, 22),
             date(2020, 3, 31),
         )
@@ -189,7 +185,7 @@ def test_generated_schema_matches_corpus_modulo_whitespace():
 
 def test_generated_schema_for_other_ranges():
     ddl = parse_ddl(
-        generate_schema("t", "t", "fam", date(2020, 9, 28), date(2020, 10, 2))
+        generate_schema("t", date(2020, 9, 28), date(2020, 10, 2))
     )
     assert [c.name for c in ddl.schema.columns[2:]] == [
         "09_28_2020",
@@ -199,11 +195,11 @@ def test_generated_schema_for_other_ranges():
         "10_02_2020",
     ]
     assert [str(c) for c in ddl.mapping.coords[2:]] == [
-        "fam:d928",
-        "fam:d929",
-        "fam:d930",
-        "fam:d1001",
-        "fam:d1002",
+        "a:d928",
+        "a:d929",
+        "a:d930",
+        "a:d1001",
+        "a:d1002",
     ]
 
 
@@ -296,7 +292,7 @@ _WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
 def test_generated_schema_parses_however_it_is_spaced(days, rng):
     start = date(2020, 1, 22)
     end = start + timedelta(days=days - 1)
-    text = generate_schema("t", "t", "a", start, end)
+    text = generate_schema("t", start, end)
 
     def run(minimum: int) -> str:
         return "".join(rng.choice(_WHITESPACE) for _ in range(rng.randint(minimum, 3)))

@@ -19,7 +19,7 @@ from covidstore.sql.engine import (
 )
 from covidstore.sql.errors import CatalogError, SqlError, TypeDecodeError
 from covidstore.sql.query import SelectQuery, parse_query
-from covidstore.cli import import_columns_for_dates
+from covidstore.dates import series_columns
 from covidstore.ingest import generate_schema, write_formatted_files
 from covidstore.store import ROW_KEY, ColumnCoord, ImportSpec, Store, StoreError, open_store
 
@@ -784,7 +784,7 @@ def test_full_width_star_queries_match_the_oracle(tmp_path):
     rng = random.Random(366)
     spec = ImportSpec(
         tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c)
-              for c in import_columns_for_dates(start, end))
+              for c in [ROW_KEY, *series_columns(start, end)])
     )
     oracle = {}
     with open_store(tmp_path / "store") as store:
@@ -794,7 +794,10 @@ def test_full_width_star_queries_match_the_oracle(tmp_path):
             _raw_series(raw, days, rng)
             _, sparse, result = write_formatted_files(raw)
             assert not result.errors
-            ddl = generate_schema(table, f"{table}_backing", "a", start, end)
+            # Both table properties name a distinct backing table.
+            ddl = generate_schema(table, start, end).replace(
+                f'" = "{table}"', f'" = "{table}_backing"'
+            )
             catalog.create_mapped_table(parse_ddl(ddl))
             assert store.import_tsv(f"{table}_backing", sparse, spec).skipped == 0
             oracle[table] = query_oracle.OracleTable(raw)

@@ -258,6 +258,19 @@ def test_run_script_not_utf8_after_the_first_chunk_runs_nothing(tmp_path):
     )
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_repl_prompts_before_each_line_on_a_tty(store):
+    stdin = _Terminal("create 'cases', 'a'\nget 'cases', 'x'\n")
+    out = io.StringIO()
+    repl(store, stdin, out)
+    # one prompt per line read, the last one answered by end of input
+    assert out.getvalue() == "kv> kv> 0 row(s)\nkv> "
+
+
 def test_repl_is_quiet_without_a_tty(store):
     stdin = io.StringIO("create 'cases', 'a'\nbogus\nget 'cases', 'x'\nexit\nscan 'cases'\n")
     out = io.StringIO()

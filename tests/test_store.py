@@ -723,7 +723,7 @@ def test_a_global_scale_table_round_trips_through_its_header(tmp_path):
     # JHU deaths' first days are; and some rows with no latitude or longitude.
     rng = random.Random(5)
     start = date(2020, 1, 22)
-    coords = list(map(C, series_columns(start, start + timedelta(days=365), "a")))
+    coords = list(map(C, series_columns(start, start + timedelta(days=365))))
     expected: dict[str, dict[ColumnCoord, str]] = {}
     lines = []
     for i in range(289):
