@@ -11,6 +11,7 @@ from datetime import date, timedelta
 from typing import NamedTuple
 
 _DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2}|\d{4})$")
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class FormatError(ValueError):
@@ -68,6 +69,8 @@ def parse_range(text: str) -> tuple[date, date]:
     if not sep:
         raise ValueError(f"date range {text!r} must look like YYYY-MM-DD:YYYY-MM-DD")
     try:
+        if not all(map(_ISO_DATE_RE.fullmatch, (start_text, end_text))):
+            raise ValueError("each date must be YYYY-MM-DD")
         return date.fromisoformat(start_text), date.fromisoformat(end_text)
     except ValueError as exc:
         raise ValueError(f"bad date range {text!r}: {exc}") from None

@@ -8,11 +8,13 @@ single spot check.
 
 from __future__ import annotations
 
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
+import covidstore
 from covidstore.ingest import write_formatted_files
 from covidstore.sql.engine import Catalog, execute_statement, parse_statement
 from covidstore.sql.lexer import split_statements
@@ -35,6 +37,11 @@ def raw_fixture(series: str) -> Path:
 
 def workload_text(name: str) -> str:
     return (WORKLOAD / name).read_text(encoding="utf-8")
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python: it imports the covidstore this process imports."""
+    return {**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])}
 
 
 def import_spec() -> ImportSpec:

@@ -2,13 +2,11 @@
 
 import functools
 import http.server
-import os
 import shutil
 import subprocess
 import sys
 import threading
 from datetime import date
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +16,7 @@ from covidstore.dates import series_columns
 from covidstore.ingest import generate_schema
 from covidstore.store import ROW_KEY, open_store
 
-from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, workload_text
+from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, child_env, workload_text
 
 
 def run_cli(store_dir, data_dir, *argv):
@@ -95,13 +93,12 @@ def test_cli_import_leaves_network_modules_unloaded():
         "import sys, covidstore.cli; "
         "print(sorted({'urllib.request', 'http.client', 'dataclasses'} & set(sys.modules)))"
     )
-    src = str(Path(covidstore.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -121,13 +118,12 @@ _LAYERS = {
 
 def _modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running code."""
-    src = str(Path(covidstore.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))"],
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -427,39 +423,6 @@ def test_dated_column_spec_matches_literal_list():
     assert generated == literal
 
 
-def test_full_pipeline_via_cli(raw_data, capsys):
-    store_dir, data_dir = raw_data
-    assert run_cli(store_dir, data_dir, "ingest") == 0
-
-    table = TABLES["confirmed"]
-    schema = generate_schema(table, date(2020, 1, 22), date(2020, 3, 31))
-    assert run_cli(store_dir, data_dir, "sql", schema) == 0
-
-    stem = raw_file_name("confirmed")[: -len(".csv")]
-    capsys.readouterr()
-    rc = run_cli(
-        store_dir,
-        data_dir,
-        "load",
-        table,
-        str(data_dir / f"{stem}-sparse.csv"),
-        "--dates",
-        "2020-01-22:2020-03-31",
-    )
-    assert rc == 0
-    assert capsys.readouterr().out == "loaded 215 row(s), skipped 0\n"
-
-    rc = run_cli(
-        store_dir,
-        data_dir,
-        "sql",
-        f"SELECT key.Country_Region, 03_31_2020 FROM {table} "
-        "WHERE key.Country_Region = 'Morocco'",
-    )
-    assert rc == 0
-    assert capsys.readouterr().out == "country_region\t03_31_2020\nMorocco\t617\n"
-
-
 def test_load_into_missing_table(raw_data, capsys):
     store_dir, data_dir = raw_data
     sparse = data_dir / "tiny.csv"
@@ -487,7 +450,7 @@ def test_load_strict_flags_skipped_lines(raw_data, capsys):
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])},
+        env=child_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == "loaded 2 row(s), skipped 1\n"
@@ -692,27 +655,6 @@ def test_shell_script_exit_codes(mapped_store, tmp_path, capsys):
     assert "ERROR: table 'nothing_here' not found" in capsys.readouterr().out
 
 
-def test_shell_without_a_script_reads_stdin(mapped_store):
-    # The README's kv> step, in a process of its own; stdin is a pipe, not a tty.
-    store_dir, data_dir = mapped_store
-    src = str(Path(covidstore.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "covidstore", "--store-dir", str(store_dir),
-         "--data-dir", str(data_dir), "shell"],
-        input="get 'confirmed_covid19_cases', '~Morocco', 'a:d331'\nexit\nscan 'nothing_here'\n",
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    # No prompt, and exit stops before the scan, which would print an error.
-    assert proc.stdout == "column=a:d331, value=617\n1 row(s)\n"
-    assert (store_dir / "LOCK").exists()
-    with open_store(store_dir):  # the next open takes the lock
-        pass
-
-
 def test_non_utf8_input_file_is_named(dirs, tmp_path, capsys):
     path = tmp_path / "input.txt"
     path.write_bytes(b"SELECT 1\xff;\n")
@@ -761,6 +703,8 @@ def test_schema_gen_refuses_a_table_name_the_lexer_would_split(dirs, capsys, tab
         ("2020-03-31:2020-01-22", "runs backwards"),
         ("2020-13-01:2020-13-02", "bad date range"),
         ("2020-01-22:2021-01-22", "covers a month and day twice"),
+        ("20200122:20200123", "bad date range"),
+        ("2020-01-22:2020-W04-4", "bad date range"),
     ],
 )
 def test_bad_date_ranges(dirs, capsys, text, message):

@@ -40,7 +40,7 @@ from covidstore.store import (
     open_store,
 )
 
-from conftest import SERIES, TABLES, import_spec, raw_fixture
+from conftest import SERIES, TABLES, child_env, import_spec, raw_fixture
 from test_acceptance import budget
 
 C = ColumnCoord.parse
@@ -365,14 +365,11 @@ def test_second_open_is_refused_while_open(tmp_path):
 
 def _child_opening(d, then: str) -> subprocess.Popen:
     """A Python process that opens the store at d, prints its pid, then runs `then`."""
-    import covidstore
-
     code = f"import os, signal, sys\nfrom covidstore.store import open_store\n" \
         f"s = open_store({str(d)!r})\nprint(os.getpid(), flush=True)\n{then}\n"
-    src = str(Path(covidstore.__file__).resolve().parents[1])
     return subprocess.Popen(
         [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        text=True, env={**os.environ, "PYTHONPATH": src},
+        text=True, env=child_env(),
     )
 
 
