@@ -14,6 +14,11 @@ The command line is read from one table, _COMMANDS, by a short loop over
 the words: each command is a short-lived process, and argparse, with the
 gettext it loads, would cost every one of them about 5 ms.
 
+`python -m covidstore` and the `covidstore` script both run run(): main(),
+a flush of stdout and stderr, then os._exit, with no interpreter teardown,
+so a command closes every file it opens before main() returns.  A reader
+that leaves before the last flush gets nothing more; main()'s code stands.
+
 A command imports only the layers it runs: fetch none, ingest and
 schema-gen the ingest module (schema-gen only writes text), load the store
 (and the date naming module, dates, for --dates), sql the store and the
@@ -32,7 +37,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import SqlError, StoreError, write_atomic
 
@@ -417,12 +422,28 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Reader went away (e.g. piped into head); suppress the shutdown noise.
         # This handler comes first: BrokenPipeError is an OSError.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _stdout_to_devnull()
         return EXIT_OK
     except (StoreError, SqlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _stdout_to_devnull() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def run() -> NoReturn:
+    """The process entry: main(), a flush, then an exit with no interpreter teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()  # as in main(): the reader left before the last write
+    except OSError as exc:  # such as a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USER_ERROR
+    sys.stderr.flush()
+    os._exit(code)

@@ -40,8 +40,14 @@ def workload_text(name: str) -> str:
 
 
 def child_env() -> dict[str, str]:
-    """The environment of a child Python: it imports the covidstore this process imports."""
-    return {**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])}
+    """The environment of a child Python: it imports the covidstore this process imports.
+
+    PYTHONUNBUFFERED is left out, so the child's stdout is block-buffered, as it
+    is for a user, and output reaches a pipe or file only when the child flushes.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def import_spec() -> ImportSpec:

@@ -2,6 +2,7 @@
 
 import functools
 import http.server
+import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import covidstore
 from covidstore.cli import main, raw_file_name
-from covidstore.dates import series_columns
+from covidstore.dates import parse_range, series_columns
 from covidstore.ingest import generate_schema
 from covidstore.store import ROW_KEY, open_store
 
@@ -896,3 +897,104 @@ def test_store_dir_must_differ_from_data_dir(tmp_path, capsys):
     rc = run_cli(tmp_path, tmp_path, "ingest")
     assert rc == 1
     assert "must differ" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- process entry
+
+DATES = "2020-01-22:2020-03-31"
+MOROCCO = workload_text("query_join_morocco.sql")
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="needs /proc/self/fd")
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def child_cli(store_dir, data_dir, *argv, stdout, stderr=subprocess.PIPE):
+    """Run `python -m covidstore`, which ends through cli.run, on the given streams."""
+    return subprocess.run(
+        [sys.executable, "-m", "covidstore", "--store-dir", str(store_dir),
+         "--data-dir", str(data_dir), *argv],
+        stdout=stdout, stderr=stderr, env=child_env(), timeout=60,
+    )
+
+
+def drop_and_create(path, table):
+    """An sql -f script that drops, then creates, table: the DROP warns if it does not exist."""
+    ddl = generate_schema(table, *parse_range(DATES))
+    path.write_text(f"DROP TABLE {table};\n{ddl}", encoding="utf-8")
+    return path
+
+
+def test_a_reader_gone_before_the_last_flush_gets_nothing_and_exit_0(mapped_store):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = child_cli(*mapped_store, "sql", MOROCCO, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_last_flush_is_an_error(mapped_store):
+    with open("/dev/full", "wb") as full:
+        proc = child_cli(*mapped_store, "sql", MOROCCO, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().startswith("error: [Errno 28]"), proc.stderr
+
+
+@needs_proc_fd
+def test_a_broken_pipe_in_process_leaves_no_descriptor_open(dirs, monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", buffering=1, encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        before = open_fds()
+        assert run_cli(*dirs, "schema-gen", "--table", "t", "--dates", DATES) == 0
+        assert open_fds() == before
+
+
+@needs_proc_fd
+def test_every_command_closes_what_it_opens(dirs, tmp_path, capsys):
+    # run() ends the process with os._exit, so nothing left open is closed at exit.
+    store_dir, data_dir = dirs
+    confirmed = drop_and_create(tmp_path / "confirmed.sql", TABLES["confirmed"])
+    sparse = "time_series_covid19_{}_global-sparse.csv"
+    steps = [
+        (0, "fetch", "--from-dir", str(FIXTURES)),
+        (0, "ingest"),
+        (0, "schema-gen", "--table", "t", "--dates", DATES),
+        (0, "sql", "-f", str(confirmed)),
+        (0, "sql", "-f", str(WORKLOAD / "ddl_deaths.sql")),
+        *[(0, "load", table, str(data_dir / sparse.format(series)), "--dates", DATES)
+          for series, table in TABLES.items()],
+        (0, "sql", MOROCCO),
+        (0, "shell", "--script", str(WORKLOAD / "shell_get_by_region.txt")),
+        (1, "sql", "SELECT FROM nowhere"),
+    ]
+    for rc, *argv in steps:
+        before = open_fds()
+        assert run_cli(store_dir, data_dir, *argv) == rc, (argv, capsys.readouterr().err)
+        assert open_fds() == before, argv
+    assert "Morocco\t617\t36" in capsys.readouterr().out
+
+
+def test_a_buffered_child_writes_what_main_writes(populated_store_dir, tmp_path, capsys):
+    commands = {"select": ["sql", f"SELECT * FROM {TABLES['confirmed']}"],
+                "drop": ["sql", "-f", str(drop_and_create(tmp_path / "drop.sql", "t"))]}
+    for name, argv in commands.items():
+        child, in_process = tmp_path / f"{name}-child", tmp_path / f"{name}-in-process"
+        shutil.copytree(populated_store_dir, child)
+        shutil.copytree(populated_store_dir, in_process)
+        out, err = tmp_path / f"{name}.out", tmp_path / f"{name}.err"
+        with open(out, "wb") as stdout, open(err, "wb") as stderr:
+            proc = child_cli(child, tmp_path / "data", *argv, stdout=stdout, stderr=stderr)
+        assert proc.returncode == run_cli(in_process, tmp_path / "data", *argv) == 0
+        captured = capsys.readouterr()
+        assert out.read_bytes() == captured.out.encode("utf-8"), name
+        assert err.read_bytes() == captured.err.encode("utf-8"), name
+    assert (tmp_path / "select.out").stat().st_size > 8192  # past the io buffer
+    assert "warning" in (tmp_path / "drop.err").read_text(encoding="utf-8")
