@@ -24,10 +24,10 @@ schema-gen the ingest module (schema-gen only writes text), load the store
 (and the date naming module, dates, for --dates), sql the store and the
 SQL engine, shell the store and the shell.  Only sql loads the sql
 package; the other commands catch SqlError from the package root.  The
-names in _LAZY are the ones the benchmark's tracer wraps: they stay
-attributes of this module, bound on first use by _bind or __getattr__,
-and the commands look them up here at call time, so a wrapper set on
-this module is the one that runs.
+names in _LAYERS are the ones the benchmark's tracer wraps: the commands
+call them through this module object, whose __getattr__ imports each
+from its layer on first use and keeps it here, so a wrapper set on this
+module is the one that runs.
 """
 
 from __future__ import annotations
@@ -35,36 +35,24 @@ from __future__ import annotations
 import importlib
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from . import SqlError, StoreError, write_atomic
 
-if TYPE_CHECKING:
-    from .sql.engine import Catalog, execute_statement, parse_statement, render_result_set
-    from .store import open_store
-
-# The names each lazily imported layer binds here, by module.
-_LAZY = {
-    ".store": ("open_store",),
-    ".sql.engine": ("Catalog", "parse_statement", "execute_statement", "render_result_set"),
-}
-
-
-def _bind(module: str) -> None:
-    """Bind a layer's names here, keeping any this module already holds."""
-    layer = importlib.import_module(module, __package__)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(layer, name))
+# Each layer name the commands call through _cli (this module), and its module.
+_LAYERS = {"open_store": ".store", "Catalog": ".sql.engine", "parse_statement": ".sql.engine",
+           "execute_statement": ".sql.engine", "render_result_set": ".sql.engine"}
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAYERS[name], __package__), name)
+    return value
 
 
 EXIT_OK = 0
@@ -148,17 +136,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_load(args) -> int:
-    _bind(".store")
     from .store import ROW_KEY, ColumnCoord, ImportSpec
 
     if args.dates is not None:
-        from .dates import parse_range, series_columns
+        from .dates import date_columns_between, parse_range, series_columns
 
-        columns = [ROW_KEY, *series_columns(*parse_range(args.dates))]
+        start, end = parse_range(args.dates)
+        columns = [ROW_KEY, *series_columns(start, end)]
+        _refuse_a_header(args.file, [d.header_form for d in date_columns_between(start, end)])
     else:
         columns = [c.strip() for c in args.columns.split(",")]
     spec = ImportSpec(tuple(ROW_KEY if c == ROW_KEY else ColumnCoord.parse(c) for c in columns))
-    with open_store(args.store_dir) as store:
+    with _cli.open_store(args.store_dir) as store:
         report = store.import_tsv(args.table, args.file, spec)
         print(f"loaded {report.loaded} row(s), skipped {report.skipped}")
         for line_no, message in report.errors:
@@ -166,6 +155,28 @@ def cmd_load(args) -> int:
     if report.skipped and args.strict:
         return EXIT_DATA_ERROR
     return EXIT_OK
+
+
+def _refuse_a_header(file: str, days: list[str]) -> None:
+    """Raise ValueError if file starts with ingest's header line, whose fourth field is a day.
+
+    A data line holds a count there, or nothing.  A file that cannot be
+    read is left to the load to report.
+    """
+    from .dates import DateColumn
+
+    try:
+        with open(file, "rb") as f:
+            header = f.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")[3:]
+        if DateColumn.from_header(header[0]).header_form != header[0]:
+            return
+    except (OSError, IndexError, ValueError):
+        return
+    message = f"{file} starts with a header line, not a row; load the file without it"
+    for n, (found, wanted) in enumerate(zip_longest(header, days, fillvalue="none"), 4):
+        if found != wanted:
+            raise ValueError(f"{message} (its column {n} is {found}, the date range's {wanted})")
+    raise ValueError(message)
 
 
 def cmd_sql(args) -> int:
@@ -184,15 +195,13 @@ def cmd_sql(args) -> int:
         print("error: no statements to run", file=sys.stderr)
         return EXIT_USER_ERROR
 
-    _bind(".sql.engine")
-    _bind(".store")
     rc = EXIT_OK
-    with open_store(args.store_dir) as store:
-        catalog = Catalog(store)
+    with _cli.open_store(args.store_dir) as store:
+        catalog = _cli.Catalog(store)
         for i, statement_text in enumerate(statements, 1):
             try:
-                statement = parse_statement(statement_text)
-                outcome = execute_statement(statement, catalog, store)
+                statement = _cli.parse_statement(statement_text)
+                outcome = _cli.execute_statement(statement, catalog, store)
             except (SqlError, StoreError, OSError) as exc:
                 print(f"statement {i}: error: {exc}", file=sys.stderr)
                 rc = EXIT_USER_ERROR
@@ -200,7 +209,7 @@ def cmd_sql(args) -> int:
                     break
                 continue
             if outcome.result is not None:
-                print(render_result_set(outcome.result))
+                print(_cli.render_result_set(outcome.result))
             if outcome.text is not None:
                 print(outcome.text)
             if outcome.warning is not None:
@@ -211,8 +220,7 @@ def cmd_sql(args) -> int:
 def cmd_shell(args) -> int:
     from .shell import repl, run_script
 
-    _bind(".store")
-    with open_store(args.store_dir) as store:
+    with _cli.open_store(args.store_dir) as store:
         if args.script:
             errors = run_script(store, args.script)
             return EXIT_USER_ERROR if errors else EXIT_OK
@@ -417,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USER_ERROR
 
     try:
-        # Looked up at call time, as the _LAZY names are.
+        # Looked up at call time, as the _LAYERS names are.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BrokenPipeError:
         # Reader went away (e.g. piped into head); suppress the shutdown noise.

@@ -157,7 +157,7 @@ class Catalog:
         self._persist()
 
     def drop_mapped_table(self, name: str) -> bool:
-        """Remove a definition and its backing table.
+        """Remove a definition, and its backing table unless another definition maps it.
 
         Returns False (a warning, not an error) when the name is unknown,
         so scripted drop-then-create sequences run clean on a fresh store.
@@ -167,7 +167,8 @@ class Catalog:
         if entry is None:
             return False
         backing = entry.mapping.store_table
-        if self._store.has_table(backing):
+        mapped = [k for k, e in self._entries.items() if e.mapping.store_table == backing]
+        if mapped == [key] and self._store.has_table(backing):
             # The store insists on disable-then-drop; do both here, since
             # from this layer the two-step is an implementation detail.
             self._store.disable_table(backing)
@@ -237,20 +238,28 @@ def _decode(
     terminator = schema.collection_terminator
     nfields = len(schema.key_fields)
     first = 1 + nfields
-    # Each = or IN predicate on a key field is one bound on the key's parts,
-    # and a key field holds text, so a number never matches it.
-    bounds = [
-        ((p - 1,), {(v,) for v in values if isinstance(v, str)})
-        for p, values in predicates
-        if p < first
-    ]
-    if key_in is not None:
-        positions, tuples = key_in
-        bounds.append((tuple([p - 1 for p in positions]), tuples))
+    # The scan's one bound: each key field's = and IN texts (a key field
+    # holds text, so a number never matches it; a field named twice keeps
+    # the texts both lists hold) filter key_in's tuples where they cover
+    # the field, and multiply them by the field's texts where they do not.
+    texts: dict[int, set[str]] = {}
+    for p, values in predicates:
+        if p < first:
+            allowed = {v for v in values if isinstance(v, str)}
+            texts[p] = texts[p] & allowed if p in texts else allowed
+    positions, tuples = key_in if key_in is not None else ([], {()})
+    for p, allowed in sorted(texts.items()):
+        if p in positions:
+            tuples = {t for t in tuples
+                      if all(v in allowed for q, v in zip(positions, t) if q == p)}
+        else:
+            tuples = {(*t, v) for t in tuples for v in allowed}
+            positions = [*positions, p]
+    bound = (terminator, nfields, tuple([p - 1 for p in positions]), tuples)
     column_predicates = [(p, values) for p, values in predicates if p >= first]
     backing = plan.entry.mapping.store_table
     try:
-        rows = store.scan(backing, (terminator, nfields, bounds) if bounds else None)
+        rows = store.scan(backing, bound if positions else None)
     except (TableNotFoundError, TableNotEnabledError) as exc:
         state = "does not exist" if isinstance(exc, TableNotFoundError) else "is disabled"
         raise CatalogError(
@@ -353,7 +362,8 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     inside the second scan: that scan parses only the rows whose key
     fields hold a tuple of values some decoded first-source row holds at
     the other sides, so a bad cell in a row that joins nothing is never
-    decoded.  That filter is one more lookup in the same index.
+    decoded.  That filter and the source's key predicates make one bound,
+    so each scan is one lookup in that index.
 
     A source whose mapping names a backing table the store no longer
     holds, or holds disabled, raises CatalogError naming both tables.

@@ -49,15 +49,16 @@ that does not match is parsed in full at open and refused as corrupt at
 its first bad line.  One that parses cleanly is accepted (a crash between
 a data file's replace and the MANIFEST rewrite leaves exactly that), and
 the next MANIFEST write records the sums open read.  Either reading skips
-blank lines and sorts the keys.  An older store, with four-field MANIFEST
+blank lines.  An older store, with four-field MANIFEST
 lines or coordinate and value pairs in its rows, is refused as corrupt;
 rebuild it by re-running DROP/CREATE and load.
 
-A scan bound on row-key parts (Store.scan's key_parts) looks its keys up
-in an index of the table's row-key parts instead of testing every key
-(see _Table.parts).  Only keys are indexed, so a write to an existing row
-keeps the index; whatever can add a row key drops it, and the next bound
-scan builds it again.  The index lives only in memory.
+A scan takes at most one bound on row-key parts (Store.scan's key_parts),
+into which the caller folds every constraint on the key, and looks its
+tuples up in an index of the table's row-key parts (see _Table.parts).
+Only keys are indexed, so a write to an existing row keeps the index;
+whatever can add a row key drops it.  The index lives only in memory, and
+flush, an unbound scan and an index build each sort the keys themselves.
 
 Table removal follows the HBase two-step: disable first, then drop.  Unlike
 HBase, disabling an already disabled table is a no-op rather than an error;
@@ -88,10 +89,9 @@ _COORD = re.compile(COORD_PATTERN)
 # A data file's header line: a tab before each coordinate.
 _HEADER = re.compile(f"(?:\t{COORD_PATTERN})+")
 
-# A scan's bound on row-key parts: (terminator, part count, bounds), each
-# bound (part positions, allowed tuples of part texts); see Store.scan.
-KeyBound = tuple[tuple[int, ...], AbstractSet[tuple[str, ...]]]
-KeyParts = tuple[str, int, Sequence[KeyBound]]
+# A scan's bound on row-key parts: (terminator, part count, part
+# positions, allowed tuples of the part texts at them); see Store.scan.
+KeyParts = tuple[str, int, tuple[int, ...], AbstractSet[tuple[str, ...]]]
 
 
 class TableNotFoundError(StoreError):
@@ -246,8 +246,7 @@ class ImportReport(NamedTuple):
 
 class _Table:
     __slots__ = (
-        "descriptor", "data_file", "checksum", "rows", "coords", "places", "keys",
-        "parts", "dirty",
+        "descriptor", "data_file", "checksum", "rows", "coords", "places", "parts", "dirty",
     )
 
     def __init__(self, descriptor: TableDescriptor) -> None:
@@ -267,11 +266,9 @@ class _Table:
         # are replaced, never changed in place (see Row).
         self.coords: tuple[ColumnCoord, ...] = ()
         self.places: dict[ColumnCoord, int] = {}
-        # Every row key in order; None once a write may have added one.
-        self.keys: Optional[list[str]] = []
         # The row keys by key parts, built on the first scan bound on them:
         # (terminator, part count, positions) -> part texts -> keys in key
-        # order.  Dropped, with keys, whenever a row key may have been added.
+        # order.  Dropped whenever a row key may have been added.
         self.parts: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], list[str]]] = {}
         self.dirty = False
 
@@ -320,16 +317,6 @@ class _Table:
             row = self.rows[key] = (*row, *repeat("", len(self.coords) - len(row)))
         return row
 
-    def ordered_keys(self) -> list[str]:
-        if self.keys is None:
-            self.keys = sorted(self.rows)
-        return self.keys
-
-    def forget_keys(self) -> None:
-        """Drop what was derived from the key set, which a new row changes."""
-        self.keys = None
-        self.parts.clear()
-
     def part_index(
         self, terminator: str, count: int, positions: tuple[int, ...]
     ) -> dict[tuple[str, ...], list[str]]:
@@ -341,37 +328,23 @@ class _Table:
         if index is None:
             index = self.parts[(terminator, count, positions)] = {}
             last = max(positions)
-            for key in self.ordered_keys():
+            for key in sorted(self.rows):
                 parts = key.split(terminator, count - 1)
                 if len(parts) > last:
                     index.setdefault(tuple([parts[p] for p in positions]), []).append(key)
         return index
 
-    def candidates(self, terminator: str, count: int, bounds: Sequence[KeyBound]) -> list[str]:
-        """The keys, in order, holding one allowed tuple of parts for every bound.
+    def candidates(self, terminator: str, count: int, positions: tuple[int, ...],
+                   allowed: AbstractSet[tuple[str, ...]]) -> list[str]:
+        """The keys, in order, whose parts at positions are one of the allowed tuples.
 
         Each key is split at its first count - 1 terminators; a key with
-        too few parts for a bound's positions holds none of its tuples.
-        The keys of the bound with the fewest hits are looked up, then
-        checked against the others.
+        too few parts for the positions holds none of the tuples.
         """
-        keys = self.ordered_keys()
-        looked_up = []
-        for positions, allowed in bounds:
-            index = self.part_index(terminator, count, positions)
-            hits = [index[texts] for texts in allowed if texts in index]
-            # A key is in one entry of an index at most, so this counts keys.
-            looked_up.append((sum(map(len, hits)), hits))
-        looked_up.sort(key=itemgetter(0))
-        if not looked_up or looked_up[0][0] == len(keys):
-            return keys  # every bound allows every key
-        hits = looked_up[0][1]
-        found = hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits))
-        for n, hits in looked_up[1:]:
-            if n < len(keys):
-                allowed_keys = set(chain.from_iterable(hits))
-                found = [key for key in found if key in allowed_keys]
-        return found
+        index = self.part_index(terminator, count, positions)
+        hits = [index[texts] for texts in allowed if texts in index]
+        # A key is in one entry at most, so one entry is already in key order.
+        return hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits))
 
     def admit(self, coords: Sequence[ColumnCoord]) -> AbstractSet[ColumnCoord]:
         """Add to coords, in order, each of these it lacks; return those added.
@@ -416,7 +389,7 @@ class _Table:
         row = self.row(key)
         if row is None:
             self.rows[key] = tuple(values)
-            self.forget_keys()
+            self.parts.clear()
         else:
             self.rows[key] = tuple([new or old for new, old in zip(values, row)])
 
@@ -429,7 +402,7 @@ class _Table:
 
     def scan(self, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Rows in key order, only the candidates of key_parts if given."""
-        keys = self.ordered_keys() if key_parts is None else self.candidates(*key_parts)
+        keys = sorted(self.rows) if key_parts is None else self.candidates(*key_parts)
         row, coords, places = self.row, self.coords, self.places
         return [Row(key, row(key), coords, places) for key in keys]  # type: ignore[arg-type]
 
@@ -581,9 +554,7 @@ class Store:
             rows = islice(lines, 1, None)
             if table.checksum == checksum:
                 table.rows = {line.partition("\t")[0]: line for line in rows if line}
-                table.keys = sorted(table.rows)
                 return
-            table.forget_keys()
             for i, line in enumerate(rows, 2):
                 if not line:
                     continue
@@ -617,7 +588,7 @@ class Store:
 
         def lines() -> Iterator[bytes]:
             nonlocal size, crc
-            keys = table.ordered_keys()
+            keys = sorted(table.rows)
             header = ["\t".join(["", *map(str, table.coords)])] if keys else []
             for text in chain(header, map(table.line, keys)):
                 line = f"{text}\n".encode("utf-8")
@@ -712,17 +683,24 @@ class Store:
             self._write_manifest()
 
     def drop_table(self, name: str) -> None:
-        """Remove a disabled table and its data for good."""
+        """Remove a disabled table and its data for good: MANIFEST first, then the data file.
+
+        A crash between the two leaves a file nothing names, which create_table replaces.
+        """
         self._ensure_open()
         table = self._table(name)
         if table.descriptor.enabled:
             raise TableEnabledError("table must be disabled first")
         del self._tables[name]
         try:
+            self._write_manifest()
+        except BaseException:
+            self._tables[name] = table
+            raise
+        try:
             (self.directory / table.data_file).unlink()
         except FileNotFoundError:
             pass
-        self._write_manifest()
 
     def put(self, table: str, row_key: str, coord: ColumnCoord, value: str) -> None:
         """Write one cell; an existing cell at the coordinate is replaced."""
@@ -767,12 +745,13 @@ class Store:
     def scan(self, table: str, key_parts: Optional[KeyParts] = None) -> list[Row]:
         """Every row of the table, keys ascending, each with one value per header coordinate.
 
-        With key_parts, (terminator, count, bounds), only the rows whose
-        key, split at its first count - 1 terminators, holds one allowed
-        tuple for every bound: each bound is (part positions, allowed
-        tuples of the part texts at them).  The table's index of key parts
-        finds them without testing every key, and only the rows returned
-        are split.  The list is the caller's; see Row for its rows.
+        With key_parts, (terminator, count, positions, allowed), only the
+        rows whose key, split at its first count - 1 terminators, holds one
+        of the allowed tuples of part texts at the positions: one bound,
+        into which the caller folds every constraint on the key.  The
+        table's index of key parts finds them without testing every key,
+        and only the rows returned are split.  The list is the caller's;
+        see Row for its rows.
         """
         self._ensure_open()
         return self._enabled_table(table).scan(key_parts)
@@ -842,7 +821,7 @@ class Store:
                         t.write(key, values)
                     else:
                         t.rows[key] = key + "\t" + "\t".join(values).rstrip("\t")
-                        t.forget_keys()
+                        t.parts.clear()
                         t.dirty = True
                     loaded += 1
         except (OSError, UnicodeError) as exc:

@@ -17,7 +17,7 @@ from covidstore.dates import parse_range, series_columns
 from covidstore.ingest import generate_schema
 from covidstore.store import ROW_KEY, open_store
 
-from conftest import FIXTURES, TABLES, TESTS, WORKLOAD, child_env, workload_text
+from conftest import FIXTURES, GOLDEN, TABLES, TESTS, WORKLOAD, child_env, workload_text
 
 
 def run_cli(store_dir, data_dir, *argv):
@@ -499,6 +499,24 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
         assert [row.key for row in store.scan(table)] == [
             f"k{i:05d}~c" for i in range(count)
         ]
+
+
+@pytest.mark.parametrize("dates, where", [
+    ("2020-01-22:2020-03-31", ""),
+    ("2020-01-23:2020-04-01", " (its column 4 is 01/22/2020, the date range's 01/23/2020)"),
+], ids=["the-header-range", "shifted-a-day"])
+def test_load_dates_refuses_a_file_that_starts_with_its_header(mapped_store, capsys, dates, where):
+    store_dir, data_dir = mapped_store
+    table = TABLES["confirmed"]
+    headered = GOLDEN / f"{raw_file_name('confirmed')[:-4]}-sparse-with-formatted-column-names.csv"
+    assert run_cli(store_dir, data_dir, "load", table, str(headered), "--dates", dates) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: {headered} starts with a header line, not a row; load the file without it"
+        f"{where}\n"
+    ))
+    with open_store(store_dir) as store:
+        assert store.get(table, "Province/State~Country/Region") == []
+        assert len(store.scan(table)) == 215
 
 
 def test_load_with_empty_dates_reports_a_bad_date_range(raw_data, capsys):
