@@ -19,15 +19,15 @@ a flush of stdout and stderr, then os._exit, with no interpreter teardown,
 so a command closes every file it opens before main() returns.  A reader
 that leaves before the last flush gets nothing more; main()'s code stands.
 
-A command imports only the layers it runs: fetch none, ingest and
-schema-gen the ingest module (schema-gen only writes text), load the store
-(and the date naming module, dates, for --dates), sql the store and the
-SQL engine, shell the store and the shell.  Only sql loads the sql
-package; the other commands catch SqlError from the package root.  The
-names in _LAYERS are the ones the benchmark's tracer wraps: the commands
-call them through this module object, whose __getattr__ imports each
-from its layer on first use and keeps it here, so a wrapper set on this
-module is the one that runs.
+A command imports only the layers it runs: fetch none, ingest the ingest
+module, schema-gen the date naming module, dates (it only writes text),
+load the store (and dates, for --dates), sql the store and the SQL engine,
+shell the store and the shell.  Only sql loads the sql package; the other
+commands catch SqlError from the package root.  The names in _LAYERS are
+the ones the benchmark's tracer wraps: the commands call them through
+this module object, whose __getattr__ imports each from its layer on
+first use and keeps it here, so a wrapper set on this module is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -182,7 +182,9 @@ def _refuse_a_header(file: str, days: list[str]) -> None:
 def cmd_sql(args) -> int:
     if args.file:
         try:
-            text = Path(args.file).read_text(encoding="utf-8")
+            # A leading BOM is skipped here, not by the utf-8-sig codec, whose
+            # import raised the peak RSS of an sql -f process by about 150 KB.
+            text = Path(args.file).read_text(encoding="utf-8").removeprefix("\ufeff")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_USER_ERROR
@@ -229,8 +231,7 @@ def cmd_shell(args) -> int:
 
 
 def cmd_schema_gen(args) -> int:
-    from .dates import parse_range
-    from .ingest import generate_schema
+    from .dates import generate_schema, parse_range
 
     # The lexer's name rule: \w+, and \w is isalnum() or "_".
     if not args.table.replace("_", "0").isalnum():

@@ -1,7 +1,8 @@
 """The feed's daily columns, the names each one goes by, and date ranges.
 
 Generated names follow one convention, owned here: family a, qualifiers
-lt, lg and d<month><day>.  A dated load needs this module, not ingest.
+lt, lg and d<month><day>, and the CREATE TABLE that maps them.  A dated
+load and schema-gen need this module, not ingest.
 """
 
 from __future__ import annotations
@@ -92,3 +93,33 @@ def date_columns_between(start: date, end: date) -> list[DateColumn]:
 def series_columns(start: date, end: date) -> list[str]:
     """The store columns of a time-series table: a:lt, a:lg, then a:d<month><day> per date."""
     return ["a:lt", "a:lg"] + [f"a:{d.qualifier}" for d in date_columns_between(start, end)]
+
+
+def generate_schema(table: str, start: date, end: date) -> str:
+    """Emit the CREATE TABLE statement for a time-series table.
+
+    One int column per day from start to end inclusive, named MM_DD_YYYY and
+    mapped to d<month><two-digit day> qualifiers in family a after the key,
+    latitude and longitude, onto the store table of the same name.  It only
+    writes text, which sql.ddl.parse_ddl parses unchanged.
+    """
+    mapping = ",".join([":key"] + series_columns(start, end))
+    decls = [f"{d.column_name} int" for d in date_columns_between(start, end)]
+    date_block = ",\n".join(", ".join(decls[i : i + 3]) for i in range(0, len(decls), 3))
+    return (
+        f"CREATE TABLE {table} (\n"
+        "key struct<Province_State : string,Country_Region : string>,\n"
+        "Lat float,\n"
+        "Long float,\n"
+        f"{date_block}\n"
+        ")\n"
+        "ROW FORMAT DELIMITED\n"
+        "COLLECTION ITEMS TERMINATED BY '~'\n"
+        "STORED BY 'org.apache.hadoop.hive.hbase.HBaseStorageHandler'\n"
+        "WITH SERDEPROPERTIES (\n"
+        f'"hbase.table.name" = "{table}",\n'
+        f'"hbase.mapred.output.outputtable" = "{table}",\n'
+        f'"hbase.columns.mapping" = "{mapping}",\n'
+        '"hbase.composite.key.factory" = '
+        '"org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2");'
+    )

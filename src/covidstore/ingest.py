@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from . import write_atomic
-from .dates import DateColumn, FormatError, date_columns_between, series_columns
+from .dates import DateColumn, FormatError
 
 KEY_SEPARATOR = "~"
 
@@ -45,36 +45,6 @@ def sanitize_field(raw: str) -> str:
     cleaned = raw.replace('"', "").replace("*", "")
     cleaned = cleaned.replace(", ", "-")
     return cleaned.replace(",", "-")
-
-
-def generate_schema(table: str, start: date, end: date) -> str:
-    """Emit the CREATE TABLE statement for a time-series table.
-
-    One int column per day from start to end inclusive, named MM_DD_YYYY and
-    mapped to d<month><two-digit day> qualifiers in family a after the key,
-    latitude and longitude, onto the store table of the same name.  It only
-    writes text, which sql.ddl.parse_ddl parses unchanged.
-    """
-    mapping = ",".join([":key"] + series_columns(start, end))
-    decls = [f"{d.column_name} int" for d in date_columns_between(start, end)]
-    date_block = ",\n".join(", ".join(decls[i : i + 3]) for i in range(0, len(decls), 3))
-    return (
-        f"CREATE TABLE {table} (\n"
-        "key struct<Province_State : string,Country_Region : string>,\n"
-        "Lat float,\n"
-        "Long float,\n"
-        f"{date_block}\n"
-        ")\n"
-        "ROW FORMAT DELIMITED\n"
-        "COLLECTION ITEMS TERMINATED BY '~'\n"
-        "STORED BY 'org.apache.hadoop.hive.hbase.HBaseStorageHandler'\n"
-        "WITH SERDEPROPERTIES (\n"
-        f'"hbase.table.name" = "{table}",\n'
-        f'"hbase.mapred.output.outputtable" = "{table}",\n'
-        f'"hbase.columns.mapping" = "{mapping}",\n'
-        '"hbase.composite.key.factory" = '
-        '"org.apache.hadoop.hive.hbase.SampleHBaseKeyFactory2");'
-    )
 
 
 def build_row_key(province_state: str, country_region: str) -> str:

@@ -192,14 +192,15 @@ def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) ->
     """Execute commands from a file, one per line; returns the error count.
 
     Every line is read before any command runs, so a script that is not
-    UTF-8 runs nothing.  Execution continues past failures; the caller
-    turns a nonzero count into a nonzero exit status.
+    UTF-8 runs nothing; a byte order mark that starts it is skipped.
+    Execution continues past failures; the caller turns a nonzero count
+    into a nonzero exit status.
     """
     # Resolve at call time so stream redirection is honored.
     out = sys.stdout if out is None else out
     try:
         with open(path, "rb") as fh:
-            lines = list(LineReader(fh))
+            lines = list(LineReader(fh, bom=True))
     except UnicodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return _run(store, lines, out)

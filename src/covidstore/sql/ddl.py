@@ -6,7 +6,7 @@ the backing store table and a column mapping whose entries line up with the
 declared columns, ":key" standing for the row key itself.  The STORED BY
 class and any extra properties are recorded verbatim and otherwise ignored;
 they matter to the cluster software this replaces, not to this engine.
-The CREATE text for a time-series table comes from ingest.generate_schema,
+The CREATE text for a time-series table comes from dates.generate_schema,
 which only writes text; the DDL tests parse its output here.
 
 A CREATE is read token by token, but its column list (a column a day) and

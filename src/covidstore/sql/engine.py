@@ -18,6 +18,8 @@ position, each column's cell and decoder, SELECT *'s outputs and headers)
 is built on its first query and kept with its catalog entry until DROP
 TABLE removes the entry; store writes never change it.  The pickers that
 take a query's cells from a row are kept there too, once per header.
+Nothing is kept per statement: each run of a SELECT text parses it and
+binds its names again, as a sql process runs each statement once.
 
 Decode on read: a cell that does not decode as its declared type raises
 TypeDecodeError only when the query references its column and its row
@@ -209,11 +211,6 @@ class _Plan(NamedTuple):
     readers: dict[Optional[tuple[int, ...]], tuple]  # see _reader
 
 
-class _Source(NamedTuple):
-    qualifier: str  # alias if declared, else the table name
-    plan: _Plan
-
-
 def _decode(
     plan: _Plan,
     store: Store,
@@ -243,23 +240,28 @@ def _decode(
     # the texts both lists hold) filter key_in's tuples where they cover
     # the field, and multiply them by the field's texts where they do not.
     texts: dict[int, set[str]] = {}
+    column_predicates = []
     for p, values in predicates:
-        if p < first:
-            allowed = {v for v in values if isinstance(v, str)}
-            texts[p] = texts[p] & allowed if p in texts else allowed
+        if p >= first:
+            column_predicates.append((p, values))
+            continue
+        allowed = {v for v in values if type(v) is str}
+        texts[p] = texts[p] & allowed if p in texts else allowed
     positions, tuples = key_in if key_in is not None else ([], {()})
-    for p, allowed in sorted(texts.items()):
+    for p in sorted(texts):
+        allowed = texts[p]
         if p in positions:
             tuples = {t for t in tuples
                       if all(v in allowed for q, v in zip(positions, t) if q == p)}
         else:
             tuples = {(*t, v) for t in tuples for v in allowed}
             positions = [*positions, p]
-    bound = (terminator, nfields, tuple([p - 1 for p in positions]), tuples)
-    column_predicates = [(p, values) for p, values in predicates if p >= first]
     backing = plan.entry.mapping.store_table
     try:
-        rows = store.scan(backing, bound if positions else None)
+        rows = store.scan(
+            backing,
+            (terminator, nfields, tuple([p - 1 for p in positions]), tuples) if positions else None,
+        )
     except (TableNotFoundError, TableNotEnabledError) as exc:
         state = "does not exist" if isinstance(exc, TableNotFoundError) else "is disabled"
         raise CatalogError(
@@ -267,14 +269,18 @@ def _decode(
         ) from None
     if not rows:
         return []
-    columns = None if referenced is None else tuple(sorted(filter(first.__le__, referenced)))
+    columns = None if referenced is None else tuple(sorted([p for p in referenced if p >= first]))
     wanted, decoders, pick = _reader(plan, rows[0].places, first, columns)
-    blank = [None] * len(plan.coords)
+    # A row ends at the last position the query reads.
+    width = first + len(plan.coords) if columns is None else columns[-1] + 1 if columns else first
+    blank = [None] * width
     out: list[list[Value]] = []
     unfiltered = not (column_predicates or conditions)
     for row in rows:
+        values = blank.copy()
         parts = row.key.split(terminator, nfields - 1)
-        values = [row.key, *parts, *[None] * (nfields - len(parts)), *blank]
+        values[0] = row.key
+        values[1 : 1 + len(parts)] = parts
         try:
             for p, decode, raw in zip(wanted, decoders, pick(row.values)):
                 if raw:
@@ -322,26 +328,30 @@ def _matchable(key: tuple[Value, ...]) -> bool:
     return True
 
 
-def _resolve(sources: list[_Source], ref: Ref) -> tuple[int, int, str]:
-    """Bind a reference to (source index, position in its rows, output header)."""
-    is_key = isinstance(ref, KeyFieldRef)
+def _resolve(plans: list[_Plan], qualifiers: dict[str, int], ref: Ref) -> tuple[int, int, str]:
+    """Bind a reference to (source index, position in its rows, output header).
+
+    qualifiers maps each source's alias, or its table name if it has none,
+    in lower case, to its index.
+    """
+    is_key = type(ref) is KeyFieldRef
     name = ref.field if is_key else ref.name
-    kind = "key field" if is_key else "column"
     wanted = (is_key, name.lower())
+    kind = "key field" if is_key else "column"
     if ref.alias:
-        matches = [i for i, s in enumerate(sources) if s.qualifier.lower() == ref.alias.lower()]
-        if not matches:
+        i = qualifiers.get(ref.alias.lower())
+        if i is None:
             raise SqlError(f"unknown table or alias {ref.alias!r}")
-        if wanted not in sources[matches[0]].plan.names:
-            table = sources[matches[0]].plan.entry.schema.table_name
-            raise SqlError(f"unknown {kind} {name!r} in table {table!r}")
-    else:
-        matches = [i for i, s in enumerate(sources) if wanted in s.plan.names]
-        if not matches:
-            raise SqlError(f"unknown {kind} {name!r}")
-        if len(matches) > 1:
-            raise SqlError(f"ambiguous {kind} {name!r}; qualify it with an alias")
-    return (matches[0], *sources[matches[0]].plan.names[wanted])
+        at = plans[i].names.get(wanted)
+        if at is None:
+            raise SqlError(f"unknown {kind} {name!r} in table {plans[i].entry.schema.table_name!r}")
+        return i, *at
+    found = [(i, *plan.names[wanted]) for i, plan in enumerate(plans) if wanted in plan.names]
+    if not found:
+        raise SqlError(f"unknown {kind} {name!r}")
+    if len(found) > 1:
+        raise SqlError(f"ambiguous {kind} {name!r}; qualify it with an alias")
+    return found[0]
 
 
 def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet:
@@ -375,68 +385,73 @@ def execute_query(ast: SelectQuery, catalog: Catalog, store: Store) -> ResultSet
     which is deterministic.  A condition value that is NULL or NaN matches
     nothing.
     """
-    first = ast.source.alias or ast.source.table
-    if ast.join is not None:
-        second = ast.join.source.alias or ast.join.source.table
-        if first.lower() == second.lower():
+    source, join = ast.source, ast.join
+    first = source.alias or source.table
+    qualifiers = {first.lower(): 0}
+    if join is not None:
+        second = join.source.alias or join.source.table
+        if second.lower() in qualifiers:
             raise SqlError(f"both sources are named {second!r}; give them distinct aliases")
-    sources = [_Source(first, catalog.plan(ast.source.table))]
-    if ast.join is not None:
-        sources.append(_Source(second, catalog.plan(ast.join.source.table)))
+        qualifiers[second.lower()] = 1
+    plans = [catalog.plan(source.table)]
+    if join is not None:
+        plans.append(catalog.plan(join.source.table))
 
-    # Every reference becomes (source index, position in that source's rows).
-    conditions = [
-        (_resolve(sources, left)[:2], _resolve(sources, right)[:2])
-        for left, right in (ast.join.conditions if ast.join is not None else ())
-    ]
+    # Every reference becomes (source index, position in that source's
+    # rows), and each source gathers what filters it: its ON conditions
+    # whose two sides it holds (same) and its WHERE predicates (own).  Each
+    # condition between the sources becomes a pair of (first-source
+    # position, second-source position), whichever side it was written on.
+    same: tuple[list[tuple[int, int]], ...] = ([], [])
+    own: tuple[list[tuple[int, frozenset[Literal]]], ...] = ([], [])
+    pairs = []
+    used: list[Optional[set[int]]] = [set(), set()]
+    for left, right in join.conditions if join is not None else ():
+        i, a, _ = _resolve(plans, qualifiers, left)
+        j, b, _ = _resolve(plans, qualifiers, right)
+        if i == j:
+            same[i].append((a, b))
+        else:
+            pairs.append((a, b) if i == 0 else (b, a))
+        used[i].add(a)
+        used[j].add(b)
     # A Comparison is an IN list of one value.  Python equality on decoded
     # values is the dialect's: 2 matches 2.0, and '2' matches no number.
-    predicates = [
-        (
-            *_resolve(sources, p.ref)[:2],
-            frozenset((p.value,) if isinstance(p, Comparison) else p.values),
-        )
-        for p in ast.where
-    ]
+    for p in ast.where:
+        i, at, _ = _resolve(plans, qualifiers, p.ref)
+        own[i].append((at, frozenset((p.value,) if type(p) is Comparison else p.values)))
+        used[i].add(at)
     if ast.select_all:
-        referenced: list[Optional[set[int]]] = [None] * len(sources)
-        pickers = [src.plan.picker for src in sources]
-        headers = list(chain.from_iterable(src.plan.headers for src in sources))
+        used = [None, None]
+        pickers = [plan.picker for plan in plans]
+        headers = list(chain.from_iterable(plan.headers for plan in plans))
+        sides = []
     else:
-        bound = [_resolve(sources, ref) for ref in ast.projections]
-        outputs: list[list[int]] = [[] for _ in sources]
-        for i, p, _ in bound:
-            outputs[i].append(p)
+        outputs: tuple[list[int], ...] = ([], [])
+        headers, sides = [], []
+        for ref in ast.projections:
+            i, at, header = _resolve(plans, qualifiers, ref)
+            outputs[i].append(at)
+            used[i].add(at)
+            headers.append(header)
+            sides.append(i)
         pickers = list(map(_picker, outputs))
-        referenced = list(map(set, outputs))
-        for i, p in chain(*conditions, [(i, p) for i, p, _ in predicates]):
-            referenced[i].add(p)
-        headers = [header for _, _, header in bound]
 
-    # Each condition between the sources, as (first-source position,
-    # second-source position) whichever side it was written on.
-    pairs = [(a, b) if i == 0 else (b, a) for (i, a), (j, b) in conditions if i != j]
-    rows = []
-    key_in = None
-    for idx, src in enumerate(sources):
-        own = [(p, values) for i, p, values in predicates if i == idx]
-        same = [(a, b) for (i, a), (j, b) in conditions if i == j == idx]
-        rows.append(_decode(src.plan, store, referenced[idx], own, same, key_in))
-        if idx == 0 and len(sources) == 2:
-            key_in = _join_keys(rows[0], pairs, sources[1])
-    if len(sources) == 1:
-        return ResultSet(headers, list(map(pickers[0], rows[0])))
+    rows = _decode(plans[0], store, used[0], own[0], same[0], None)
+    if join is None:
+        return ResultSet(headers, list(map(pickers[0], rows)))
+    key_in = _join_keys(rows, pairs, plans[1])
     # The join yields the first source's outputs, then the second's.
-    out = _hash_join(rows[0], rows[1], pairs, *pickers)
-    if not ast.select_all:
-        joined = sorted(range(len(bound)), key=lambda k: bound[k][0])
-        if joined != sorted(joined):  # the projection interleaves the sources
-            out = list(map(_picker([joined.index(k) for k in range(len(bound))]), out))
+    out = _hash_join(rows, _decode(plans[1], store, used[1], own[1], same[1], key_in),
+                     pairs, *pickers)
+    if sides != sorted(sides):  # the projection interleaves the sources
+        joined = sorted(range(len(sides)), key=sides.__getitem__)
+        out = list(map(_picker([joined.index(k) for k in range(len(sides))]), out))
     return ResultSet(headers, out)
 
 
 def _join_keys(
-    left: list[list[Value]], pairs: list[tuple[int, int]], right: _Source
+    left: list[list[Value]], pairs: list[tuple[int, int]], right: _Plan
 ) -> Optional[tuple[list[int], set[tuple[str, ...]]]]:
     """What the second scan may keep, as _decode's key_in; None if nothing.
 
@@ -447,7 +462,7 @@ def _join_keys(
     only the tuples of text are kept: one holding NULL, NaN or a number
     would never match.
     """
-    on_key = [(a, b) for a, b in pairs if b <= len(right.plan.entry.schema.key_fields)]
+    on_key = [(a, b) for a, b in pairs if b <= len(right.entry.schema.key_fields)]
     if not on_key:
         return None
     keys = set(map(_picker([a for a, _ in on_key]), left))

@@ -56,23 +56,28 @@ class Node:
 
     __slots__ = ()
 
-    def __init__(self, *values: object) -> None:
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     def __init_subclass__(cls) -> None:
-        # Most nodes have two fields; theirs are set through the slots'
-        # descriptors, without the loop: half the cost of a node.
-        if len(cls.__slots__) == 2:
-            first, second = (getattr(cls, name).__set__ for name in cls.__slots__)
+        # Each kind's __init__ sets its fields through the slots'
+        # descriptors, which __setattr__ does not guard, at about half the
+        # cost of object.__setattr__.  Most kinds have two fields, set
+        # without a loop.
+        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+        if len(setters) == 2:
+            first, second = setters
 
             def __init__(self: Node, a: object, b: object) -> None:
                 first(self, a)
                 second(self, b)
 
-            cls.__init__ = __init__
+        else:
+
+            def __init__(self: Node, *values: object) -> None:
+                if len(values) != len(setters):
+                    raise TypeError(f"{type(self).__name__} takes {len(setters)} fields")
+                for set_field, value in zip(setters, values):
+                    set_field(self, value)
+
+        cls.__init__ = __init__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

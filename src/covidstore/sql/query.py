@@ -104,9 +104,10 @@ class _QueryParser(Cursor):
     # --------------------------------------------------------------- grammar
 
     def parse(self) -> SelectQuery:
+        # An unsupported word is refused where a reference would start
+        # (_ref) and where the statement should end: the clauses before
+        # never consume one, so it reaches one of the two.
         self.expect_keyword("SELECT")
-        self._check_unsupported()
-
         projections: list[Ref] = []
         select_all = self.take("*")
         if not select_all:
@@ -118,7 +119,6 @@ class _QueryParser(Cursor):
         source = self._table_source()
 
         join: Optional[JoinClause] = None
-        self._check_unsupported()
         if self.take_keyword("JOIN"):
             join_source = self._table_source()
             self.expect_keyword("ON")
@@ -126,7 +126,6 @@ class _QueryParser(Cursor):
             while self.take_keyword("AND"):
                 conditions.append(self._join_condition())
             join = JoinClause(join_source, tuple(conditions))
-            self._check_unsupported()
 
         where: list[Predicate] = []
         if self.take_keyword("WHERE"):

@@ -417,14 +417,21 @@ class LineReader:
     LF and CR LF end a line; a lone CR stays in its line, even at the end
     of the file.  Each line is read through the file's own buffer, summed
     into size and crc, and decoded on its own.  A byte that is not UTF-8
-    raises UnicodeError with its offset, after the lines before it.
+    raises UnicodeError with its offset, after the lines before it.  With
+    bom, a UTF-8 byte order mark that starts the file is skipped, as
+    text editors on Windows write one; flush never writes one, so MANIFEST
+    and the data files are read without.
     """
 
-    def __init__(self, file: IO[bytes]) -> None:
+    def __init__(self, file: IO[bytes], bom: bool = False) -> None:
         self.file = file
         self.size = self.crc = 0
+        self.bom = bom
 
     def __iter__(self) -> Iterator[str]:
+        # The mark is looked for in the first line, which is read whole:
+        # a pipe may deliver its three bytes in pieces.
+        bom = self.bom
         for raw in self.file:
             self.size += len(raw)
             self.crc = zlib.crc32(raw, self.crc)
@@ -437,6 +444,8 @@ class LineReader:
                 ) from None
             if line.endswith("\n"):
                 line = line[:-2] if line.endswith("\r\n") else line[:-1]
+            if bom:
+                line, bom = line.removeprefix("\ufeff"), False
             yield line
 
 
@@ -766,7 +775,8 @@ class Store:
         or decoded raises StoreError, every line before the failure
         applied.  Returns a report of rows written and lines skipped;
         the caller decides what to print.  Re-importing merges cell by
-        cell, newest write winning, same as put.
+        cell, newest write winning, same as put.  A byte order mark that
+        starts the file is skipped.
         """
         self._ensure_open()
         t = self._enabled_table(table)
@@ -793,7 +803,7 @@ class Store:
         path = Path(file)
         try:
             with open(path, "rb") as f:
-                for line_no, line in enumerate(LineReader(f), 1):
+                for line_no, line in enumerate(LineReader(f, bom=True), 1):
                     fields = line.split(",")
                     try:
                         if len(fields) != width:

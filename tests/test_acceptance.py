@@ -20,8 +20,8 @@ from datetime import date, timedelta
 import pytest
 
 from covidstore.cli import main, raw_file_name
+from covidstore.dates import generate_schema
 from covidstore.shell import execute_command, parse_command, run_script
-from covidstore.ingest import generate_schema
 from covidstore.sql.ddl import parse_ddl
 from covidstore.sql.engine import Catalog, execute_query, parse_statement, render_result_set
 from covidstore.sql.lexer import split_statements

@@ -13,8 +13,7 @@ import pytest
 
 import covidstore
 from covidstore.cli import main, raw_file_name
-from covidstore.dates import parse_range, series_columns
-from covidstore.ingest import generate_schema
+from covidstore.dates import generate_schema, parse_range, series_columns
 from covidstore.store import ROW_KEY, open_store
 
 from conftest import FIXTURES, GOLDEN, TABLES, TESTS, WORKLOAD, child_env, workload_text
@@ -161,10 +160,12 @@ def test_ingest_and_schema_gen_leave_the_store_and_the_parser_unloaded(tmp_path)
     schema_gen = _modules_after_command(
         tmp_path, "schema-gen", "--table", "t", "--dates", "2020-01-22:2020-03-31"
     )
-    for loaded in (ingest, schema_gen):
-        assert _package_modules(loaded) == {
-            "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.ingest",
-        }
+    assert _package_modules(ingest) == {
+        "covidstore", "covidstore.cli", "covidstore.dates", "covidstore.ingest",
+    }
+    # schema-gen only writes text: the date naming, without ingest or csv.
+    assert _package_modules(schema_gen) == {"covidstore", "covidstore.cli", "covidstore.dates"}
+    assert "csv" not in schema_gen
     assert not (tmp_path / "store").exists()
 
 
@@ -501,6 +502,20 @@ def test_load_not_utf8_after_the_first_chunk_keeps_the_lines_before(raw_data, ca
         ]
 
 
+def test_load_skips_a_byte_order_mark(dirs, capsys):
+    # A BOM, as Windows editors write one, is no part of the first row key.
+    store_dir, data_dir = dirs
+    sparse = store_dir.parent / "bom.csv"
+    sparse.write_bytes(b"\xef\xbb\xbf~Morocco,5\n~Spain,7\n")
+    with open_store(store_dir) as store:
+        store.create_table("t", {"a"})
+    rc = run_cli(store_dir, data_dir, "load", "t", str(sparse), "--columns", f"{ROW_KEY},a:x")
+    assert (rc, capsys.readouterr().out) == (0, "loaded 2 row(s), skipped 0\n")
+    with open_store(store_dir) as store:
+        assert [row.key for row in store.scan("t")] == ["~Morocco", "~Spain"]
+        assert [value for _, value in store.get("t", "~Morocco")] == ["5"]
+
+
 @pytest.mark.parametrize("dates, where", [
     ("2020-01-22:2020-03-31", ""),
     ("2020-01-23:2020-04-01", " (its column 4 is 01/22/2020, the date range's 01/23/2020)"),
@@ -576,6 +591,15 @@ def test_sql_file_runs_statements_in_order(mapped_store, tmp_path, capsys):
     assert lines[0] == "key\tstruct<province_state:string,country_region:string>"
     assert len([l for l in lines if "\t" in l]) == 73 + 2
     assert lines[-2] == "Morocco\t617\t36"
+
+
+def test_sql_file_skips_a_byte_order_mark(mapped_store, tmp_path, capsys):
+    store_dir, data_dir = mapped_store
+    script = tmp_path / "q.sql"
+    script.write_bytes(b"\xef\xbb\xbf" + workload_text("query_join_morocco.sql").encode("utf-8"))
+    assert run_cli(store_dir, data_dir, "sql", "-f", str(script)) == 0
+    out, err = capsys.readouterr()
+    assert (out.split("\n")[-2], err) == ("Morocco\t617\t36", "")
 
 
 def test_sql_missing_file(dirs, capsys):

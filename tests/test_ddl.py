@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covidstore.ingest import generate_schema
+from covidstore.dates import generate_schema
 from covidstore.sql.ddl import (
     ColumnDef,
     ColumnMapping,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covidstore.shell import execute_command, parse_command
 from covidstore.sql.ddl import CreateTable, DescribeTable, DropTable, parse_ddl
 from covidstore.sql.engine import (
     Catalog,
@@ -19,12 +20,12 @@ from covidstore.sql.engine import (
 )
 from covidstore.sql.errors import CatalogError, SqlError, TypeDecodeError
 from covidstore.sql.query import SelectQuery, parse_query
-from covidstore.dates import series_columns
-from covidstore.ingest import generate_schema, write_formatted_files
+from covidstore.dates import generate_schema, series_columns
+from covidstore.ingest import write_formatted_files
 from covidstore.store import ROW_KEY, ColumnCoord, ImportSpec, Store, StoreError, open_store
 
 import query_oracle
-from conftest import TABLES
+from conftest import TABLES, workload_text
 
 CASES_DDL = """
 CREATE TABLE cases (
@@ -673,6 +674,33 @@ def test_drop_and_create_under_one_catalog_rebinds_every_query(loaded):
     assert rs.rows == [("~Aland", 3, 2.5, "~Aland", 7)]
     with pytest.raises(SqlError, match="unknown column 'Lat'"):
         run("SELECT Lat FROM cases", *loaded)
+
+
+# ------------------------------------------------------ one catalog, many runs
+
+
+def select(text, catalog, store):
+    return execute_statement(parse_statement(text), catalog, store).result
+
+
+def test_one_catalog_sees_the_shell_change_the_store_between_runs(store_copy):
+    # A catalog keeps each table's plan, never rows, headers or whether
+    # the backing table is there: those are read on each run.
+    text = workload_text("query_join_morocco.sql")
+    table = TABLES["confirmed"]
+    with open_store(store_copy) as store:
+        catalog = Catalog(store)
+        assert select(text, catalog, store).rows == [("Morocco", 617, 36)]
+        put = f"put '{table}', '~Morocco', 'a:d331', '618'"
+        assert execute_command(parse_command(put), store) == ""
+        assert select(text, catalog, store).rows == [("Morocco", 618, 36)]
+        for command in (f"disable '{table}'", f"drop '{table}'"):
+            execute_command(parse_command(command), store)
+        with pytest.raises(CatalogError) as err:
+            select(text, catalog, store)
+    assert str(err.value) == (
+        f"mapped table '{table}': its backing table '{table}' does not exist"
+    )
 
 
 # ---------------------------------------------------------------- rendering

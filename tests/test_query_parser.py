@@ -25,6 +25,16 @@ def test_syntax_nodes_compare_by_kind():
     assert len({KeyFieldRef(None, "x"), ColumnRef(None, "x"), ColumnRef(None, "x")}) == 2
 
 
+def test_a_parsed_select_is_immutable():
+    text = workload_text("query_join_morocco.sql")
+    ast = parse_query(text)
+    ref = ast.projections[0]
+    for node, field in ((ast, "where"), (ref, "alias")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(node, field, None)
+    assert ast == parse_query(text)
+
+
 # ------------------------------------------------------------ corpus shapes
 
 

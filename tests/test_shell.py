@@ -1,6 +1,9 @@
 """Shell command grammar and execution output."""
 
 import io
+import os
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -241,6 +244,40 @@ def test_run_script_breaks_lines_only_at_newlines(tmp_path, sep):
     assert out.getvalue() == ""
     with open_store(tmp_path / "kv") as store:
         assert store.get("t", "k") == [(ColumnCoord("f", "q"), value)]
+
+
+def test_run_script_skips_a_byte_order_mark(tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_bytes(b"\xef\xbb\xbfcreate 't', 'f'\nput 't', 'k', 'f:q', 'v'\n")
+    out = io.StringIO()
+    with open_store(tmp_path / "kv") as store:
+        assert run_script(store, script, out) == 0
+        assert store.get("t", "k") == [(ColumnCoord("f", "q"), "v")]
+    assert out.getvalue() == ""
+
+
+def test_run_script_skips_a_byte_order_mark_a_pipe_delivers_in_pieces(tmp_path):
+    # The first read of the pipe returns one byte of the mark, the next the rest.
+    fifo = tmp_path / "cmds"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as fh:
+            fh.write(b"\xef")
+            time.sleep(0.2)
+            fh.write(b"\xbb\xbfcreate 't', 'f'\n")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    out = io.StringIO()
+    try:
+        with open_store(tmp_path / "kv") as store:
+            assert run_script(store, fifo, out) == 0
+            assert store.has_table("t")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert out.getvalue() == ""
 
 
 def test_run_script_not_utf8_after_the_first_chunk_runs_nothing(tmp_path):

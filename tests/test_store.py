@@ -486,6 +486,21 @@ def test_corrupt_data_file_reported_with_location(tmp_path):
         open_store(d)
 
 
+@pytest.mark.parametrize("name, where", [
+    ("MANIFEST", "corrupt manifest .*line 1"), ("t.dat", "corrupt data file .*line 1"),
+])
+def test_a_byte_order_mark_flush_never_writes_is_corrupt(tmp_path, name, where):
+    # Only a load input and a shell script may start with one.
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+    path = d / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with pytest.raises(CorruptStoreError, match=where):
+        open_store(d)
+
+
 _HEADER = "expected a header: a tab, then tab-separated coordinates"
 _NO_CELLS = "a row with no cells"
 _HEADER_ORDER = "header coordinates repeat or are out of order"
