@@ -40,7 +40,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
 
-from . import SqlError, StoreError, write_atomic
+from . import LineReader, SqlError, StoreError, write_atomic
 
 # Each layer name the commands call through _cli (this module), and its module.
 _LAYERS = {"open_store": ".store", "Catalog": ".sql.engine", "parse_statement": ".sql.engine",
@@ -167,7 +167,7 @@ def _refuse_a_header(file: str, days: list[str]) -> None:
 
     try:
         with open(file, "rb") as f:
-            header = f.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")[3:]
+            header = next(iter(LineReader(f, bom=True)), "").split(",")[3:]
         if DateColumn.from_header(header[0]).header_form != header[0]:
             return
     except (OSError, IndexError, ValueError):
@@ -182,10 +182,9 @@ def _refuse_a_header(file: str, days: list[str]) -> None:
 def cmd_sql(args) -> int:
     if args.file:
         try:
-            # A leading BOM is skipped here, not by the utf-8-sig codec, whose
-            # import raised the peak RSS of an sql -f process by about 150 KB.
-            text = Path(args.file).read_text(encoding="utf-8").removeprefix("\ufeff")
-        except (OSError, UnicodeDecodeError) as exc:
+            with open(args.file, "rb") as f:
+                text = "\n".join(LineReader(f, bom=True))
+        except (OSError, UnicodeError) as exc:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_USER_ERROR
     else:

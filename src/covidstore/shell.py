@@ -3,7 +3,9 @@
 Commands are a lowercase verb followed by single-quoted arguments separated
 by commas; a quote inside an argument is written as two quotes.  The shell
 never dies on a failed command: every error is rendered as a line starting
-with "ERROR:" and the loop carries on until exit or end of input.
+with "ERROR:" and the loop carries on until exit or end of input.  A script
+and standard input, piped or typed, are read through LineReader, as UTF-8:
+a leading BOM is skipped, and a byte that is not UTF-8 ends the input.
 """
 
 from __future__ import annotations
@@ -178,39 +180,35 @@ def _run(store: Store, lines: Iterable[str], out: IO[str]) -> int:
     return errors
 
 
-def _prompted(stdin: IO[str], out: IO[str]) -> Iterator[str]:
-    while True:
-        out.write("kv> ")
-        out.flush()
-        line = stdin.readline()
-        if not line:
-            return
-        yield line
+def _read(file: Iterator[bytes], source: object) -> Iterator[str]:
+    """file's lines through LineReader; a byte not UTF-8 raises ValueError naming source."""
+    try:
+        yield from LineReader(file, bom=True)
+    except UnicodeError as exc:
+        raise ValueError(f"cannot read {source}: {exc}") from None
 
 
 def run_script(store: Store, path: str | Path, out: Optional[IO[str]] = None) -> int:
     """Execute commands from a file, one per line; returns the error count.
 
     Every line is read before any command runs, so a script that is not
-    UTF-8 runs nothing; a byte order mark that starts it is skipped.
-    Execution continues past failures; the caller turns a nonzero count
-    into a nonzero exit status.
+    UTF-8 runs nothing.  Execution continues past failures; the caller
+    turns a nonzero count into a nonzero exit status.
     """
     # Resolve at call time so stream redirection is honored.
     out = sys.stdout if out is None else out
-    try:
-        with open(path, "rb") as fh:
-            lines = list(LineReader(fh, bom=True))
-    except UnicodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
+    with open(path, "rb") as fh:
+        lines = list(_read(fh, path))
     return _run(store, lines, out)
 
 
-def repl(
-    store: Store, stdin: Optional[IO[str]] = None, out: Optional[IO[str]] = None
-) -> None:
-    """Interactive loop; ends on the exit command or end of input."""
-    stdin = sys.stdin if stdin is None else stdin
+def repl(store: Store, stdin: Optional[IO[bytes]] = None, out: Optional[IO[str]] = None) -> None:
+    """Run each line of stdin, by default standard input's bytes, as it is read, until exit."""
+    if stdin is None and sys.stdin is None:  # started with descriptor 0 closed: no input
+        return
+    stdin = sys.stdin.buffer if stdin is None else stdin
     out = sys.stdout if out is None else out
-    interactive = hasattr(stdin, "isatty") and stdin.isatty()
-    _run(store, _prompted(stdin, out) if interactive else stdin, out)
+    lines = stdin
+    if stdin.isatty():  # a prompt before each read
+        lines = iter(lambda: print("kv> ", end="", file=out, flush=True) or stdin.readline(), b"")
+    _run(store, _read(lines, "standard input"), out)

@@ -75,9 +75,9 @@ from itertools import chain, compress, islice, repeat
 from operator import ge, itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Final, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from . import StoreError, write_atomic
+from . import LineReader, StoreError, write_atomic
 
 # Marker used in import column specs for the field that becomes the row key.
 ROW_KEY: Final = "HBASE_ROW_KEY"
@@ -132,6 +132,21 @@ def _check_text(text: str, what: str) -> None:
     for ch in _FORBIDDEN:
         if ch in text:
             raise CellValueError(f"{what} must not contain tab or newline characters")
+    if not (text.isascii() or _encodable(text)):
+        raise CellValueError(f"{what} {text!r} is not text UTF-8 can encode")
+
+
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode text, which a lone surrogate prevents.
+
+    surrogateescape makes one of a byte that is not UTF-8; a write is
+    refused for it, not the flush after it, which would lose every write.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _check_table_name(name: str) -> None:
@@ -153,8 +168,9 @@ class ColumnCoord(NamedTuple):
     def check(self) -> "ColumnCoord":
         """Return the coordinate if a data file can hold it, else raise CellValueError.
 
-        Family and qualifier are non-empty and hold no colon, comma, tab or
-        newline, so the rendered text parses back to the same coordinate.
+        Family and qualifier are non-empty UTF-8 text and hold no colon,
+        comma, tab or newline, so the rendered text parses back to the same
+        coordinate.
         """
         ColumnCoord.parse(f"{self.family}:{self.qualifier}")
         return self
@@ -162,7 +178,7 @@ class ColumnCoord(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "ColumnCoord":
         m = _COORD.fullmatch(text)
-        if m is None:
+        if m is None or not _encodable(text):
             raise CellValueError(f"invalid column coordinate {text!r}")
         return cls._make(m.groups())
 
@@ -411,44 +427,6 @@ MANIFEST_NAME: Final = "MANIFEST"
 LOCK_NAME: Final = "LOCK"
 
 
-class LineReader:
-    """The lines of a UTF-8 file opened in binary mode, one line at a time.
-
-    LF and CR LF end a line; a lone CR stays in its line, even at the end
-    of the file.  Each line is read through the file's own buffer, summed
-    into size and crc, and decoded on its own.  A byte that is not UTF-8
-    raises UnicodeError with its offset, after the lines before it.  With
-    bom, a UTF-8 byte order mark that starts the file is skipped, as
-    text editors on Windows write one; flush never writes one, so MANIFEST
-    and the data files are read without.
-    """
-
-    def __init__(self, file: IO[bytes], bom: bool = False) -> None:
-        self.file = file
-        self.size = self.crc = 0
-        self.bom = bom
-
-    def __iter__(self) -> Iterator[str]:
-        # The mark is looked for in the first line, which is read whole:
-        # a pipe may deliver its three bytes in pieces.
-        bom = self.bom
-        for raw in self.file:
-            self.size += len(raw)
-            self.crc = zlib.crc32(raw, self.crc)
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise UnicodeError(
-                    f"'utf-8' codec can't decode byte 0x{raw[exc.start]:02x} at byte "
-                    f"{self.size - len(raw) + exc.start}: {exc.reason}"
-                ) from None
-            if line.endswith("\n"):
-                line = line[:-2] if line.endswith("\r\n") else line[:-1]
-            if bom:
-                line, bom = line.removeprefix("\ufeff"), False
-            yield line
-
-
 def open_store(directory: str | Path) -> "Store":
     """Open (creating if needed) the store in the given directory."""
     return Store(directory)
@@ -549,8 +527,12 @@ class Store:
                 reader = LineReader(f)
                 lines = list(reader)
         except FileNotFoundError:
-            # A crash between manifest write and first flush leaves no data
-            # file; that is an empty table, not corruption.
+            # A data file is written before MANIFEST names it and removed
+            # after, so one gone that held bytes is lost data, not a crash.
+            if checksum[0]:
+                raise CorruptStoreError(
+                    f"corrupt data file {path}: missing, but MANIFEST records {checksum[0]} bytes"
+                ) from None
             return
         except UnicodeError as exc:
             raise CorruptStoreError(f"corrupt data file {path}: {exc}") from None
@@ -619,12 +601,14 @@ class Store:
             self._write_manifest()
 
     def close(self) -> None:
-        """Flush, then release the store directory for other processes."""
+        """Flush, then release the store directory for other processes, even if flush raises."""
         if self._closed:
             return
-        self.flush()
-        os.close(self._lock_fd)
-        self._closed = True
+        try:
+            self.flush()
+        finally:
+            self._closed = True
+            os.close(self._lock_fd)
 
     def __enter__(self) -> "Store":
         return self

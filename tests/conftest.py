@@ -44,8 +44,11 @@ def child_env() -> dict[str, str]:
 
     PYTHONUNBUFFERED is left out, so the child's stdout is block-buffered, as it
     is for a user, and output reaches a pipe or file only when the child flushes.
+    PYTHONWARNINGS=error makes a warning in the child fail it, as -W error does
+    for the test process.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(covidstore.__file__).resolve().parents[1]),
+           "PYTHONWARNINGS": "error"}
     env.pop("PYTHONUNBUFFERED", None)
     return env
 

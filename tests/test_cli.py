@@ -1040,3 +1040,102 @@ def test_a_buffered_child_writes_what_main_writes(populated_store_dir, tmp_path,
         assert err.read_bytes() == captured.err.encode("utf-8"), name
     assert (tmp_path / "select.out").stat().st_size > 8192  # past the io buffer
     assert "warning" in (tmp_path / "drop.err").read_text(encoding="utf-8")
+
+
+# ------------------------------------------- user input: one reader of bytes
+
+
+def shell_child(store_dir, *argv, input=b"", env=None, closed_stdin=False):
+    """Run `python -m covidstore shell` on store_dir with input as its standard input.
+
+    env adds to child_env(); closed_stdin starts the child with descriptor 0 closed.
+    """
+    command = [sys.executable, "-m", "covidstore", "--store-dir", str(store_dir),
+               "--data-dir", str(store_dir.parent / "data"), "shell", *argv]
+    if closed_stdin:
+        command, input = ["sh", "-c", 'exec "$@" <&-', "sh", *command], None
+    return subprocess.run(command, input=input, capture_output=True,
+                          env={**child_env(), **(env or {})}, timeout=60)
+
+
+def store_files(store_dir):
+    """Each file of a closed store but LOCK, which holds a pid, by name."""
+    return {p.name: p.read_bytes() for p in sorted(store_dir.iterdir()) if p.name != "LOCK"}
+
+
+def test_piped_shell_input_stops_at_a_byte_not_utf8_after_the_commands_before(tmp_path):
+    # UTF-8 mode decodes a text stdin with surrogateescape; the shell reads
+    # bytes, so the mode must make no difference.
+    head = b"create 't', 'a'\nput 't', 'k1', 'a:q', '1'\nput 't', 'k"
+    proc = shell_child(tmp_path / "kv", env={"PYTHONUTF8": "1"},
+                       input=head + b"\xff', 'a:q', '2'\nput 't', 'k3', 'a:q', '3'\n")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == (
+        f"error: cannot read standard input: 'utf-8' codec can't decode byte 0xff at byte "
+        f"{len(head)}: invalid start byte\n"
+    )
+    with open_store(tmp_path / "kv") as store:
+        assert [row.key for row in store.scan("t")] == ["k1"]
+
+
+def test_piped_shell_input_skips_a_byte_order_mark(tmp_path):
+    proc = shell_child(tmp_path / "kv", input=b"\xef\xbb\xbfcreate 't', 'a'\n"
+                                              b"put 't', 'k', 'a:q', '1'\nget 't', 'k'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, b"column=a:q, value=1\n1 row(s)\n", b"")
+
+
+def test_piped_shell_input_is_utf8_whatever_the_stream_encoding(tmp_path):
+    proc = shell_child(tmp_path / "kv", env={"PYTHONIOENCODING": "latin-1"},
+                       input="create 't', 'a'\nput 't', 'Curaçao', 'a:q', '1'\n".encode())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    with open_store(tmp_path / "kv") as store:
+        assert [(row.key, row.values) for row in store.scan("t")] == [("Curaçao", ("1",))]
+
+
+def test_a_shell_without_standard_input_reads_nothing(tmp_path):
+    proc = shell_child(tmp_path / "kv", closed_stdin=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+
+def test_the_same_bytes_piped_or_as_a_script_give_the_same_output_and_store(tmp_path):
+    commands = (b"\xef\xbb\xbfcreate 't', 'a', 'b'\r\nput 't', 'k', 'a:q', 'v'\r\n"
+                b"put 't', 'j', 'b:r', 'w x'\r\nget 't', 'k'\r\nscan 't'\r\nbogus\r\n")
+    script = tmp_path / "cmds.txt"
+    script.write_bytes(commands)
+    piped = shell_child(tmp_path / "piped", input=commands)
+    scripted = shell_child(tmp_path / "scripted", "--script", str(script))
+    assert piped.stdout == scripted.stdout == (
+        b"column=a:q, value=v\n1 row(s)\nj  column=b:r, value=w x\nk  column=a:q, value=v\n"
+        b"2 row(s)\nERROR: unknown command 'bogus'\n"
+    )
+    # The piped shell exits 0 after a failed command, as an interactive one does.
+    assert (piped.returncode, scripted.returncode, piped.stderr, scripted.stderr) == (
+        0, 1, b"", b"")
+    assert store_files(tmp_path / "piped") == store_files(tmp_path / "scripted")
+    assert sorted(store_files(tmp_path / "piped")) == ["MANIFEST", "t.dat"]
+
+
+def test_sql_file_with_a_bom_and_crlf_reads_as_its_lf_copy(dirs, tmp_path):
+    lf = drop_and_create(tmp_path / "lf.sql", "t")
+    text = lf.read_bytes()
+    crlf = tmp_path / "crlf.sql"
+    crlf.write_bytes(b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"))
+    for path in (lf, crlf):
+        proc = child_cli(tmp_path / path.stem, dirs[1], "sql", "-f", str(path),
+                         stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"", b"statement 1: warning: table 't' does not exist, nothing dropped\n")
+    assert store_files(tmp_path / "crlf") == store_files(tmp_path / "lf")
+    assert sorted(store_files(tmp_path / "lf")) == ["CATALOG", "MANIFEST", "t.dat"]
+    # A byte that is not UTF-8 is named by its offset in the file, as shell --script names it.
+    bad = tmp_path / "bad.sql"
+    bad.write_bytes(crlf.read_bytes() + b"SELECT 1\xff;\r\n")
+    at = len(crlf.read_bytes()) + len(b"SELECT 1")
+    for argv in (("sql", "-f", str(bad)), ("shell", "--script", str(bad))):
+        proc = child_cli(tmp_path / "store-bad", dirs[1], *argv, stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (1, b""), argv
+        assert proc.stderr.decode() == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff at byte {at}: "
+            "invalid start byte\n"
+        ), argv

@@ -295,13 +295,13 @@ def test_run_script_not_utf8_after_the_first_chunk_runs_nothing(tmp_path):
     )
 
 
-class _Terminal(io.StringIO):
+class _Terminal(io.BytesIO):
     def isatty(self):
         return True
 
 
 def test_repl_prompts_before_each_line_on_a_tty(store):
-    stdin = _Terminal("create 'cases', 'a'\nget 'cases', 'x'\n")
+    stdin = _Terminal(b"create 'cases', 'a'\nget 'cases', 'x'\n")
     out = io.StringIO()
     repl(store, stdin, out)
     # one prompt per line read, the last one answered by end of input
@@ -309,7 +309,7 @@ def test_repl_prompts_before_each_line_on_a_tty(store):
 
 
 def test_repl_is_quiet_without_a_tty(store):
-    stdin = io.StringIO("create 'cases', 'a'\nbogus\nget 'cases', 'x'\nexit\nscan 'cases'\n")
+    stdin = io.BytesIO(b"create 'cases', 'a'\nbogus\nget 'cases', 'x'\nexit\nscan 'cases'\n")
     out = io.StringIO()
     repl(store, stdin, out)
     # no prompt when input is not a terminal; exit stops before the scan

@@ -148,6 +148,29 @@ def test_put_validates(store):
         store.put("missing", "k", C("a:q"), "1")
 
 
+def test_text_utf8_cannot_encode_is_refused_before_flush(tmp_path):
+    # A lone surrogate, as surrogateescape decodes byte 0xff, would fail the
+    # flush, and with it every other write since the store was opened.
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+        for call in (lambda: s.put("t", "bad\udcff", C("a:q"), "2"),
+                     lambda: s.put("t", "k", C("a:q"), "bad\udcff"),
+                     lambda: s.put("t", "k", ColumnCoord("a", "q\udcff"), "2"),
+                     lambda: s.create_table("u\udcff", {"a"}),
+                     lambda: s.create_table("u", {"a\udcff"})):
+            with pytest.raises(CellValueError):
+                call()
+        with pytest.raises(CellValueError):
+            ImportSpec(columns=(ROW_KEY, C("a:q\udcff")))
+        assert s.get("t", "k") == [(C("a:q"), "1")]
+        assert s.put("t", "Curaçao", C("a:ç"), "1") is None  # any other non-ASCII text is fine
+    with open_store(d) as s:
+        assert s.table_names() == ["t"]
+        assert [row.key for row in s.scan("t")] == ["Curaçao", "k"]
+
+
 @pytest.mark.parametrize(
     "coord",
     [
@@ -466,6 +489,23 @@ def test_close_is_idempotent(tmp_path):
         s.table_names()
 
 
+def test_a_close_whose_flush_fails_still_releases_the_lock(tmp_path):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+    s = open_store(d)
+    s.put("t", "k", C("a:q"), "2")
+    (d / "t.dat.tmp").mkdir()  # where flush writes the new data file
+    with pytest.raises(IsADirectoryError):
+        s.close()
+    assert _lock_is_free(d)
+    with pytest.raises(StoreError, match="closed"):
+        s.table_names()
+    with open_store(d) as again:
+        assert again.get("t", "k") == [(C("a:q"), "1")]
+
+
 def test_corrupt_manifest_reported_with_location(tmp_path):
     d = tmp_path / "kv"
     open_store(d).close()
@@ -570,6 +610,21 @@ def test_missing_data_file_is_empty_table(tmp_path):
     os.unlink(d / "t.dat")
     with open_store(d) as s:
         assert s.scan("t") == []
+
+
+def test_a_missing_data_file_that_held_rows_is_corrupt(tmp_path):
+    d = tmp_path / "kv"
+    with open_store(d) as s:
+        s.create_table("t", {"a"})
+        s.put("t", "k", C("a:q"), "1")
+    size = (d / "t.dat").stat().st_size
+    os.unlink(d / "t.dat")
+    with pytest.raises(CorruptStoreError) as exc:
+        open_store(d)
+    assert str(exc.value) == (
+        f"corrupt data file {d / 't.dat'}: missing, but MANIFEST records {size} bytes"
+    )
+    assert _lock_is_free(d)
 
 
 # ------------------------------------------------------------ bulk import
